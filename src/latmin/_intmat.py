@@ -7,6 +7,7 @@ favor clarity and exactness over asymptotics.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -16,7 +17,8 @@ def identity(n: int, one=1) -> list[list]:
 
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
+    if len(a[0]) != inner:
+        raise ValueError("matrix shapes do not match")
     return [
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
@@ -27,12 +29,12 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def mat_vec(m, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
-
-
 def vec_mat(v, m):
     return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +124,7 @@ def snf(mat: list[list[int]]):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
 
-    t = 0
-    while t < min(nrows, ncols):
-        # locate a nonzero entry in the trailing block
+    def least_entry(t):  # position of the least nonzero |a_ij| with i, j >= t
         pivot = None
         best = None
         for i in range(t, nrows):
@@ -132,6 +132,11 @@ def snf(mat: list[list[int]]):
                 if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
                     best = abs(a[i][j])
                     pivot = (i, j)
+        return pivot
+
+    t = 0
+    while t < min(nrows, ncols):
+        pivot = least_entry(t)
         if pivot is None:
             break
         while True:
@@ -166,13 +171,7 @@ def snf(mat: list[list[int]]):
                 row_op(t, offender, -1)  # fold the offending row into row t
                 clean = False
             # re-pick the smallest entry and continue reducing
-            pivot = None
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                        best = abs(a[i][j])
-                        pivot = (i, j)
+            pivot = least_entry(t)
         t += 1
     d = [[a[i][j] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
     return u, d, v
@@ -183,27 +182,35 @@ def snf(mat: list[list[int]]):
 # ---------------------------------------------------------------------------
 
 
+def _eliminate(a, ncols) -> list[int]:
+    """Reduce the rows ``a`` in place to reduced row echelon form in their
+    first ``ncols`` columns; later columns (a right-hand side, an identity
+    block) ride along.  Returns the pivot columns, row i pivoting on the
+    i-th; rows below the last pivot row are zero in the first ``ncols``."""
+    nrows = len(a)
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == nrows:
+            break
+        piv = next((i for i in range(top, nrows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        inv = 1 / a[top][col]
+        a[top] = [x * inv for x in a[top]]
+        for i in range(nrows):
+            if i != top and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+        pivots.append(col)
+    return pivots
+
+
 def frac_rank(m) -> int:
     if not m:
         return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    nrows, ncols = len(a), len(a[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(nrows):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [a[i][j] - f * a[rank][j] for j in range(ncols)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(_eliminate([[Fraction(x) for x in row] for row in m], len(m[0])))
 
 
 def frac_det(m) -> Fraction:
@@ -236,24 +243,9 @@ def frac_solve(a, b):
     m = len(a)
     n = len(a[0]) if m else 0
     aug = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [aug[i][j] - f * aug[rank][j] for j in range(n + 1)]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][n] != 0:
-            return None
+    pivots = _eliminate(aug, n)
+    if any(aug[i][n] != 0 for i in range(len(pivots), m)):
+        return None
     y = [Fraction(0)] * n
     for r, col in enumerate(pivots):
         y[col] = aug[r][n]
@@ -264,31 +256,10 @@ def frac_inv(m):
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
          for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [a[i][j] - f * a[col][j] for j in range(2 * n)]
+    if len(_eliminate(a, n)) < n:
+        raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in a]
 
 
 def lcm_denominators(rows) -> int:
-    l = 1
-    for row in rows:
-        for x in row:
-            d = Fraction(x).denominator
-            g = _gcd(l, d)
-            l = l // g * d
-    return l
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return math.lcm(*(Fraction(x).denominator for row in rows for x in row))

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intmat as im
+from ._intmat import dot
 from .errors import UnsupportedBodyError
 from .exactarith import format_rational, parse_rational
 
@@ -171,7 +173,7 @@ class SymmetricPolytope(ConvexBody):
         for v in self.vertices:
             tight = 0
             for c in self.facets:
-                val = abs(_dot(c, v))
+                val = abs(dot(c, v))
                 if val > 1:
                     raise ValueError(f"vertex {v} violates a facet constraint")
                 if val == 1:
@@ -181,13 +183,13 @@ class SymmetricPolytope(ConvexBody):
 
     def gauge(self, x) -> Fraction:
         x = [Fraction(v) for v in x]
-        return max(abs(_dot(c, x)) for c in self.facets)
+        return max(abs(dot(c, x)) for c in self.facets)
 
     def support(self, u) -> Fraction:
         if not self.vertices:
             raise UnsupportedBodyError("support needs a vertex list")
         u = [Fraction(v) for v in u]
-        return max(_dot(u, v) for v in self.vertices)
+        return max(dot(u, v) for v in self.vertices)
 
     def volume(self) -> Fraction:
         return self._volume
@@ -233,7 +235,7 @@ def cross_polytope(n: int) -> SymmetricPolytope:
         e = [Fraction(0)] * n
         e[i] = Fraction(1)
         verts.append(e)
-    return SymmetricPolytope(facets, verts, volume=Fraction(2**n, _factorial(n)))
+    return SymmetricPolytope(facets, verts, volume=Fraction(2**n, math.factorial(n)))
 
 
 def coordinate_section(body: ConvexBody, coords) -> SectionData:
@@ -262,17 +264,6 @@ def coordinate_section(body: ConvexBody, coords) -> SectionData:
 # ---------------------------------------------------------------------------
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _enumerate_vertices(facets):
     """Vertices of {|<c_j,x>| <= 1} by intersecting facet hyperplanes (n <= 3)."""
     n = len(facets[0])
@@ -284,7 +275,7 @@ def _enumerate_vertices(facets):
         sol = im.frac_solve([list(c) for c in combo], [Fraction(1)] * n)
         if sol is None:
             continue
-        if all(abs(_dot(c, sol)) <= 1 for c in facets):
+        if all(abs(dot(c, sol)) <= 1 for c in facets):
             verts.add(tuple(sol))
     if not verts:
         raise ValueError("no vertices found; facets do not bound a polytope")
@@ -307,7 +298,7 @@ def _triangulation_volume(poly: SymmetricPolytope) -> Fraction:
         oriented = {tuple(c) for c in poly.facets}
         oriented |= {tuple(-x for x in c) for c in poly.facets}
         for c in sorted(oriented):
-            face = [v for v in poly.vertices if _dot(c, v) == 1]
+            face = [v for v in poly.vertices if dot(c, v) == 1]
             if len(face) < 3:
                 continue
             ordered = _sort_cyclic_face(face, c)
@@ -357,7 +348,7 @@ def _sort_cyclic_face(face, normal):
             return 0
         if s < 0:
             return 1
-        return 0 if _dot(ref, a) > 0 else 1
+        return 0 if dot(ref, a) > 0 else 1
 
     def cmp(p, q):
         hp, hq = half(p), half(q)

@@ -13,14 +13,19 @@ and ball-volume comparison bounds are informational only.
 
 from __future__ import annotations
 
-import itertools
-import random
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intmat as im
 from .body import Box, ConvexBody, SectionData
-from .errors import InputError, MissingSectionError, RankError, UnsupportedBodyError
+from .errors import (
+    CertificateError,
+    InputError,
+    MissingSectionError,
+    RankError,
+    UnsupportedBodyError,
+)
 from .exactarith import (
     DEFAULT_POLICY,
     Enclosure,
@@ -34,7 +39,7 @@ from .exactarith import (
     pow_enclosure,
     sqrt_enclosure,
 )
-from .lattice import Lattice, intersect, kernel_lattice, minors_vector
+from .lattice import Lattice, _m_sum, intersect, kernel_lattice, minors_vector
 from .minima import DEFAULT_BUDGET, successive_minima
 
 BOUND_MINKOWSKI = "minkowski-first"
@@ -147,7 +152,8 @@ def siegel_bound(
     kern = kernel_lattice(rows)
     shortest = successive_minima(Box([Fraction(1)] * n), kern, 1, budget=budget)
     exact = shortest.values[0]
-    assert exact <= enc.hi, "bound fell below the exact shortest kernel vector"
+    if exact > enc.hi:
+        raise CertificateError("bound fell below the exact shortest kernel vector")
     return BoundBreakdown(
         BOUND_SIEGEL,
         enc,
@@ -252,6 +258,23 @@ def gaudron_bound(
 # ---------------------------------------------------------------------------
 
 
+def _lower_rank_terms(body, lat, sublattices, budget):
+    """(lambda_1, forbidden lambda_1s, det, vol, beta, rho) shared by the
+    lower-rank bounds; rejects forbidden sublattices of full rank."""
+    n = lat.ambient_dim
+    subs = list(sublattices)
+    for sub in subs:
+        if sub.rank >= n:
+            raise RankError("forbidden sublattices must have lower rank")
+    lam1 = _lambda1(body, lat, budget)
+    sub_lam1 = [_lambda1(body, sub, budget) for sub in subs]
+    det, vol = lat.det(), body.volume()
+    inv_sum = sum((Fraction(1) / v for v in sub_lam1), Fraction(0))
+    beta = Fraction(6) ** (n - 1) * det / (lam1 ** (n - 1) * vol) * inv_sum
+    rho = Fraction(2) ** n * det / (lam1**n * vol)
+    return lam1, sub_lam1, det, vol, beta, rho
+
+
 def avoidance_bound_lower_rank(
     body: ConvexBody,
     lat: Lattice,
@@ -268,16 +291,7 @@ def avoidance_bound_lower_rank(
     n = lat.ambient_dim
     if lat.rank != n or n < 2:
         raise RankError("needs a full-rank lattice in dimension >= 2")
-    subs = list(sublattices)
-    for sub in subs:
-        if sub.rank >= n:
-            raise RankError("forbidden sublattices must have lower rank")
-    lam1 = _lambda1(body, lat, budget)
-    sub_lam1 = [_lambda1(body, sub, budget) for sub in subs]
-    det, vol = lat.det(), body.volume()
-    inv_sum = sum((Fraction(1) / v for v in sub_lam1), Fraction(0))
-    beta = Fraction(6) ** (n - 1) * det / (lam1 ** (n - 1) * vol) * inv_sum
-    rho = Fraction(2) ** n * det / (lam1**n * vol)
+    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(body, lat, sublattices, budget)
     gamma_bar = beta + nth_root_enclosure(rho, n, policy)
     final = lam1 * gamma_bar
     return BoundBreakdown(
@@ -311,16 +325,7 @@ def higher_minima_bound_lower_rank(
         raise RankError("needs a full-rank lattice in dimension >= 2")
     if not 1 <= j <= n - 1:
         raise InputError(f"j must lie in [1, n-1]; got {j}")
-    subs = list(sublattices)
-    for sub in subs:
-        if sub.rank >= n:
-            raise RankError("forbidden sublattices must have lower rank")
-    lam1 = _lambda1(body, lat, budget)
-    sub_lam1 = [_lambda1(body, sub, budget) for sub in subs]
-    det, vol = lat.det(), body.volume()
-    inv_sum = sum((Fraction(1) / v for v in sub_lam1), Fraction(0))
-    beta = Fraction(6) ** (n - 1) * det / (lam1 ** (n - 1) * vol) * inv_sum
-    rho = Fraction(2) ** n * det / (lam1**n * vol)
+    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(body, lat, sublattices, budget)
     alpha = Fraction(3) ** j * Fraction(2) ** (n - 1) * det / (lam1**n * vol)
     inner = alpha + pow_enclosure(Enclosure.point(rho), n - j, n, policy)
     root = nth_root_of_enclosure(inner, n - j, policy)
@@ -369,12 +374,7 @@ def avoidance_bound_full_rank(
         if sub.rank != n:
             raise RankError("forbidden sublattices must have full rank")
     inter = intersect(subs, within=lat)
-    msum = Fraction(1 - len(subs))
-    ratios = []
-    for sub in subs:
-        idx = inter.index_in(sub)
-        ratios.append(idx)
-        msum += idx
+    msum, ratios = _m_sum(inter, subs)
     lam1_bar = _lambda1(body, inter, budget)
     det, vol = lat.det(), body.volume()
     main = Fraction(2) ** n * det / (lam1_bar ** (n - 1) * vol) * msum
@@ -428,9 +428,7 @@ def higher_minima_bound_full_rank(
         raise InputError(f"i must lie in [1, n]; got {i}")
     subs = list(sublattices)
     inter = intersect(subs, within=lat)
-    msum = Fraction(1 - len(subs))
-    for sub in subs:
-        msum += inter.index_in(sub)
+    msum, _ = _m_sum(inter, subs)
     bar = successive_minima(body, inter, i, budget=budget)
     lam1_bar = bar.values[0]
     extra = bar.values[i - 1] if i >= 2 else Fraction(0)
@@ -525,65 +523,6 @@ def torus_volume_lower_bound(
     return min(value, sub.det())
 
 
-def monte_carlo_torus_volume(
-    body: ConvexBody,
-    sub: Lattice,
-    lam,
-    samples: int = 10**5,
-    seed: int = 0,
-):
-    """Non-certified sanity estimate of the torus volume of (lam/2) K mod sub.
-
-    Samples uniformly in a fundamental cell and tests membership in the
-    lattice translates of the half-dilate; float arithmetic is fine here
-    because the estimate is only compared against a 4-sigma cushion.
-    Returns (estimate, standard_error).
-    """
-    lam = Fraction(lam)
-    if sub.rank != sub.ambient_dim or sub.ambient_dim != body.dim:
-        raise RankError("needs a full-rank lattice of matching dimension")
-    n = body.dim
-    rng = random.Random(seed)
-    basis = [[float(x) for x in row] for row in sub.basis]
-    half = float(lam) / 2
-    reach = [float((lam / 2) * body.support(d)) for d in sub.dual_in_span()]
-    if isinstance(body, Box):
-        hw = [float(a) for a in body.halfwidths]
-        gauge = lambda x: max(abs(xi) / a for xi, a in zip(x, hw))
-    else:
-        fac = [[float(c) for c in row] for row in body.facets]
-        gauge = lambda x: max(abs(sum(c * xi for c, xi in zip(row, x))) for row in fac)
-    hits = 0
-    for _ in range(samples):
-        rho = [rng.random() for _ in range(n)]
-        found = False
-        for cand in _integer_boxes(rho, reach):
-            delta = [rho[i] - cand[i] for i in range(n)]
-            x = [
-                sum(delta[i] * basis[i][j] for i in range(n))
-                for j in range(n)
-            ]
-            if gauge(x) <= half + 1e-12:
-                found = True
-                break
-        if found:
-            hits += 1
-    det = float(sub.det())
-    p = hits / samples
-    estimate = p * det
-    stderr = det * (p * (1 - p) / samples) ** 0.5
-    return estimate, stderr
-
-
-def _integer_boxes(rho, reach):
-    ranges = []
-    for r, s in zip(rho, reach):
-        lo = int(r - s) - 1
-        hi = int(r + s) + 1
-        ranges.append(range(lo, hi + 1))
-    return itertools.product(*ranges)
-
-
 # ---------------------------------------------------------------------------
 # point-counting bounds
 # ---------------------------------------------------------------------------
@@ -630,9 +569,6 @@ def henze_upper(
         raise InputError(
             "hypothesis unmet: the dilate does not contain n independent points"
         )
-    fact = Fraction(1)
-    for i in range(2, n + 1):
-        fact *= i
-    return fact / Fraction(2) ** n * lam**n * body.volume() / lat.det() * (
+    return math.factorial(n) / Fraction(2) ** n * lam**n * body.volume() / lat.det() * (
         laguerre_at_minus_two(n)
     )

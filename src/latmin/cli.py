@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: minima, restricted, bounds, siegel, verify, examples.
-Exit codes: 0 success, 2 property violation, 3 input error, 4 budget
-exceeded.  Reports are deterministic (no timestamps unless --timestamp).
+Exit codes: 0 success, 2 property violation or failed soundness check,
+3 input or usage error, 4 budget exceeded.  Reports are deterministic (no
+timestamps unless --timestamp).
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from fractions import Fraction
 from . import bounds as bd
 from . import harness
 from .body import Box
-from .errors import BudgetExceededError, IndexOverflowError, InputError, LatminError
+from .errors import (
+    BudgetExceededError,
+    CertificateError,
+    IndexOverflowError,
+    InputError,
+    LatminError,
+)
 from .exactarith import PrecisionPolicy, parse_rational
 from .harness import Instance
 from .lattice import Lattice
@@ -68,8 +75,7 @@ def _emit(args, text: str):
 
 
 def _policy(args) -> PrecisionPolicy:
-    bits = getattr(args, "precision_bits", None) or 64
-    return PrecisionPolicy(Fraction(1, 2**bits))
+    return PrecisionPolicy(Fraction(1, 2 ** (args.precision_bits or 64)))
 
 
 def _cmd_minima(args) -> int:
@@ -176,19 +182,29 @@ def _cmd_examples(args) -> int:
     return _report_exit(args, report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT; argparse's own code 2 would read
+    as a property violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="latmin",
         description="Exact successive minima and restricted successive minima "
         "of symmetric rational polytopes over integer lattices.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, instance=True):
+    def common(sp, instance=True, precision=False):
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration budget in visited points")
-        sp.add_argument("--precision-bits", type=int, default=64,
-                        help="enclosure width target 2^-bits")
+        if precision:
+            sp.add_argument("--precision-bits", type=int, default=64,
+                            help="enclosure width target 2^-bits")
         sp.add_argument("--out", help="write output to a file instead of stdout")
         if instance:
             sp.add_argument("--instance", help="instance JSON file")
@@ -207,12 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_restricted)
 
     sp = sub.add_parser("bounds", help="evaluate applicable bounds")
-    common(sp)
+    common(sp, precision=True)
     sp.add_argument("--which", default="all", help="comma-separated bound names")
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("siegel", help="kernel-vector sup-norm bound")
-    common(sp, instance=False)
+    common(sp, instance=False, precision=True)
     sp.add_argument("--matrix", required=True, help='rows like "1 1 1" or "1,0;0,1"')
     sp.set_defaults(func=_cmd_siegel)
 
@@ -247,10 +263,10 @@ def main(argv=None) -> int:
     except (BudgetExceededError, IndexOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LatminError as exc:
+        return EXIT_VIOLATION
+    except (LatminError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -2,7 +2,8 @@
 
 InputError subclasses signal bad or unsupported input (CLI exit code 3);
 resource exhaustion raises BudgetExceededError / IndexOverflowError
-(CLI exit code 4).
+(CLI exit code 4); a failed soundness check raises CertificateError (CLI
+exit code 2).
 """
 
 
@@ -47,3 +48,10 @@ class BudgetExceededError(LatminError):
 
 class IndexOverflowError(LatminError):
     """A coset enumeration exceeds the configured index cap."""
+
+
+class CertificateError(LatminError):
+    """A soundness check failed: a proved identity or bound did not hold.
+
+    Raised instead of ``assert`` so the check survives ``python -O``.
+    """

@@ -1,13 +1,11 @@
 """Backend selection for the enumeration kernel.
 
-The compiled extension is used when it imported cleanly, the workload
-provably fits in int64, and LATMIN_PURE_PYTHON is not set.  Otherwise the
-pure-Python twin runs; both produce identical output in identical order.
+The compiled extension is used when it imported cleanly and the workload
+provably fits in int64.  Otherwise the pure-Python twin runs; both produce
+identical output in identical order.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _kernel_py
 
@@ -23,10 +21,6 @@ def compiled_available() -> bool:
     return _compiled is not None
 
 
-def _force_pure() -> bool:
-    return os.environ.get("LATMIN_PURE_PYTHON", "") not in ("", "0")
-
-
 def fits_int64(g, t, lo, hi) -> bool:
     """True when every partial sum of the walk stays within int64."""
     for j, row in enumerate(g):
@@ -37,16 +31,14 @@ def fits_int64(g, t, lo, hi) -> bool:
 
 
 def _backend(g, t, lo, hi):
-    if _compiled is not None and not _force_pure() and fits_int64(g, t, lo, hi):
+    if _compiled is not None and fits_int64(g, t, lo, hi):
         return _compiled
     return _kernel_py
 
 
 def backend_name(g=None, t=None, lo=None, hi=None) -> str:
     if g is None:
-        if _compiled is not None and not _force_pure():
-            return "compiled"
-        return "pure-python"
+        return "compiled" if _compiled is not None else "pure-python"
     return "compiled" if _backend(g, t, lo, hi) is _compiled else "pure-python"
 
 

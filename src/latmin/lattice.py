@@ -9,12 +9,13 @@ duals, intersections, coset systems and kernels are all exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intmat as im
-from ._intmat import hnf
-from .errors import IndexOverflowError, NotSublatticeError, RankError
+from ._intmat import dot, hnf
+from .errors import CertificateError, IndexOverflowError, NotSublatticeError, RankError
 from .exactarith import format_rational, parse_rational
 
 __all__ = [
@@ -92,7 +93,7 @@ class Lattice:
         """Gram determinant of the basis (basis independent)."""
         if self._det_squared is None:
             gram = [
-                [_dot(bi, bj) for bj in self.basis] for bi in self.basis
+                [dot(bi, bj) for bj in self.basis] for bi in self.basis
             ]
             self._det_squared = im.frac_det(gram)
         return self._det_squared
@@ -145,7 +146,8 @@ class Lattice:
         if len(m) != super_lattice.rank:
             raise RankError("index needs equal ranks")
         idx = abs(im.frac_det(m))
-        assert idx.denominator == 1 and idx > 0
+        if idx.denominator != 1 or idx == 0:
+            raise CertificateError(f"sublattice index {idx} is not a positive integer")
         return int(idx)
 
     def scale(self, mu) -> "Lattice":
@@ -170,7 +172,7 @@ class Lattice:
         """
         if self._dual_rows is None:
             b = [list(r) for r in self.basis]
-            gram = [[_dot(bi, bj) for bj in b] for bi in b]
+            gram = [[dot(bi, bj) for bj in b] for bi in b]
             self._dual_rows = im.mat_mul(im.frac_inv(gram), b) if b else []
         return self._dual_rows
 
@@ -204,10 +206,6 @@ class Lattice:
             "(" + ", ".join(format_rational(x) for x in row) + ")" for row in self.basis
         )
         return f"Lattice(dim={self.ambient_dim}, basis=[{rows}])"
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _canonical_rows(rows):
@@ -278,9 +276,7 @@ def coset_system(
     m = lat.coeff_matrix(sub)
     _, d, v = im.snf(m)
     diag = [d[i][i] for i in range(len(m))]
-    index = 1
-    for x in diag:
-        index *= x
+    index = math.prod(diag)
     if index > index_cap:
         raise IndexOverflowError(f"index {index} exceeds cap {index_cap}")
     vinv = [[int(x) for x in row] for row in im.frac_inv(v)]
@@ -328,11 +324,9 @@ def intersect(lattices, within: Lattice | None = None) -> Lattice:
         s = len(lattices)
         d_res = result.det()
         d_sup = within.det()
-        assert max(l.det() for l in lattices) <= d_res
-        prod = Fraction(1)
-        for lat in lattices:
-            prod *= lat.det()
-        assert d_res * d_sup ** (s - 1) <= prod
+        dets = [l.det() for l in lattices]
+        if max(dets) > d_res or d_res * d_sup ** (s - 1) > math.prod(dets):
+            raise CertificateError("intersection determinant outside its proved range")
     return result
 
 
@@ -344,12 +338,16 @@ def m_value(lat: Lattice, sublattices, capped: bool = False) -> Fraction:
     """
     subs = list(sublattices)
     inter = intersect(subs)
-    m = Fraction(1 - len(subs))
-    for sub in subs:
-        m += inter.index_in(sub)
+    m, _ = _m_sum(inter, subs)
     if capped:
         m = min(m, Fraction(inter.index_in(lat)))
     return m
+
+
+def _m_sum(inter: Lattice, sublattices):
+    """(m, indices): the indices [L_i : inter] and m = sum of them - s + 1."""
+    indices = [inter.index_in(sub) for sub in sublattices]
+    return Fraction(1 - len(indices)) + sum(indices), indices
 
 
 def union_covers(
@@ -387,7 +385,8 @@ def kernel_lattice(a: list[list[int]]) -> Lattice:
     kernel_rows = [[v[i][j] for i in range(n)] for j in range(m, n)]
     lat = Lattice(kernel_rows, n) if kernel_rows else Lattice([], n)
     gram = im.mat_mul(rows, im.transpose(rows))
-    assert lat.det_squared <= im.frac_det(gram)
+    if lat.det_squared > im.frac_det(gram):
+        raise CertificateError("kernel determinant exceeds det(A A^T)")
     return lat
 
 

@@ -20,6 +20,7 @@ from . import kernel
 from .body import Box, ConvexBody
 from .errors import (
     BudgetExceededError,
+    CertificateError,
     EmptyAdmissibleSetError,
     PackingConditionError,
     RankError,
@@ -125,53 +126,32 @@ def _constraint_system(body: ConvexBody, lat: Lattice, radius: Fraction):
 
 
 def _coordinate_bounds(body: ConvexBody, lat: Lattice, radius: Fraction):
-    bounds = []
-    for d in lat.dual_in_span():
-        m = math.floor(radius * body.support(d))
-        bounds.append(m)
-    return bounds
+    return [math.floor(radius * body.support(d)) for d in lat.dual_in_span()]
+
+
+def _walk_system(body, lat, radius, budget):
+    """Kernel arguments (g, t, lo, hi) whose passing z are exactly the
+    nonzero lattice coordinates with gauge(z B) <= radius, or None when
+    there are none."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if lat.rank == 0 or radius == 0:
+        return None
+    hi = _coordinate_bounds(body, lat, radius)
+    lo = [-m for m in hi]
+    size = kernel.box_size(lo, hi)
+    if size > budget:
+        raise BudgetExceededError(
+            f"enumeration box has {size} points, budget is {budget}"
+        )
+    g, t = _constraint_system(body, lat, radius)
+    return g, t, lo, hi
 
 
 def _enumerate_coords(body, lat, radius, budget):
     """All nonzero z (lattice coordinates) with gauge(z B) <= radius."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if lat.rank == 0 or radius == 0:
-        return []
-    bounds = _coordinate_bounds(body, lat, radius)
-    lo = [-m for m in bounds]
-    hi = bounds
-    size = kernel.box_size(lo, hi)
-    if size > budget:
-        raise BudgetExceededError(
-            f"enumeration box has {size} points, budget is {budget}"
-        )
-    g, t = _constraint_system(body, lat, radius)
-    return kernel.collect_passing(g, t, lo, hi)
-
-
-def _count_coords(body, lat, radius, budget):
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if lat.rank == 0 or radius == 0:
-        return 0
-    bounds = _coordinate_bounds(body, lat, radius)
-    lo = [-m for m in bounds]
-    hi = bounds
-    size = kernel.box_size(lo, hi)
-    if size > budget:
-        raise BudgetExceededError(
-            f"enumeration box has {size} points, budget is {budget}"
-        )
-    g, t = _constraint_system(body, lat, radius)
-    return kernel.count_passing(g, t, lo, hi)
-
-
-def _to_vector(z, basis):
-    return tuple(
-        sum(Fraction(z[i]) * basis[i][j] for i in range(len(z)))
-        for j in range(len(basis[0]))
-    )
+    walk = _walk_system(body, lat, radius, budget)
+    return kernel.collect_passing(*walk) if walk else []
 
 
 def point_sort_key(vector, gauge):
@@ -192,14 +172,7 @@ def enumerate_points(
     Sorted by ``point_sort_key``; the zero vector is never included.
     """
     radius = Fraction(radius)
-    coords = _enumerate_coords(body, lat, radius, budget)
-    basis = [list(r) for r in lat.basis]
-    out = []
-    for z in coords:
-        x = _to_vector(z, basis)
-        out.append((x, body.gauge(x)))
-    out.sort(key=lambda pair: point_sort_key(pair[0], pair[1]))
-    return out
+    return [(x, g) for _, x, g in _sorted_candidates(body, lat, radius, budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +204,11 @@ def _greedy_minima(candidates, k):
 
 
 def _sorted_candidates(body, lat, radius, budget, admissible=None):
-    basis = [list(r) for r in lat.basis]
     triples = []
     for z in _enumerate_coords(body, lat, radius, budget):
         if admissible is not None and not admissible(z):
             continue
-        x = _to_vector(z, basis)
+        x = tuple(im.vec_mat(z, lat.basis))
         triples.append((z, x, body.gauge(x)))
     triples.sort(key=lambda tr: point_sort_key(tr[1], tr[2]))
     return triples
@@ -267,7 +239,8 @@ def successive_minima(
         radius = min(ratio / lam1 ** (n - 1), basis_gauges[k - 1])
         cands = _sorted_candidates(body, lat, radius, budget)
     got = _greedy_minima(cands, k)
-    assert got is not None, "termination radius failed to contain the minima"
+    if got is None:
+        raise CertificateError("termination radius failed to contain the minima")
     values, witnesses = got
     return MinimaResult(values, witnesses, radius, kind)
 
@@ -340,7 +313,7 @@ def restricted_minima(
             final_radius = cert_radius if cert_radius is not None else radius
             return MinimaResult(values, witnesses, final_radius, kind)
         if cert_radius is not None and radius >= cert_radius:
-            raise AssertionError(
+            raise CertificateError(
                 "certified radius failed to contain the restricted minima"
             )
         radius = 2 * radius
@@ -360,7 +333,8 @@ def count_points(
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("dilation factor must be nonnegative")
-    return _count_coords(body, lat, lam, budget) + 1
+    walk = _walk_system(body, lat, lam, budget)
+    return (kernel.count_passing(*walk) if walk else 0) + 1
 
 
 def distinct_cosets_in_body(

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +12,13 @@ import oracles
 from latmin import bounds
 from latmin.body import Box, coordinate_section, unit_cube
 from latmin.errors import (
+    CertificateError,
     InputError,
     MissingSectionError,
     RankError,
     UnsupportedBodyError,
 )
+from latmin.exactarith import Enclosure
 from latmin.harness import generate, rectangle_fixture
 from latmin.lattice import Lattice, intersect
 from latmin.minima import (
@@ -96,6 +102,34 @@ class TestSiegel:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankError):
             bounds.siegel_bound([[1, 1, 1], [2, 2, 2]])
+
+    def test_failed_check_raises(self, monkeypatch):
+        # an enclosure below the exact minimum 1 must not pass silently
+        monkeypatch.setattr(
+            bounds, "nth_root_enclosure", lambda *a: Enclosure.point(Fraction(1, 2))
+        )
+        with pytest.raises(CertificateError, match="fell below"):
+            bounds.siegel_bound([[1, 1, 1]])
+
+    def test_failed_check_raises_under_optimize(self):
+        script = (
+            "from fractions import Fraction\n"
+            "from latmin import bounds\n"
+            "from latmin.errors import CertificateError\n"
+            "assert False, 'asserts are stripped under -O'\n"
+            "bounds.nth_root_enclosure = lambda *a: bounds.Enclosure.point(Fraction(1, 2))\n"
+            "try:\n"
+            "    bounds.siegel_bound([[1, 1, 1]])\n"
+            "except CertificateError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(bounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
 
 class TestFukshansky:
@@ -357,14 +391,14 @@ class TestTorusVolume:
         lat3 = Lattice([[3, 0], [0, 3]])
         for lam in (Fraction(3, 2), 3, Fraction(9, 2)):
             lower = bounds.torus_volume_lower_bound(BOX2, lat3, lam)
-            est, se = bounds.monte_carlo_torus_volume(
+            est, se = oracles.monte_carlo_torus_volume(
                 BOX2, lat3, lam, samples=10**5, seed=12345
             )
             assert float(lower) <= est + 4 * se
 
     def test_monte_carlo_seed_reproducible(self):
-        a = bounds.monte_carlo_torus_volume(BOX2, Z2, 1, samples=2000, seed=7)
-        b = bounds.monte_carlo_torus_volume(BOX2, Z2, 1, samples=2000, seed=7)
+        a = oracles.monte_carlo_torus_volume(BOX2, Z2, 1, samples=2000, seed=7)
+        b = oracles.monte_carlo_torus_volume(BOX2, Z2, 1, samples=2000, seed=7)
         assert a == b
 
 

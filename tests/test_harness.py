@@ -1,10 +1,12 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from latmin import cli, harness
 from latmin.errors import InputError
+from latmin.exactarith import Enclosure
 from latmin.lattice import Lattice, union_covers
 
 
@@ -174,6 +176,36 @@ class TestCLI:
     def test_input_error_exit_code(self, capsys):
         assert cli.main(["restricted", "--instance", "/nonexistent.json"]) == 3
         assert cli.main(["minima", "--box", "1,1"]) == 3  # missing --diag
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["minima", "--bogus"], 3),
+            # --precision-bits belongs to bounds and siegel only
+            (["minima", "--box", "1,1", "--diag", "1,1", "--precision-bits", "8"], 3),
+            (["--help"], 0),
+            (["minima", "--help"], 0),
+        ],
+    )
+    def test_parser_exit_codes(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+
+    def test_precision_bits_on_siegel(self, capsys):
+        assert cli.main(["siegel", "--matrix", "1 1 1", "--precision-bits", "8"]) == 0
+        coarse = json.loads(capsys.readouterr().out)["final"]
+        assert cli.main(["siegel", "--matrix", "1 1 1"]) == 0
+        fine = json.loads(capsys.readouterr().out)["final"]
+        assert coarse != fine
+        assert Fraction(coarse["hi"]) - Fraction(coarse["lo"]) <= Fraction(1, 2**8)
+
+    def test_certificate_error_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli.bd, "nth_root_enclosure", lambda *a: Enclosure.point(Fraction(1, 2))
+        )
+        assert cli.main(["siegel", "--matrix", "1 1 1"]) == 2
+        assert "fell below" in capsys.readouterr().err
 
     def test_budget_exit_code(self, capsys):
         code = cli.main(

@@ -1,7 +1,24 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import oracles
 from latmin import _intmat as im
+
+
+def rand_rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def rand_matrix(rng, m, n):
+    """m x n rational matrix of random rank <= min(m, n), built as a product
+    X Y so that rank deficiency is common."""
+    r = rng.randint(0, min(m, n))
+    x = [[rand_rational(rng) for _ in range(r)] for _ in range(m)]
+    y = [[rand_rational(rng) for _ in range(n)] for _ in range(r)]
+    return [[sum((x[i][k] * y[k][j] for k in range(r)), Fraction(0)) for j in range(n)]
+            for i in range(m)]
 
 
 def rand_unimodular(rng, r, ops=6):
@@ -104,6 +121,56 @@ class TestFractionOps:
             ainv = im.frac_inv(a)
             assert im.mat_mul(a, ainv) == im.identity(n, Fraction(1))
 
+    def test_mat_mul_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            im.mat_mul([[1, 2]], [[1, 2]])
+
     def test_lcm_denominators(self):
         assert im.lcm_denominators([[Fraction(1, 2), Fraction(2, 3)]]) == 6
         assert im.lcm_denominators([[1, 2]]) == 1
+
+
+class TestEliminationAgainstOracle:
+    """The shared elimination behind frac_rank, frac_solve and frac_inv,
+    checked against the independent oracles on random rectangular and
+    rank-deficient rational matrices."""
+
+    def test_rank(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            assert im.frac_rank(a) == oracles.frac_rank(a)
+
+    def test_solve(self):
+        rng = random.Random(2025)
+        solved = unsolvable = 0
+        for _ in range(300):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            a = rand_matrix(rng, m, n)
+            if rng.random() < 0.5:  # consistent by construction
+                y0 = [rand_rational(rng) for _ in range(n)]
+                b = [sum((a[i][j] * y0[j] for j in range(n)), Fraction(0)) for i in range(m)]
+            else:
+                b = [rand_rational(rng) for _ in range(m)]
+            y = im.frac_solve(a, b)
+            assert (y is None) == (oracles.solve(a, b) is None)
+            if y is None:
+                unsolvable += 1
+            else:
+                solved += 1
+                assert [sum(a[i][j] * y[j] for j in range(n)) for i in range(m)] == b
+        assert solved > 50 and unsolvable > 50
+
+    def test_inverse(self):
+        rng = random.Random(2026)
+        singular = 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            a = rand_matrix(rng, n, n)
+            if oracles.frac_rank(a) < n:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    im.frac_inv(a)
+            else:
+                assert im.frac_inv(a) == oracles.inv(a)
+        assert 20 < singular < 180

@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 
@@ -50,19 +51,41 @@ class TestCompiledTwin:
             assert _kernel.collect_passing(g, t, lo, hi) == expected
             assert _kernel.count_passing(g, t, lo, hi) == len(expected)
 
-    def test_dispatch_uses_compiled_when_safe(self):
-        assert kernel.backend_name([[1]], [5], [-3], [3]) == "compiled"
 
-    def test_dispatch_falls_back_on_overflow_risk(self):
+class TestDispatch:
+    """Backend choice, with a stand-in module in place of the extension."""
+
+    @pytest.fixture
+    def compiled_calls(self, monkeypatch):
+        calls = []
+        stand_in = types.ModuleType("stand_in_kernel")
+
+        def count_passing(g, t, lo, hi):
+            calls.append("count")
+            return _kernel_py.count_passing(g, t, lo, hi)
+
+        def collect_passing(g, t, lo, hi):
+            calls.append("collect")
+            return _kernel_py.collect_passing(g, t, lo, hi)
+
+        stand_in.count_passing = count_passing
+        stand_in.collect_passing = collect_passing
+        monkeypatch.setattr(kernel, "_compiled", stand_in)
+        return calls
+
+    def test_dispatch_uses_compiled_when_safe(self, compiled_calls):
+        assert kernel.backend_name() == "compiled"
+        assert kernel.backend_name([[1]], [5], [-3], [3]) == "compiled"
+        assert kernel.count_passing([[1]], [5], [-3], [3]) == 6
+        assert kernel.collect_passing([[1]], [1], [-2], [2]) == [(-1,), (1,)]
+        assert compiled_calls == ["count", "collect"]
+
+    def test_dispatch_falls_back_on_overflow_risk(self, compiled_calls):
         big = 1 << 70
         g, t, lo, hi = [[big]], [big], [-2], [2]
         assert kernel.backend_name(g, t, lo, hi) == "pure-python"
         assert kernel.count_passing(g, t, lo, hi) == 2  # only z = +-1 pass
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("LATMIN_PURE_PYTHON", "1")
-        assert kernel.backend_name([[1]], [5], [-3], [3]) == "pure-python"
-        assert kernel.count_passing([[1]], [5], [-3], [3]) == 6
+        assert compiled_calls == []
 
 
 class TestBoxSize:
