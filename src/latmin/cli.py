@@ -45,13 +45,28 @@ def _parse_vector(text):
 
 def _parse_matrix(text):
     rows = [r for r in text.replace(";", "\n").splitlines() if r.strip()]
-    return [[int(x) for x in r.replace(",", " ").split()] for r in rows]
+    matrix = [[int(x) for x in r.replace(",", " ").split()] for r in rows]
+    if not matrix or any(len(row) != len(matrix[0]) for row in matrix):
+        raise InputError(f"matrix {text!r} is empty or ragged")
+    return matrix
+
+
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _load_instance(args) -> Instance:
     if args.instance:
         with open(args.instance) as fh:
-            return Instance.from_dict(json.load(fh))
+            data = json.load(fh)
+        try:
+            return Instance.from_dict(data)
+        except KeyError as exc:
+            raise InputError(f"instance file {args.instance} lacks key {exc}") from exc
+        except TypeError as exc:
+            raise InputError(f"malformed instance file {args.instance}: {exc}") from exc
     if args.box and args.diag:
         body = Box(_parse_vector(args.box))
         lat = Lattice.from_diagonal(_parse_vector(args.diag))
@@ -75,7 +90,7 @@ def _emit(args, text: str):
 
 
 def _policy(args) -> PrecisionPolicy:
-    return PrecisionPolicy(Fraction(1, 2 ** (args.precision_bits or 64)))
+    return PrecisionPolicy(Fraction(1, 2**args.precision_bits))
 
 
 def _cmd_minima(args) -> int:
@@ -203,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration budget in visited points")
         if precision:
-            sp.add_argument("--precision-bits", type=int, default=64,
+            sp.add_argument("--precision-bits", type=_positive_int, default=64,
                             help="enclosure width target 2^-bits")
         sp.add_argument("--out", help="write output to a file instead of stdout")
         if instance:

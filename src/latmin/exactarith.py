@@ -44,11 +44,8 @@ class PrecisionPolicy:
             raise ValueError("target width must be positive")
 
     def scale_bits(self) -> int:
-        """Smallest s with 2^-s <= target_width."""
-        s = 0
-        while Fraction(1, 1 << s) > self.target_width:
-            s += 1
-        return s
+        """Smallest s with 2^-s <= target_width, that is 2^s >= ceil(1/width)."""
+        return (math.ceil(1 / self.target_width) - 1).bit_length()
 
 
 DEFAULT_POLICY = PrecisionPolicy()

@@ -641,6 +641,9 @@ def verify(
     rng = random.Random(seed)
     s_cycle = {"lower": (1, 2, 3), "full": (1, 2), "mixed": (2, 3)}
     for kind in kinds:
+        if kind not in s_cycle:
+            raise InputError(f"unknown kind {kind!r}")
+    for kind in kinds:
         for n in dims:
             for t in range(trials):
                 s = s_cycle[kind][t % len(s_cycle[kind])]

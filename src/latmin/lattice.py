@@ -1,9 +1,10 @@
 """Exact lattices over the rationals.
 
-A Lattice is stored by its canonical basis: the scaled integer Hermite
-normal form divided back by the scaling denominator.  Two descriptions of
-the same lattice therefore compare equal, and determinants, membership,
-duals, intersections, coset systems and kernels are all exact.
+A Lattice is stored in integer Hermite form: the Hermite normal form H of
+the scaled basis and the least d with basis == H / d, so two descriptions
+of the same lattice compare equal.  Rank, det, coordinates and membership
+come from H by pivot-by-pivot substitution; duals, intersections, coset
+systems and kernels are exact as well.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "DEFAULT_INDEX_CAP",
     "Lattice",
     "MinorVector",
-    "ZRowSpan",
     "coset_system",
     "extend_to_full_rank",
     "hnf",
@@ -41,7 +41,8 @@ DEFAULT_INDEX_CAP = 10**6
 class Lattice:
     """Free Z-module of rank r <= n given by r independent rational rows."""
 
-    __slots__ = ("ambient_dim", "rank", "basis", "_det_squared", "_dual_rows")
+    __slots__ = ("ambient_dim", "rank", "basis", "_hermite", "_denom", "_pivots",
+                 "_det_squared", "_dual_rows")
 
     def __init__(self, basis, ambient_dim: int | None = None):
         rows = [[Fraction(x) for x in row] for row in basis]
@@ -53,12 +54,15 @@ class Lattice:
             raise ValueError("basis rows of mixed dimension")
         if len(rows) > ambient_dim:
             raise RankError("more basis rows than the ambient dimension")
-        if rows and im.frac_rank(rows) != len(rows):
+        h, d = _hermite(rows)
+        if len(h) != len(rows):
             raise RankError("basis rows are linearly dependent")
         self.ambient_dim = ambient_dim
-        canon = _canonical_rows(rows)
-        self.rank = len(canon)
-        self.basis = tuple(tuple(row) for row in canon)
+        self.rank = len(h)
+        self.basis = tuple(tuple(Fraction(x, d) for x in row) for row in h)
+        self._hermite = tuple(tuple(row) for row in h)
+        self._denom = d
+        self._pivots = tuple(next(j for j, x in enumerate(row) if x) for row in h)
         self._det_squared = None
         self._dual_rows = None
 
@@ -68,12 +72,10 @@ class Lattice:
     def from_generators(rows, ambient_dim: int | None = None) -> "Lattice":
         """Lattice generated by arbitrarily many (possibly dependent) rows."""
         rows = [[Fraction(x) for x in row] for row in rows]
-        if ambient_dim is None:
-            if not rows:
-                raise ValueError("ambient_dim required for the zero lattice")
+        if ambient_dim is None and rows:
             ambient_dim = len(rows[0])
-        canon = _canonical_rows(rows)
-        return Lattice(canon, ambient_dim)
+        h, d = _hermite(rows)
+        return Lattice([[Fraction(x, d) for x in row] for row in h], ambient_dim)
 
     @staticmethod
     def standard(n: int) -> "Lattice":
@@ -102,28 +104,37 @@ class Lattice:
         """Exact determinant; full-rank lattices only (rational there)."""
         if self.rank != self.ambient_dim:
             raise RankError("exact det is rational only at full rank")
-        return abs(im.frac_det([list(r) for r in self.basis]))
+        pivots = math.prod(row[i] for i, row in enumerate(self._hermite))  # triangular H
+        return Fraction(pivots, self._denom**self.rank)
+
+    def _coords(self, x, integral: bool):
+        """z with z . basis = x, or None: solves z . H = d x pivot by pivot.
+
+        With ``integral`` each pivot is a divmod and a remainder means None,
+        so integer x never becomes a Fraction; otherwise z is rational.
+        """
+        if len(x) != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        w = [self._denom * (v if isinstance(v, int) else Fraction(v)) for v in x]
+        z = []
+        for row, p in zip(self._hermite, self._pivots):
+            if integral:
+                c, rem = divmod(w[p], row[p])
+                if rem:
+                    return None
+            else:
+                c = Fraction(w[p], row[p])
+            if c:
+                w = [a - c * b for a, b in zip(w, row)]
+            z.append(c)
+        return None if any(w) else z
 
     def coeffs_of(self, x):
         """Coordinates z with z . basis = x, or None if x is off the span."""
-        x = [Fraction(v) for v in x]
-        if len(x) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        if self.rank == 0:
-            return [] if all(v == 0 for v in x) else None
-        bt = im.transpose([list(r) for r in self.basis])
-        z = im.frac_solve(bt, x)
-        if z is None:
-            return None
-        # frac_solve verifies consistency only against pivot rows; confirm
-        recon = im.vec_mat(z, [list(r) for r in self.basis])
-        if recon != x:
-            return None
-        return z
+        return self._coords(x, integral=False)
 
     def member(self, x) -> bool:
-        z = self.coeffs_of(x)
-        return z is not None and all(c.denominator == 1 for c in z)
+        return self._coords(x, integral=True) is not None
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return other.ambient_dim == self.ambient_dim and all(
@@ -132,12 +143,9 @@ class Lattice:
 
     def coeff_matrix(self, sub: "Lattice") -> list[list[int]]:
         """Integer coordinates of a sublattice basis in this basis."""
-        rows = []
-        for b in sub.basis:
-            z = self.coeffs_of(b)
-            if z is None or any(c.denominator != 1 for c in z):
-                raise NotSublatticeError("not a sublattice")
-            rows.append([int(c) for c in z])
+        rows = [self._coords(b, integral=True) for b in sub.basis]
+        if any(z is None for z in rows):
+            raise NotSublatticeError("not a sublattice")
         return rows
 
     def index_in(self, super_lattice: "Lattice") -> int:
@@ -208,35 +216,11 @@ class Lattice:
         return f"Lattice(dim={self.ambient_dim}, basis=[{rows}])"
 
 
-def _canonical_rows(rows):
-    if not rows:
-        return []
-    scale = im.lcm_denominators(rows)
-    int_rows = [[int(x * scale) for x in row] for row in rows]
-    return [[Fraction(x, scale) for x in row] for row in im.hnf(int_rows)]
-
-
-# ---------------------------------------------------------------------------
-# Membership of integer coordinate vectors in an integer row span
-# ---------------------------------------------------------------------------
-
-
-class ZRowSpan:
-    """Exact membership test for z in the integer row span of a matrix."""
-
-    def __init__(self, rows: list[list[int]]):
-        self.h = im.hnf(rows)
-        self.pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self.h]
-
-    def contains(self, z) -> bool:
-        w = list(z)
-        for row, p in zip(self.h, self.pivots):
-            if w[p] % row[p] != 0:
-                return False
-            q = w[p] // row[p]
-            if q:
-                w = [w[j] - q * row[j] for j in range(len(w))]
-        return all(x == 0 for x in w)
+def _hermite(rows):
+    """(H, d): d is the lcm of the rows' denominators, H the Hermite form of
+    d * rows.  Both span one lattice, so d is least with d * basis integral."""
+    d = im.lcm_denominators(rows)
+    return im.hnf([[int(x * d) for x in row] for row in rows]), d
 
 
 # ---------------------------------------------------------------------------
@@ -257,41 +241,55 @@ class CosetSystem:
 
     def label_of_coords(self, z) -> tuple:
         """Coset label of a lattice point given by its coordinates."""
-        zv = im.vec_mat(list(z), [list(r) for r in self._v])
-        return tuple(int(zv[i]) % self._diag[i] for i in range(len(self._diag)))
+        return _coset_label(z, self._v, self._diag)
 
     def label_of(self, x) -> tuple:
-        z = self.lattice.coeffs_of(x)
-        if z is None or any(c.denominator != 1 for c in z):
+        z = self.lattice._coords(x, integral=True)
+        if z is None:
             raise NotSublatticeError("point is not in the lattice")
-        return self.label_of_coords([int(c) for c in z])
+        return self.label_of_coords(z)
+
+
+def _smith_cosets(m):
+    """(V, diag D) for the Smith form U m V = D of a full-rank sublattice's
+    coordinate matrix m: z and z' share a coset iff z V = z' V mod diag D."""
+    _, d, v = im.snf(m)
+    return tuple(tuple(row) for row in v), tuple(d[i][i] for i in range(len(m)))
+
+
+def _coset_label(z, v, diag) -> tuple:
+    zv = im.vec_mat(z, v)
+    return tuple(zv[i] % diag[i] for i in range(len(diag)))
+
+
+def _coset_coords(lat: Lattice, sub: Lattice, index_cap: int):
+    """(coords, V, diag): the lattice coordinates of one representative per
+    coset of lat modulo the full-rank sublattice sub, and its Smith data."""
+    if sub.rank != lat.rank:
+        raise NotSublatticeError("sublattice must have full rank in the lattice")
+    v, diag = _smith_cosets(lat.coeff_matrix(sub))
+    index = math.prod(diag)
+    if index > index_cap:
+        raise IndexOverflowError(f"index {index} exceeds cap {index_cap}")
+    vinv = [[int(x) for x in row] for row in im.frac_inv(v)]
+    coords = [
+        im.vec_mat(t, vinv) for t in itertools.product(*(range(di) for di in diag))
+    ]
+    return coords, v, diag
 
 
 def coset_system(
     lat: Lattice, sub: Lattice, index_cap: int = DEFAULT_INDEX_CAP
 ) -> CosetSystem:
     """All coset representatives of lat modulo a full-rank sublattice."""
-    if sub.rank != lat.rank:
-        raise NotSublatticeError("sublattice must have full rank in the lattice")
-    m = lat.coeff_matrix(sub)
-    _, d, v = im.snf(m)
-    diag = [d[i][i] for i in range(len(m))]
-    index = math.prod(diag)
-    if index > index_cap:
-        raise IndexOverflowError(f"index {index} exceeds cap {index_cap}")
-    vinv = [[int(x) for x in row] for row in im.frac_inv(v)]
-    basis = [list(r) for r in lat.basis]
-    reps = []
-    for t in itertools.product(*(range(di) for di in diag)):
-        z = im.vec_mat(list(t), vinv)
-        reps.append(tuple(im.vec_mat(z, basis)))
+    coords, v, diag = _coset_coords(lat, sub, index_cap)
     return CosetSystem(
         lattice=lat,
         sublattice=sub,
-        representatives=tuple(reps),
-        index=index,
-        _v=tuple(tuple(row) for row in v),
-        _diag=tuple(diag),
+        representatives=tuple(tuple(im.vec_mat(z, lat.basis)) for z in coords),
+        index=len(coords),
+        _v=v,
+        _diag=diag,
     )
 
 
@@ -360,14 +358,9 @@ def union_covers(
     the union exactly.
     """
     subs = list(sublattices)
-    inter = intersect(subs)
-    cs = coset_system(lat, inter, index_cap=index_cap)
-    spans = [ZRowSpan(lat.coeff_matrix(sub)) for sub in subs]
-    for rep in cs.representatives:
-        z = [int(c) for c in lat.coeffs_of(rep)]
-        if not any(span.contains(z) for span in spans):
-            return False
-    return True
+    coords, _, _ = _coset_coords(lat, intersect(subs), index_cap)
+    spans = [Lattice(lat.coeff_matrix(sub), lat.rank) for sub in subs]
+    return all(any(span.member(z) for span in spans) for z in coords)
 
 
 # ---------------------------------------------------------------------------

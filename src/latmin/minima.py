@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedBodyError,
 )
 from .exactarith import format_rational, nth_root_enclosure
-from .lattice import Lattice, ZRowSpan, union_covers
+from .lattice import Lattice, _coset_label, _smith_cosets, union_covers
 
 DEFAULT_BUDGET = 10**7
 
@@ -66,15 +66,12 @@ class ForbiddenCollection:
         subs = list(sublattices)
         if not subs:
             raise ValueError("need at least one forbidden sublattice")
-        for sub in subs:
-            if sub.rank < 1:
-                raise ValueError("forbidden sublattices must have rank >= 1")
-            if not ambient.contains_lattice(sub):
-                # coeff_matrix raises the structured error with detail
-                ambient.coeff_matrix(sub)
+        if any(sub.rank < 1 for sub in subs):
+            raise ValueError("forbidden sublattices must have rank >= 1")
         self.ambient = ambient
         self.sublattices = tuple(subs)
-        self._spans = [ZRowSpan(ambient.coeff_matrix(sub)) for sub in subs]
+        # coeff_matrix raises NotSublatticeError off the ambient lattice
+        self._spans = [Lattice(ambient.coeff_matrix(sub), ambient.rank) for sub in subs]
         ranks = {sub.rank for sub in subs}
         if ranks == {ambient.rank}:
             self.classification = "all-full-rank"
@@ -84,7 +81,7 @@ class ForbiddenCollection:
             self.classification = "mixed"
 
     def admissible_coords(self, z) -> bool:
-        return not any(span.contains(z) for span in self._spans)
+        return not any(span.member(z) for span in self._spans)
 
     def to_dict(self) -> dict:
         return {
@@ -98,15 +95,9 @@ class ForbiddenCollection:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_basis(lat: Lattice):
-    rows = [list(r) for r in lat.basis]
-    scale = im.lcm_denominators(rows) if rows else 1
-    return [[int(x * scale) for x in row] for row in rows], scale
-
-
 def _constraint_system(body: ConvexBody, lat: Lattice, radius: Fraction):
     """Integer constraints |(G z)_j| <= t_j equivalent to gauge(z B) <= radius."""
-    bint, scale = _scaled_basis(lat)
+    bint, scale = lat._hermite, lat._denom
     r = lat.rank
     p, q = radius.numerator, radius.denominator
     g, t = [], []
@@ -125,10 +116,6 @@ def _constraint_system(body: ConvexBody, lat: Lattice, radius: Fraction):
     return g, t
 
 
-def _coordinate_bounds(body: ConvexBody, lat: Lattice, radius: Fraction):
-    return [math.floor(radius * body.support(d)) for d in lat.dual_in_span()]
-
-
 def _walk_system(body, lat, radius, budget):
     """Kernel arguments (g, t, lo, hi) whose passing z are exactly the
     nonzero lattice coordinates with gauge(z B) <= radius, or None when
@@ -137,7 +124,7 @@ def _walk_system(body, lat, radius, budget):
         raise ValueError("radius must be nonnegative")
     if lat.rank == 0 or radius == 0:
         return None
-    hi = _coordinate_bounds(body, lat, radius)
+    hi = [math.floor(radius * body.support(d)) for d in lat.dual_in_span()]
     lo = [-m for m in hi]
     size = kernel.box_size(lo, hi)
     if size > budget:
@@ -349,13 +336,10 @@ def distinct_cosets_in_body(
     m = lat.coeff_matrix(sub)
     if len(m) != lat.rank:
         raise RankError("sublattice must have full rank in the lattice")
-    _, d, v = im.snf(m)
-    diag = [d[i][i] for i in range(len(m))]
-    vrows = [list(row) for row in v]
+    v, diag = _smith_cosets(m)
     labels = {tuple(0 for _ in diag)}  # origin
     for z in _enumerate_coords(body, lat, lam, budget):
-        zv = im.vec_mat(list(z), vrows)
-        labels.add(tuple(int(zv[i]) % diag[i] for i in range(len(diag))))
+        labels.add(_coset_label(z, v, diag))
     return len(labels)
 
 

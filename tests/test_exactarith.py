@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,27 @@ class TestRationalWire:
     def test_exact_round_trip_arith(self, a, b):
         assert (a + b) - b == a
         assert a * b == b * a
+
+
+class TestScaleBits:
+    @staticmethod
+    def loop_scale_bits(width):
+        """The definition: the smallest s with 2^-s <= width, by search."""
+        s = 0
+        while Fraction(1, 1 << s) > width:
+            s += 1
+        return s
+
+    def test_matches_search_on_random_widths(self):
+        rng = random.Random(2026)
+        for _ in range(2000):
+            num = rng.randint(1, 10 ** rng.randint(0, 30))
+            den = rng.randint(1, 10 ** rng.randint(0, 30))
+            width = Fraction(num, den)
+            assert PrecisionPolicy(width).scale_bits() == self.loop_scale_bits(width)
+
+    def test_matches_search_at_powers_of_two(self):
+        for b in range(200):
+            for width in (Fraction(1, 2**b) * f for f in (1, Fraction(3, 4), Fraction(5, 4))):
+                assert PrecisionPolicy(width).scale_bits() == self.loop_scale_bits(width)
+        assert DEFAULT_POLICY.scale_bits() == 64

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,10 @@ class TestReports:
             harness.verify(trials=0, dims=(2,), kinds=("lower",), seed=0)
 
 
+BOX_WIRE = {"type": "box", "halfwidths": ["1", "1"]}
+Z2_WIRE = {"ambient_dim": 2, "basis": [["1", "0"], ["0", "1"]]}
+
+
 class TestCLI:
     def test_minima_inline(self, capsys):
         code = cli.main(["minima", "--box", "1,2/25", "--diag", "1,1", "-k", "2"])
@@ -191,6 +199,42 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == code
+
+    @pytest.mark.parametrize(
+        "argv, instance",
+        [
+            (["siegel", "--matrix", "1 1 1", "--precision-bits", "-3"], None),
+            (["siegel", "--matrix", "1 1 1", "--precision-bits", "0"], None),
+            (["bounds", "--instance", "{file}"], {"body": BOX_WIRE}),
+            (
+                ["restricted", "--instance", "{file}"],
+                {
+                    "instance_id": "x", "kind": "full", "body": BOX_WIRE,
+                    "lattice": Z2_WIRE, "forbidden": [{"ambient_dim": 2}],
+                },
+            ),
+            (["minima", "--instance", "{file}"], [BOX_WIRE, Z2_WIRE]),
+            (["siegel", "--matrix", ""], None),
+            (["siegel", "--matrix", "1 1 1; 1 1"], None),
+            (["verify", "--trials", "1", "--kinds", "bogus"], None),
+        ],
+        ids=[
+            "precision-bits-negative", "precision-bits-zero", "instance-missing-keys",
+            "forbidden-without-basis", "instance-is-a-list", "matrix-empty",
+            "matrix-ragged", "unknown-kind",
+        ],
+    )
+    def test_input_faults_exit_3_without_traceback(self, argv, instance, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "latmin.cli", *(a.format(file=path) for a in argv)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert run.returncode == 3
+        assert "error" in run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_precision_bits_on_siegel(self, capsys):
         assert cli.main(["siegel", "--matrix", "1 1 1", "--precision-bits", "8"]) == 0

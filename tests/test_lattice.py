@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from latmin import _intmat as im
 from latmin.body import unit_cube
 from latmin.errors import IndexOverflowError, NotSublatticeError, RankError
 from latmin.lattice import (
     CosetSystem,
     Lattice,
-    ZRowSpan,
     coset_system,
     extend_to_full_rank,
     intersect,
@@ -369,7 +369,133 @@ class TestExtendAndSaturate:
 
     def test_saturation(self):
         sat = saturate_rows([[2, 4]])
-        assert ZRowSpan(sat).contains([1, 2])
+        assert Lattice(sat, 2).member([1, 2])
         sat2 = saturate_rows([[2, 0], [0, 3]])
-        span = ZRowSpan(sat2)
-        assert span.contains([1, 0]) and span.contains([0, 1])
+        span = Lattice(sat2, 2)
+        assert span.member([1, 0]) and span.member([0, 1])
+
+
+# ---------------------------------------------------------------------------
+# Hermite-form coordinates, membership, det and covers against the oracles
+# ---------------------------------------------------------------------------
+
+
+def skewed_rows(rng, n, rank):
+    """Independent rational rows with entries far beyond the campaign
+    generator's (up to ~10^4, denominators up to 12), sheared and shuffled
+    so they are never given in Hermite order."""
+    while True:
+        rows = [
+            [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n)]
+            for _ in range(rank)
+        ]
+        if oracles.frac_rank(rows) == rank:
+            break
+    for _ in range(4):
+        i, j = rng.randrange(rank), rng.randrange(rank)
+        if i != j:
+            c = rng.randint(-40, 40)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return rows
+
+
+def combine(coeffs, rows):
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+
+
+def oracle_cases(seed, count=60):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        rank = rng.randint(1, n)
+        yield rng, n, rank, skewed_rows(rng, n, rank)
+
+
+class TestAgainstOracles:
+    def test_coordinates_round_trip(self):
+        for rng, n, rank, rows in oracle_cases(101):
+            lat = Lattice(rows, n)
+            assert lat.rank == rank
+            for _ in range(5):
+                z = [rng.randint(-6, 6) for _ in range(rank)]
+                assert lat.coeffs_of(combine(z, lat.basis)) == z
+                half = [Fraction(c, 2) for c in z]
+                assert lat.coeffs_of(combine(half, lat.basis)) == half
+
+    def test_off_span_has_no_coordinates(self):
+        seen = 0
+        for rng, n, rank, rows in oracle_cases(103):
+            if rank == n:
+                continue
+            lat = Lattice(rows, n)
+            e = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            if oracles.frac_rank(rows + [e]) == rank:
+                continue
+            x = [a + b for a, b in zip(combine([1] * rank, rows), e)]
+            assert lat.coeffs_of(x) is None
+            assert not lat.member(x) and not oracles.in_lattice(rows, x)
+            seen += 1
+        assert seen > 10
+
+    def test_member_matches_oracle(self):
+        hits = misses = 0
+        for rng, n, rank, rows in oracle_cases(107):
+            lat = Lattice(rows, n)
+            for _ in range(6):
+                y = [rng.randint(-5, 5) for _ in range(rank)]
+                x = combine(y, rows)
+                assert lat.member(x) and oracles.in_lattice(rows, x)
+                # a rational perturbation in the span, and one in any direction
+                k = rng.randint(2, 5)
+                shifted = combine([c + Fraction(rng.randint(-k, k), k) for c in y], rows)
+                moved = [v + Fraction(rng.randint(-1, 1), k) for v in x]
+                for v in (shifted, moved):
+                    expect = oracles.in_lattice(rows, v)
+                    assert lat.member(v) == expect
+                    hits, misses = hits + expect, misses + (not expect)
+        assert hits > 50 and misses > 50
+
+    def test_integer_points_stay_integer(self):
+        lat = Lattice([[3, 1], [0, 5]])
+        assert lat.member([6, 7]) and not lat.member([6, 8])
+        assert lat.coeffs_of([6, 7]) == [2, 1]
+
+    def test_det_matches_leibniz(self):
+        for _, n, rank, rows in oracle_cases(109):
+            if rank == n:
+                assert Lattice(rows, n).det() == abs(oracles.det(rows))
+
+    def test_dependent_rows_raise(self):
+        for rng, n, rank, rows in oracle_cases(113):
+            if rank == n:
+                continue
+            extra = combine([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows], rows)
+            with pytest.raises(RankError, match="dependent"):
+                Lattice(rows + [extra], n)
+            with pytest.raises(RankError, match="dependent"):
+                Lattice([extra] + rows, n)
+
+    def test_union_covers_matches_brute_force(self):
+        # the index-2 and index-3 sublattices of Z^2 in coordinates, carried
+        # onto skewed ambient lattices; their unions are periodic modulo 6 Z^2,
+        # and all three index-2 ones (or all four index-3 ones) cover
+        index2 = [[[1, 0], [0, 2]], [[2, 0], [0, 1]], [[1, 1], [0, 2]]]
+        index3 = [[[1, 0], [0, 3]], [[3, 0], [0, 1]], [[1, 1], [0, 3]], [[1, 2], [0, 3]]]
+        rng = random.Random(127)
+        outcomes = set()
+        for trial in range(40):
+            basis = skewed_rows(rng, 2, 2)
+            lat = Lattice(basis, 2)
+            family = (index2, index3)[trial % 2]
+            coeffs = rng.sample(family, rng.randint(len(family) - 1, len(family)))
+            coeffs += rng.sample(index2 + index3, rng.randint(0, 2))
+            subs = [Lattice(im.mat_mul(m, basis), 2) for m in coeffs]
+            brute = all(
+                any(oracles.in_lattice(m, [z1, z2]) for m in coeffs)
+                for z1 in range(6)
+                for z2 in range(6)
+            )
+            assert union_covers(lat, subs) == brute
+            outcomes.add(brute)
+        assert outcomes == {True, False}
