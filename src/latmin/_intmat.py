@@ -8,6 +8,7 @@ favor clarity and exactness over asymptotics.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -34,7 +35,7 @@ def vec_mat(v, m):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 # ---------------------------------------------------------------------------

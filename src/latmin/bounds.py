@@ -532,6 +532,8 @@ def vdc_lower(body: ConvexBody, lat: Lattice, lam) -> int:
     """2 floor(vol(lam K)/(2^n det)) + 1, a lower bound on the point count."""
     lam = Fraction(lam)
     n = lat.ambient_dim
+    if body.dim != n:
+        raise ValueError("body and lattice dimension mismatch")
     if lat.rank != n:
         raise RankError("needs a full-rank lattice")
     ratio = lam**n * body.volume() / (Fraction(2) ** n * lat.det())

@@ -3,20 +3,24 @@ minima, and restricted successive minima.
 
 Enumeration walks an axis-aligned integer box in lattice coordinates; the
 per-coordinate bounds come from the support function of the body at the
-dual basis of the lattice span.  Membership, gauges and minima are exact
-rationals throughout.  Restricted minima terminate either under a proved
-bound radius (when the forbidden collection matches one of the bound
-evaluators' hypotheses) or by geometric doubling.
+dual basis of the lattice span.  Gauges, their order and independence are
+decided on integers (with basis == H / d, a point is z H / d and its gauge
+an integer over one common denominator); only the reported witnesses and
+values become exact rationals.  Restricted minima terminate either under a
+proved bound radius (when the forbidden collection matches one of the
+bound evaluators' hypotheses) or by geometric doubling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intmat as im
 from . import kernel
+from ._intmat import dot
 from .body import Box, ConvexBody
 from .errors import (
     BudgetExceededError,
@@ -80,6 +84,15 @@ class ForbiddenCollection:
         else:
             self.classification = "mixed"
 
+    @functools.cached_property
+    def covers_lattice(self) -> bool:
+        """Whether the union is the whole ambient lattice, decided once: it
+        is iff the full-rank members cover, as lower-rank ones are too sparse
+        to finish a cover."""
+        amb = self.ambient
+        full = [s for s in self.sublattices if s.rank == amb.rank]
+        return bool(full) and amb.rank == amb.ambient_dim and union_covers(amb, full)
+
     def admissible_coords(self, z) -> bool:
         return not any(span.member(z) for span in self._spans)
 
@@ -95,31 +108,29 @@ class ForbiddenCollection:
 # ---------------------------------------------------------------------------
 
 
-def _constraint_system(body: ConvexBody, lat: Lattice, radius: Fraction):
-    """Integer constraints |(G z)_j| <= t_j equivalent to gauge(z B) <= radius."""
-    bint, scale = lat._hermite, lat._denom
-    r = lat.rank
-    p, q = radius.numerator, radius.denominator
-    g, t = [], []
+def _gauge_system(body: ConvexBody, lat: Lattice):
+    """(E, S): integer rows E and positive integers S with
+    gauge(z B) = max_j |E_j . z| / S_j for lattice coordinates z."""
+    h, d = lat._hermite, lat._denom
     if isinstance(body, Box):
-        for j, a in enumerate(body.halfwidths):
-            g.append([bint[i][j] * q * a.denominator for i in range(r)])
-            t.append(p * a.numerator * scale)
-    else:
-        for c in body.facets:
-            cd = im.lcm_denominators([c])
-            cint = [int(x * cd) for x in c]
-            g.append(
-                [q * sum(cint[j] * bint[i][j] for j in range(lat.ambient_dim)) for i in range(r)]
-            )
-            t.append(p * cd * scale)
-    return g, t
+        hw = body.halfwidths
+        e = [[c * a.denominator for c in col] for col, a in zip(zip(*h), hw)]
+        return e, [a.numerator * d for a in hw]
+    e, s = [], []
+    for c in body.facets:
+        cd = im.lcm_denominators([c])
+        cint = [int(x * cd) for x in c]
+        e.append([dot(cint, row) for row in h])
+        s.append(cd * d)
+    return e, s
 
 
 def _walk_system(body, lat, radius, budget):
     """Kernel arguments (g, t, lo, hi) whose passing z are exactly the
     nonzero lattice coordinates with gauge(z B) <= radius, or None when
     there are none."""
+    if body.dim != lat.ambient_dim:
+        raise ValueError("body and lattice dimension mismatch")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if lat.rank == 0 or radius == 0:
@@ -131,8 +142,9 @@ def _walk_system(body, lat, radius, budget):
         raise BudgetExceededError(
             f"enumeration box has {size} points, budget is {budget}"
         )
-    g, t = _constraint_system(body, lat, radius)
-    return g, t, lo, hi
+    e, s = _gauge_system(body, lat)
+    p, q = radius.numerator, radius.denominator
+    return [[q * c for c in row] for row in e], [p * sj for sj in s], lo, hi
 
 
 def _enumerate_coords(body, lat, radius, budget):
@@ -151,6 +163,31 @@ def point_sort_key(vector, gauge):
     )
 
 
+def _sorted_candidates(body, lat, radius, budget, admissible=None):
+    """(records, L): one (g, |x'|, signs of x', z, x') per admissible z with
+    gauge(z B) <= radius, sorted, where x' = z H is the point times d and
+    g / L its gauge.  With d > 0 this is ``point_sort_key`` order, and ties
+    cannot occur because (|x'|, signs) determines the point."""
+    e, s = _gauge_system(body, lat)
+    big = math.lcm(*s)
+    weighted = [[c * (big // sj) for c in row] for row, sj in zip(e, s)]
+    cols = list(zip(*lat._hermite))
+    records = []
+    for z in _enumerate_coords(body, lat, radius, budget):
+        if admissible is not None and not admissible(z):
+            continue
+        x = tuple([dot(z, col) for col in cols])
+        g = max([abs(dot(z, row)) for row in weighted])
+        records.append((g, tuple(map(abs, x)), tuple([v < 0 for v in x]), z, x))
+    records.sort()
+    return records, big
+
+
+def _exact(record, d, big):
+    """The point and gauge of a candidate record as exact rationals."""
+    return tuple(Fraction(v, d) for v in record[4]), Fraction(record[0], big)
+
+
 def enumerate_points(
     body: ConvexBody, lat: Lattice, radius, budget: int = DEFAULT_BUDGET
 ):
@@ -158,8 +195,8 @@ def enumerate_points(
 
     Sorted by ``point_sort_key``; the zero vector is never included.
     """
-    radius = Fraction(radius)
-    return [(x, g) for _, x, g in _sorted_candidates(body, lat, radius, budget)]
+    records, big = _sorted_candidates(body, lat, Fraction(radius), budget)
+    return [_exact(rec, lat._denom, big) for rec in records]
 
 
 # ---------------------------------------------------------------------------
@@ -167,38 +204,37 @@ def enumerate_points(
 # ---------------------------------------------------------------------------
 
 
-def _greedy_minima(candidates, k):
-    """First k gauge-sorted candidates that are linearly independent.
+def _add_if_independent(echelon, z) -> bool:
+    """Add z to the integer echelon rows, kept as (pivot, row) in pivot
+    order, if it is independent of them, and say whether it was.  Rows clear
+    their pivots from z by cross-multiplication; the rest is made primitive."""
+    v = list(z)
+    for p, row in echelon:
+        if v[p]:
+            a, b = row[p], v[p]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    if not any(v):
+        return False
+    g = math.gcd(*v)
+    v = [x // g for x in v]
+    echelon.append((next(j for j, x in enumerate(v) if x), v))
+    echelon.sort()
+    return True
 
-    candidates: iterable of (coords, vector, gauge) sorted by gauge key.
-    Returns (values, witnesses) or None if fewer than k independent.
+
+def _greedy_minima(records, k, d, big):
+    """First k sorted candidate records that are linearly independent.
+
+    Returns exact (values, witnesses) or None if fewer than k independent.
     """
-    chosen_coords = []
-    values, witnesses = [], []
-    for z, x, gauge in candidates:
-        if not chosen_coords:
-            independent = any(z)
-        else:
-            stack = chosen_coords + [list(z)]
-            independent = im.frac_rank(stack) == len(stack)
-        if independent:
-            chosen_coords.append(list(z))
-            values.append(gauge)
-            witnesses.append(x)
-            if len(values) == k:
-                return tuple(values), tuple(witnesses)
+    echelon, chosen = [], []
+    for rec in records:
+        if _add_if_independent(echelon, rec[3]):
+            chosen.append(_exact(rec, d, big))
+            if len(chosen) == k:
+                witnesses, values = zip(*chosen)
+                return values, witnesses
     return None
-
-
-def _sorted_candidates(body, lat, radius, budget, admissible=None):
-    triples = []
-    for z in _enumerate_coords(body, lat, radius, budget):
-        if admissible is not None and not admissible(z):
-            continue
-        x = tuple(im.vec_mat(z, lat.basis))
-        triples.append((z, x, body.gauge(x)))
-    triples.sort(key=lambda tr: point_sort_key(tr[1], tr[2]))
-    return triples
 
 
 def successive_minima(
@@ -207,8 +243,6 @@ def successive_minima(
     """lambda_1 .. lambda_k with linearly independent witnesses, exact."""
     if not 1 <= k <= lat.rank:
         raise RankError(f"k must lie in [1, rank]; got k={k}, rank={lat.rank}")
-    if body.dim != lat.ambient_dim:
-        raise ValueError("body and lattice dimension mismatch")
     basis_gauges = sorted(body.gauge(b) for b in lat.basis)
     full_rank = lat.rank == lat.ambient_dim
     if full_rank:
@@ -220,12 +254,12 @@ def successive_minima(
     else:
         radius = basis_gauges[k - 1]
         kind = CERT_DOUBLING
-    cands = _sorted_candidates(body, lat, radius, budget)
+    cands, big = _sorted_candidates(body, lat, radius, budget)
     if full_rank and k > 1:
-        lam1 = cands[0][2]
+        lam1 = Fraction(cands[0][0], big)
         radius = min(ratio / lam1 ** (n - 1), basis_gauges[k - 1])
-        cands = _sorted_candidates(body, lat, radius, budget)
-    got = _greedy_minima(cands, k)
+        cands, big = _sorted_candidates(body, lat, radius, budget)
+    got = _greedy_minima(cands, k, lat._denom, big)
     if got is None:
         raise CertificateError("termination radius failed to contain the minima")
     values, witnesses = got
@@ -251,15 +285,10 @@ def restricted_minima(
         raise ValueError("forbidden collection belongs to a different lattice")
     if not 1 <= k <= lat.rank:
         raise RankError(f"k must lie in [1, rank]; got k={k}, rank={lat.rank}")
+    if method not in ("auto", "doubling"):
+        raise ValueError(f"unknown method {method!r}; use 'auto' or 'doubling'")
     n = lat.ambient_dim
-    # A union covers the lattice iff its full-rank members do; lower-rank
-    # sublattices are too sparse to finish a cover.
-    full_members = [s for s in forbidden.sublattices if s.rank == lat.rank]
-    if (
-        full_members
-        and lat.rank == lat.ambient_dim
-        and union_covers(lat, full_members)
-    ):
+    if forbidden.covers_lattice:
         raise EmptyAdmissibleSetError(
             "the forbidden sublattices cover the whole lattice"
         )
@@ -291,10 +320,10 @@ def restricted_minima(
     lam1 = successive_minima(body, lat, 1, budget=budget).values[0]
     radius = lam1 if cert_radius is None else min(lam1, cert_radius)
     while True:
-        cands = _sorted_candidates(
+        cands, big = _sorted_candidates(
             body, lat, radius, budget, admissible=forbidden.admissible_coords
         )
-        got = _greedy_minima(cands, k)
+        got = _greedy_minima(cands, k, lat._denom, big)
         if got is not None and got[0][k - 1] <= radius:
             values, witnesses = got
             final_radius = cert_radius if cert_radius is not None else radius

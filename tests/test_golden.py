@@ -1,11 +1,21 @@
-"""Golden outputs: `examples` and a small `verify` campaign must reproduce
-the checked-in reports byte for byte, in process and under `python -O`.
+"""Golden outputs: `examples`, a small `verify` campaign and the instance
+commands must reproduce the checked-in reports byte for byte, in process
+and under `python -O`.
 
 The files in tests/golden/ were written by
 
     latmin examples --out tests/golden/examples.json
     latmin verify --trials 2 --dims 2,3 --kinds lower,full,mixed --seed 0 \\
         --torus-trials 2 --out tests/golden/verify.json
+
+and, for each instance file NAME.json in tests/golden/instances/ (a
+polytope over a rational lattice with lower-rank forbidden sublattices, and
+a box over a skewed rational lattice with mixed ones), by
+
+    latmin minima -k 2 --instance NAME.json --out NAME.minima-k2.json
+    latmin bounds --instance NAME.json --out NAME.bounds.json
+    latmin restricted -k K --method M --instance NAME.json \\
+        --out NAME.restricted-kK-M.json     # K in 1, 2; M in auto, doubling
 
 Regenerate them only for a change that is meant to alter the reports.
 """
@@ -27,6 +37,22 @@ RUNS = {
         "--seed", "0", "--torus-trials", "2",
     ],
 }
+INSTANCE_COMMANDS = {
+    "minima-k2": ["minima", "-k", "2"],
+    "bounds": ["bounds"],
+    **{
+        f"restricted-k{k}-{m}": ["restricted", "-k", str(k), "--method", m]
+        for k in (1, 2)
+        for m in ("auto", "doubling")
+    },
+}
+RUNS.update(
+    {
+        f"{inst.stem}.{tag}.json": [*argv, "--instance", str(inst)]
+        for inst in sorted((GOLDEN / "instances").glob("*.json"))
+        for tag, argv in INSTANCE_COMMANDS.items()
+    }
+)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

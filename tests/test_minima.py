@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from latmin.body import Box, cross_polytope, unit_cube
+from latmin import minima
+from latmin.body import Box, SymmetricPolytope, cross_polytope, unit_cube
+from latmin.bounds import vdc_lower
 from latmin.errors import (
     BudgetExceededError,
     EmptyAdmissibleSetError,
@@ -20,12 +23,14 @@ from latmin.minima import (
     covering_radius_diagonal,
     distinct_cosets_in_body,
     enumerate_points,
+    point_sort_key,
     restricted_minima,
     successive_minima,
     torus_packing_volume,
 )
 
 Z2 = Lattice.standard(2)
+Z3 = Lattice.standard(3)
 BOX2 = unit_cube(2)
 RECT = Box([1, Fraction(2, 25)])
 
@@ -227,6 +232,29 @@ class TestRestrictedMinima:
             assert scaled.values[0] == base.values[0] / mu
             assert fx["body"].scale(mu).gauge(scaled.witnesses[0]) == scaled.values[0]
 
+    def test_unknown_method_rejected(self):
+        fc = ForbiddenCollection(Z2, [Lattice([[1, 0]], 2)])
+        with pytest.raises(ValueError, match="method"):
+            restricted_minima(BOX2, Z2, fc, 1, method="bogus")
+
+    def test_cover_decided_once_per_collection(self, monkeypatch):
+        calls = []
+        real = minima.union_covers
+        monkeypatch.setattr(
+            minima, "union_covers", lambda *a: calls.append(a) or real(*a)
+        )
+        fc = ForbiddenCollection(Z2, [Lattice([[2, 0], [0, 2]])])
+        for k in (1, 2, 1):
+            restricted_minima(BOX2, Z2, fc, k)
+        assert len(calls) == 1
+        covering = ForbiddenCollection(
+            Z2, [Lattice([[1, 0], [0, 2]]), Lattice([[2, 0], [0, 1]]), Lattice([[1, 1], [0, 2]])]
+        )
+        for _ in range(2):
+            with pytest.raises(EmptyAdmissibleSetError):
+                restricted_minima(BOX2, Z2, covering, 1)
+        assert len(calls) == 2
+
     def test_forbidden_collection_validation(self):
         from latmin.errors import NotSublatticeError
 
@@ -303,3 +331,170 @@ class TestTorusPacking:
     def test_violation_rejected(self):
         with pytest.raises(PackingConditionError):
             torus_packing_volume(BOX2, Lattice([[3, 0], [0, 3]]), 2)
+
+
+class TestDimensionMismatch:
+    """A body of the wrong dimension is an error, never a silent count."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: count_points(BOX2, Z3, 1),
+            lambda: enumerate_points(BOX2, Z3, 1),
+            lambda: distinct_cosets_in_body(BOX2, Z3, Z3.scale(2), 1),
+            lambda: vdc_lower(BOX2, Z3, 1),
+            lambda: count_points(BOX2, Z3, 0),
+            lambda: count_points(unit_cube(3), Z2, 1),
+            lambda: successive_minima(unit_cube(3), Z2, 1),
+        ],
+        ids=["count", "enumerate", "cosets", "vdc", "count-at-zero", "count-3d-body",
+             "minima-3d-body"],
+    )
+    def test_raises(self, call):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the integer candidate engine on inputs the campaign generator never builds
+# ---------------------------------------------------------------------------
+
+HEXAGON = [[1, 0], [0, 1], [1, 1]]
+ORACLE_BOX_CAP = 1500
+
+
+def rational_body(rng, n):
+    """A box, a scaled cross-polytope, or a scaled and sheared hexagon."""
+    mu = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Box([Fraction(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(n)])
+    if kind == 1 or n != 2:
+        return cross_polytope(n).scale(mu)
+    s = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return SymmetricPolytope([[a / mu, (b + s * a) / mu] for a, b in HEXAGON])
+
+
+def skewed_cases(seed, count):
+    """(rng, body, short rows, lattice): the lattice is given by the short
+    rational rows (common denominator up to 12) sheared by a unimodular
+    map, so its Hermite form reaches entries near 10^3; ranks 1..n."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        rank = rng.randint(1, n)
+        d = rng.randint(1, 12)
+        while True:
+            short = [[Fraction(rng.randint(-9, 9), d) for _ in range(n)] for _ in range(rank)]
+            if oracles.frac_rank(short) == rank:
+                break
+        given = [row[:] for row in short]
+        for _ in range(6):
+            i, j = rng.randrange(rank), rng.randrange(rank)
+            if i != j:
+                c = rng.randint(-30, 30)
+                given[i] = [a + c * b for a, b in zip(given[i], given[j])]
+        yield rng, rational_body(rng, n), short, Lattice(given, n)
+
+
+def oracle_box(body_dict, rows, radius):
+    """Points the brute-force oracle visits at this radius."""
+    duals = oracles._dual_in_span(rows)
+    return math.prod(2 * math.floor(radius * oracles.support(body_dict, u)) + 1 for u in duals)
+
+
+def combine(coeffs, rows):
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+
+
+def forbidden_for(rng, short):
+    """One or two forbidden sublattices, lower-rank, full-rank of index 2 or
+    3, or mixed; at most two full-rank ones, so they never cover."""
+    rank = len(short)
+    subs = []
+    for _ in range(rng.randint(1, 2)):
+        if rank > 1 and rng.random() < 0.5:
+            coeffs = [rng.randint(-2, 2) for _ in range(rank)]
+            if any(coeffs):
+                subs.append([combine(coeffs, short)])
+        else:
+            p = rng.choice((2, 3))
+            c = [rng.randrange(p) for _ in range(rank)]
+            rows = [combine([p] + [0] * (rank - 1), short)]
+            rows += [combine([c[i]] + [int(i == j) for j in range(1, rank)], short)
+                     for i in range(1, rank)]
+            subs.append(rows)
+    return subs or [[short[0]]]
+
+
+class TestSkewedRationalInputs:
+    def test_enumeration_matches_oracle_in_order(self):
+        points = 0
+        for rng, body, short, lat in skewed_cases(301, 40):
+            bd = body.to_dict()
+            radius = max(oracles.gauge(bd, row) for row in short) * rng.choice((1, 2))
+            while oracle_box(bd, short, radius) > ORACLE_BOX_CAP:
+                radius /= 2
+            got = enumerate_points(body, lat, radius)
+            expected = oracles.points_within(bd, short, radius)
+            expected.sort(key=lambda p: point_sort_key(*p))
+            assert got == expected
+            points += len(got)
+        assert points > 300
+
+    def test_successive_minima_match_oracle(self):
+        for _, body, short, lat in skewed_cases(303, 30):
+            bd = body.to_dict()
+            k = lat.rank
+            cap = 2 * sorted(oracles.gauge(bd, row) for row in short)[k - 1]
+            if oracle_box(bd, short, cap) > ORACLE_BOX_CAP:
+                continue
+            res = successive_minima(body, lat, k)
+            assert res.values == oracles.brute_minima(bd, short, [], k)
+            for w, v in zip(res.witnesses, res.values):
+                assert oracles.gauge(bd, w) == v
+                assert oracles.in_lattice(short, list(w))
+            assert oracles.frac_rank([list(w) for w in res.witnesses]) == k
+
+    def test_restricted_minima_match_oracle(self):
+        checked = 0
+        for rng, body, short, lat in skewed_cases(307, 30):
+            bd = body.to_dict()
+            if oracle_box(bd, short, 4 * max(oracles.gauge(bd, r) for r in short)) > ORACLE_BOX_CAP:
+                continue
+            subs = forbidden_for(rng, short)
+            fc = ForbiddenCollection(lat, [Lattice(rows, lat.ambient_dim) for rows in subs])
+            k = rng.randint(1, lat.rank)
+            expected = oracles.brute_minima(bd, short, subs, k)
+            for method in ("auto", "doubling"):
+                res = restricted_minima(body, lat, fc, k, method=method)
+                assert res.values == expected
+                for w, v in zip(res.witnesses, res.values):
+                    assert oracles.gauge(bd, w) == v
+                    assert not any(oracles.in_lattice(rows, list(w)) for rows in subs)
+                assert oracles.frac_rank([list(w) for w in res.witnesses]) == k
+            checked += 1
+        assert checked > 15
+
+    def test_integer_independence_matches_rank(self):
+        rng = random.Random(311)
+        dependent = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            echelon, chosen = [], []
+            for _ in range(rng.randint(1, n + 2)):
+                if chosen and rng.random() < 0.4:
+                    z = combine([rng.randint(-10**6, 10**6) for _ in chosen], chosen)
+                    if rng.random() < 0.5:
+                        z[rng.randrange(n)] += rng.choice((-1, 1))
+                else:
+                    z = [rng.randint(-10**3, 10**3) * rng.randint(0, 1) for _ in range(n)]
+                if not any(z):
+                    continue
+                expect = oracles.frac_rank(chosen + [z]) == len(chosen) + 1
+                assert minima._add_if_independent(echelon, tuple(z)) == expect
+                if expect:
+                    chosen.append(z)
+                else:
+                    dependent += 1
+        assert dependent > 100
