@@ -46,17 +46,15 @@ class Lattice:
 
     def __init__(self, basis, ambient_dim: int | None = None):
         rows = [[Fraction(x) for x in row] for row in basis]
-        if ambient_dim is None:
-            if not rows:
-                raise ValueError("ambient_dim required for the zero lattice")
-            ambient_dim = len(rows[0])
-        if any(len(row) != ambient_dim for row in rows):
-            raise ValueError("basis rows of mixed dimension")
+        ambient_dim = _ambient_dim(rows, ambient_dim)
         if len(rows) > ambient_dim:
             raise RankError("more basis rows than the ambient dimension")
         h, d = _hermite(rows)
         if len(h) != len(rows):
             raise RankError("basis rows are linearly dependent")
+        self._set_hermite(h, d, ambient_dim)
+
+    def _set_hermite(self, h, d, ambient_dim):
         self.ambient_dim = ambient_dim
         self.rank = len(h)
         self.basis = tuple(tuple(Fraction(x, d) for x in row) for row in h)
@@ -72,10 +70,10 @@ class Lattice:
     def from_generators(rows, ambient_dim: int | None = None) -> "Lattice":
         """Lattice generated by arbitrarily many (possibly dependent) rows."""
         rows = [[Fraction(x) for x in row] for row in rows]
-        if ambient_dim is None and rows:
-            ambient_dim = len(rows[0])
-        h, d = _hermite(rows)
-        return Lattice([[Fraction(x, d) for x in row] for row in h], ambient_dim)
+        ambient_dim = _ambient_dim(rows, ambient_dim)
+        lat = Lattice.__new__(Lattice)
+        lat._set_hermite(*_hermite(rows), ambient_dim)
+        return lat
 
     @staticmethod
     def standard(n: int) -> "Lattice":
@@ -214,6 +212,16 @@ class Lattice:
             "(" + ", ".join(format_rational(x) for x in row) + ")" for row in self.basis
         )
         return f"Lattice(dim={self.ambient_dim}, basis=[{rows}])"
+
+
+def _ambient_dim(rows, ambient_dim):
+    if ambient_dim is None:
+        if not rows:
+            raise ValueError("ambient_dim required for the zero lattice")
+        ambient_dim = len(rows[0])
+    if any(len(row) != ambient_dim for row in rows):
+        raise ValueError("basis rows of mixed dimension")
+    return ambient_dim
 
 
 def _hermite(rows):

@@ -6,9 +6,11 @@ per-coordinate bounds come from the support function of the body at the
 dual basis of the lattice span.  Gauges, their order and independence are
 decided on integers (with basis == H / d, a point is z H / d and its gauge
 an integer over one common denominator); only the reported witnesses and
-values become exact rationals.  Restricted minima terminate either under a
-proved bound radius (when the forbidden collection matches one of the
-bound evaluators' hypotheses) or by geometric doubling.
+values become exact rationals.  Each successive minimum and each walk
+set-up is computed once per value of (body, lattice), in bounded memos.
+Restricted minima terminate either under a proved bound radius (when the
+forbidden collection matches one of the bound evaluators' hypotheses) or by
+geometric doubling.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _intmat as im
 from . import kernel
@@ -74,8 +77,11 @@ class ForbiddenCollection:
             raise ValueError("forbidden sublattices must have rank >= 1")
         self.ambient = ambient
         self.sublattices = tuple(subs)
-        # coeff_matrix raises NotSublatticeError off the ambient lattice
-        self._spans = [Lattice(ambient.coeff_matrix(sub), ambient.rank) for sub in subs]
+        # coeff_matrix raises NotSublatticeError off the ambient lattice; the
+        # spans in coordinate space are integer lattices (d = 1), kept as
+        # their Hermite rows and pivots
+        spans = [Lattice(ambient.coeff_matrix(sub), ambient.rank) for sub in subs]
+        self._spans = [(span._hermite, span._pivots) for span in spans]
         ranks = {sub.rank for sub in subs}
         if ranks == {ambient.rank}:
             self.classification = "all-full-rank"
@@ -94,7 +100,8 @@ class ForbiddenCollection:
         return bool(full) and amb.rank == amb.ambient_dim and union_covers(amb, full)
 
     def admissible_coords(self, z) -> bool:
-        return not any(span.member(z) for span in self._spans)
+        """Whether the integer lattice coordinates z lie in no forbidden span."""
+        return not any(_in_row_span(z, h, pivots) for h, pivots in self._spans)
 
     def to_dict(self) -> dict:
         return {
@@ -103,9 +110,38 @@ class ForbiddenCollection:
         }
 
 
+def _in_row_span(z, hermite, pivots) -> bool:
+    """Whether the integer vector z is an integer combination of the integer
+    Hermite rows: a divmod clears each pivot, and nothing may remain."""
+    w = list(z)
+    for row, p in zip(hermite, pivots):
+        c, rem = divmod(w[p], row[p])
+        if rem:
+            return False
+        if c:
+            w = [a - c * b for a, b in zip(w, row)]
+    return not any(w)
+
+
 # ---------------------------------------------------------------------------
 # enumeration core
 # ---------------------------------------------------------------------------
+
+# Entries kept by the memo of successive minima and by the walk set-ups.
+# Both are keyed by value: lattices hash by their Hermite form and bodies by
+# their half-widths or facets and vertices, and what is kept is immutable.
+_CACHE_SIZE = 32
+
+
+class _WalkSetup(NamedTuple):
+    """What every walk over (body, lattice) shares, whatever its radius."""
+
+    e: tuple  # gauge rows E and scales S of ``_gauge_system``
+    s: tuple
+    weighted: tuple  # E_j * (L / S_j), so a point's gauge is max |row . z| / L
+    big: int  # L = lcm(S)
+    cols: tuple  # columns of H, so x' = z H is (z . col for each col)
+    supports: tuple  # h_K(d_i) as (num, den) for the dual span vectors d_i
 
 
 def _gauge_system(body: ConvexBody, lat: Lattice):
@@ -125,26 +161,44 @@ def _gauge_system(body: ConvexBody, lat: Lattice):
     return e, s
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _walk_setup(body: ConvexBody, lat: Lattice) -> _WalkSetup:
+    """The walk set-up of (body, lattice), computed once per value."""
+    e, s = _gauge_system(body, lat)
+    big = math.lcm(*s)
+    supports = [body.support(u) for u in lat.dual_in_span()]
+    return _WalkSetup(
+        tuple(map(tuple, e)),
+        tuple(s),
+        tuple(tuple(c * (big // sj) for c in row) for row, sj in zip(e, s)),
+        big,
+        tuple(zip(*lat._hermite)),
+        tuple((h.numerator, h.denominator) for h in supports),
+    )
+
+
 def _walk_system(body, lat, radius, budget):
     """Kernel arguments (g, t, lo, hi) whose passing z are exactly the
     nonzero lattice coordinates with gauge(z B) <= radius, or None when
-    there are none."""
+    there are none.  With radius p/q, g = q E, t = p S and the box is
+    |z_i| <= floor(radius h_K(d_i))."""
     if body.dim != lat.ambient_dim:
         raise ValueError("body and lattice dimension mismatch")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if lat.rank == 0 or radius == 0:
         return None
-    hi = [math.floor(radius * body.support(d)) for d in lat.dual_in_span()]
+    setup = _walk_setup(body, lat)
+    p, q = radius.numerator, radius.denominator
+    hi = [p * num // (q * den) for num, den in setup.supports]
     lo = [-m for m in hi]
     size = kernel.box_size(lo, hi)
     if size > budget:
         raise BudgetExceededError(
             f"enumeration box has {size} points, budget is {budget}"
         )
-    e, s = _gauge_system(body, lat)
-    p, q = radius.numerator, radius.denominator
-    return [[q * c for c in row] for row in e], [p * sj for sj in s], lo, hi
+    g = [[q * c for c in row] for row in setup.e]
+    return g, [p * sj for sj in setup.s], lo, hi
 
 
 def _enumerate_coords(body, lat, radius, budget):
@@ -168,19 +222,18 @@ def _sorted_candidates(body, lat, radius, budget, admissible=None):
     gauge(z B) <= radius, sorted, where x' = z H is the point times d and
     g / L its gauge.  With d > 0 this is ``point_sort_key`` order, and ties
     cannot occur because (|x'|, signs) determines the point."""
-    e, s = _gauge_system(body, lat)
-    big = math.lcm(*s)
-    weighted = [[c * (big // sj) for c in row] for row, sj in zip(e, s)]
-    cols = list(zip(*lat._hermite))
+    coords = _enumerate_coords(body, lat, radius, budget)
+    setup = _walk_setup(body, lat)
+    cols, weighted = setup.cols, setup.weighted
     records = []
-    for z in _enumerate_coords(body, lat, radius, budget):
+    for z in coords:
         if admissible is not None and not admissible(z):
             continue
         x = tuple([dot(z, col) for col in cols])
         g = max([abs(dot(z, row)) for row in weighted])
         records.append((g, tuple(map(abs, x)), tuple([v < 0 for v in x]), z, x))
     records.sort()
-    return records, big
+    return records, setup.big
 
 
 def _exact(record, d, big):
@@ -240,9 +293,20 @@ def _greedy_minima(records, k, d, big):
 def successive_minima(
     body: ConvexBody, lat: Lattice, k: int, budget: int = DEFAULT_BUDGET
 ) -> MinimaResult:
-    """lambda_1 .. lambda_k with linearly independent witnesses, exact."""
+    """lambda_1 .. lambda_k with linearly independent witnesses, exact.
+
+    Memoised by the value of (body, lattice, k, budget); the budget is part
+    of the key, so a smaller one still raises ``BudgetExceededError``.
+    """
     if not 1 <= k <= lat.rank:
         raise RankError(f"k must lie in [1, rank]; got k={k}, rank={lat.rank}")
+    if body.dim != lat.ambient_dim:
+        raise ValueError("body and lattice dimension mismatch")
+    return _successive_minima(body, lat, k, budget)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _successive_minima(body, lat, k, budget) -> MinimaResult:
     basis_gauges = sorted(body.gauge(b) for b in lat.basis)
     full_rank = lat.rank == lat.ambient_dim
     if full_rank:

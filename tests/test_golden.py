@@ -1,6 +1,7 @@
 """Golden outputs: `examples`, a small `verify` campaign and the instance
 commands must reproduce the checked-in reports byte for byte, in process
-and under `python -O`.
+(`examples` and `verify` twice: with cold caches, then warm) and under
+`python -O`.
 
 The files in tests/golden/ were written by
 
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from latmin import cli
+from latmin import cli, minima
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RUNS = {
@@ -60,6 +61,18 @@ def test_in_process(name, tmp_path):
     out = tmp_path / name
     assert cli.main(RUNS[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["examples.json", "verify.json"])
+def test_cold_then_warm_caches(name, tmp_path):
+    """A report must not depend on what the minima memo and the walk set-ups
+    hold: the second run in one process finds them warm."""
+    minima._successive_minima.cache_clear()
+    minima._walk_setup.cache_clear()
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}-{name}"
+        assert cli.main(RUNS[name] + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), run
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from latmin import _intmat as im
+from latmin import lattice as lattice_module
 from latmin.body import unit_cube
 from latmin.errors import IndexOverflowError, NotSublatticeError, RankError
 from latmin.lattice import (
@@ -499,3 +500,43 @@ class TestAgainstOracles:
             assert union_covers(lat, subs) == brute
             outcomes.add(brute)
         assert outcomes == {True, False}
+
+    def test_from_generators_matches_basis_constructor(self):
+        # dependent generating sets: a basis, integer and rational
+        # combinations of it that stay in the lattice, and zero rows
+        seen = 0
+        for rng, n, rank, rows in oracle_cases(131):
+            lat = Lattice(rows, n)
+            gens = [list(r) for r in rows]
+            for _ in range(rng.randint(1, 4)):
+                gens.append(combine([rng.randint(-50, 50) for _ in rows], rows))
+            gens.append([Fraction(0)] * n)
+            rng.shuffle(gens)
+            got = Lattice.from_generators(gens, n)
+            assert got == lat and hash(got) == hash(lat) and got.basis == lat.basis
+            assert (got._hermite, got._denom, got._pivots) == (
+                lat._hermite, lat._denom, lat._pivots)
+            seen += 1
+        assert seen == 60
+
+    def test_from_generators_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="mixed dimension"):
+            Lattice.from_generators([[1, 0], [1]])
+        with pytest.raises(ValueError, match="mixed dimension"):
+            Lattice.from_generators([[1, 0]], 3)
+        with pytest.raises(ValueError, match="ambient_dim required"):
+            Lattice.from_generators([])
+
+    def test_intersections_unchanged(self):
+        # the intersection built from the dual generators' Hermite form
+        # through the basis constructor, as before from_generators reused it
+        rng = random.Random(137)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            lats = [Lattice(skewed_rows(rng, n, n), n) for _ in range(rng.randint(2, 3))]
+            dual_rows = [list(r) for lat in lats for r in lat.dual().basis]
+            h, d = lattice_module._hermite(dual_rows)
+            expected = Lattice([[Fraction(x, d) for x in row] for row in h], n).dual()
+            got = intersect(lats)
+            assert got == expected and got.basis == expected.basis
+            assert all(lat.contains_lattice(got) for lat in lats)

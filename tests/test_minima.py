@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -498,3 +499,118 @@ class TestSkewedRationalInputs:
                 else:
                     dependent += 1
         assert dependent > 100
+
+
+class TestForbiddenSpans:
+    def test_admissible_coords_match_member_and_oracle(self):
+        # forbidden sublattices of full and lower rank, given by skewed
+        # integer combinations of a skewed ambient basis
+        hits = misses = 0
+        for rng, _, short, lat in skewed_cases(313, 40):
+            rank = lat.rank
+            subs = []
+            for _ in range(rng.randint(1, 2)):
+                sub_rank = rng.randint(1, rank)
+                while True:
+                    coeffs = [[rng.randint(-20, 20) for _ in range(rank)]
+                              for _ in range(sub_rank)]
+                    if oracles.frac_rank(coeffs) == sub_rank:
+                        break
+                subs.append([combine(c, lat.basis) for c in coeffs])
+            fc = ForbiddenCollection(lat, [Lattice(rows, lat.ambient_dim) for rows in subs])
+            spans = [Lattice(lat.coeff_matrix(sub), rank) for sub in fc.sublattices]
+            for _ in range(30):
+                if rng.random() < 0.5:
+                    z = [rng.randint(-40, 40) for _ in range(rank)]
+                else:  # a point of one forbidden sublattice, maybe moved off it
+                    rows = rng.choice(subs)
+                    x = combine([rng.randint(-3, 3) for _ in rows], rows)
+                    z = [int(c) for c in lat.coeffs_of(x)]
+                    z[rng.randrange(rank)] += rng.choice((0, 0, 1, -2))
+                x = combine(z, lat.basis)
+                expect = not any(oracles.in_lattice(rows, x) for rows in subs)
+                assert fc.admissible_coords(z) == expect
+                assert expect == (not any(span.member(z) for span in spans))
+                hits, misses = hits + expect, misses + (not expect)
+        assert hits > 300 and misses > 150
+
+
+def clear_caches():
+    minima._successive_minima.cache_clear()
+    minima._walk_setup.cache_clear()
+
+
+class TestMemoSoundness:
+    def test_smaller_budget_still_raises(self):
+        plane = Lattice([[1, 2, 0], [0, 3, 5]], 3)
+        for body, lat, k in ((RECT, Z2, 2), (unit_cube(3), plane, 1)):
+            clear_caches()
+            with pytest.raises(BudgetExceededError) as cold:
+                successive_minima(body, lat, k, budget=2)
+            clear_caches()
+            warm = successive_minima(body, lat, k)
+            assert successive_minima(body, lat, k) == warm
+            with pytest.raises(BudgetExceededError) as again:
+                successive_minima(body, lat, k, budget=2)
+            assert str(again.value) == str(cold.value)
+            assert str(cold.value).startswith("enumeration box has ")
+
+    def test_equal_values_share_results(self):
+        clear_caches()
+        lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        other = Lattice([[2, 1, 0], [2, 4, 1], [3, 1, 4]])
+        body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
+        spelled = Box(["6/4", Fraction(2, 2), "1.25"])
+        assert other == lat and spelled == body
+        first = successive_minima(body, lat, 3)
+        info = minima._successive_minima.cache_info()
+        second = successive_minima(spelled, other, 3)
+        assert second.to_dict() == first.to_dict()
+        assert minima._successive_minima.cache_info().hits == info.hits + 1
+        hexagon = SymmetricPolytope([[Fraction(1, 2), 0], [0, Fraction(1, 3)],
+                                     [Fraction(1, 2), Fraction(-1, 3)]])
+        spelled = SymmetricPolytope([["2/4", "0/7"], [0, Fraction(3, 9)], ["0.5", "-2/6"]])
+        assert spelled == hexagon
+        base, other = Lattice([[3, 1], [1, 2]]), Lattice([[4, 3], [1, 2]])
+        assert other == base
+        assert (successive_minima(spelled, other, 2).to_dict()
+                == successive_minima(hexagon, base, 2).to_dict())
+
+    def test_cold_and_warm_results_agree(self):
+        def solve_all(cold):
+            out = []
+            # the restricted test's cases (inputs, forbidden sets and k),
+            # then the successive test's inputs
+            for rng, body, short, lat in itertools.chain(
+                skewed_cases(307, 30), skewed_cases(303, 30)
+            ):
+                bd = body.to_dict()
+                radius = 4 * max(oracles.gauge(bd, r) for r in short)
+                if oracle_box(bd, short, radius) > ORACLE_BOX_CAP:
+                    continue
+                subs = forbidden_for(rng, short)
+                fc = ForbiddenCollection(lat, [Lattice(r, lat.ambient_dim) for r in subs])
+                k = rng.randint(1, lat.rank)
+                for call in (
+                    lambda: successive_minima(body, lat, k),
+                    lambda: successive_minima(body, lat, lat.rank),
+                    lambda: restricted_minima(body, lat, fc, k),
+                    lambda: restricted_minima(body, lat, fc, k, method="doubling"),
+                ):
+                    if cold:
+                        clear_caches()
+                    out.append(call().to_dict())
+            return out
+
+        cold = solve_all(True)
+        before = minima._successive_minima.cache_info().hits
+        warm = solve_all(False)
+        assert minima._successive_minima.cache_info().hits > before
+        assert len(cold) > 80 and warm == cold
+
+    def test_dimension_mismatch_raises_before_lookup(self):
+        clear_caches()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            successive_minima(unit_cube(3), Z2, 1)
+        assert minima._successive_minima.cache_info() == (0, 0, minima._CACHE_SIZE, 0)
+        assert minima._walk_setup.cache_info().currsize == 0
