@@ -1,55 +1,35 @@
-"""Backend selection for the enumeration kernel.
+"""The constraint walk.
 
-The compiled extension is used when it imported cleanly and the workload
-provably fits in int64.  Otherwise the pure-Python twin runs; both produce
-identical output in identical order.
+Walks the integer box lo <= z <= hi in odometer order (axis 0 fastest),
+skipping z = 0, and tests each point against the scaled-integer constraint
+system |(G z)_j| <= t_j.  Arithmetic is plain Python int, so there is no
+overflow ceiling.
 """
 
 from __future__ import annotations
 
-from . import _kernel_py
 
-try:  # compiled extension is optional
-    from . import _kernel as _compiled
-except ImportError:  # pragma: no cover - depends on the build
-    _compiled = None
+def backend_name() -> str:
+    """Name of the walk implementation.
 
-_I64_LIMIT = 1 << 62
-
-
-def compiled_available() -> bool:
-    return _compiled is not None
-
-
-def fits_int64(g, t, lo, hi) -> bool:
-    """True when every partial sum of the walk stays within int64."""
-    for j, row in enumerate(g):
-        reach = sum(abs(c) * max(abs(l), abs(h)) for c, l, h in zip(row, lo, hi))
-        if reach >= _I64_LIMIT or abs(t[j]) >= _I64_LIMIT:
-            return False
-    return all(abs(v) < _I64_LIMIT for v in lo) and all(abs(v) < _I64_LIMIT for v in hi)
-
-
-def _backend(g, t, lo, hi):
-    if _compiled is not None and fits_int64(g, t, lo, hi):
-        return _compiled
-    return _kernel_py
-
-
-def backend_name(g=None, t=None, lo=None, hi=None) -> str:
-    if g is None:
-        return "compiled" if _compiled is not None else "pure-python"
-    return "compiled" if _backend(g, t, lo, hi) is _compiled else "pure-python"
+    There is one.  This function stays because ``perfbench/run.py`` prints
+    it in each run's info line; ``perfbench/spans.py`` likewise wraps
+    ``collect_passing`` and ``count_passing`` by name, so those keep theirs.
+    """
+    return "pure-python"
 
 
 def count_passing(g, t, lo, hi) -> int:
     """Number of nonzero z in the box with |(G z)_j| <= t_j for all j."""
-    return _backend(g, t, lo, hi).count_passing(g, t, lo, hi)
+    total = 0
+    for _ in _walk(g, t, lo, hi):
+        total += 1
+    return total
 
 
 def collect_passing(g, t, lo, hi) -> list:
     """The passing z themselves, in odometer order (axis 0 fastest)."""
-    return _backend(g, t, lo, hi).collect_passing(g, t, lo, hi)
+    return [tuple(z) for z in _walk(g, t, lo, hi)]
 
 
 def box_size(lo, hi) -> int:
@@ -60,3 +40,40 @@ def box_size(lo, hi) -> int:
             return 0
         total *= h - l + 1
     return total
+
+
+def _walk(g, t, lo, hi):
+    """Yield each passing z; the yielded list is reused, so copy it."""
+    r = len(lo)
+    m = len(t)
+    if r == 0 or any(l > h for l, h in zip(lo, hi)):
+        return
+    gcols = [[g[j][i] for j in range(m)] for i in range(r)]
+    z = list(lo)
+    y = [sum(g[j][i] * lo[i] for i in range(r)) for j in range(m)]
+    while True:
+        if any(z):
+            ok = True
+            for j in range(m):
+                yj = y[j]
+                if yj > t[j] or -yj > t[j]:
+                    ok = False
+                    break
+            if ok:
+                yield z
+        axis = 0
+        while axis < r:
+            if z[axis] < hi[axis]:
+                z[axis] += 1
+                col = gcols[axis]
+                for j in range(m):
+                    y[j] += col[j]
+                break
+            step = lo[axis] - hi[axis]
+            z[axis] = lo[axis]
+            col = gcols[axis]
+            for j in range(m):
+                y[j] += step * col[j]
+            axis += 1
+        if axis == r:
+            return

@@ -201,11 +201,14 @@ class Lattice:
         return (
             isinstance(other, Lattice)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._denom == other._denom
+            and self._hermite == other._hermite
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        # (H, d) determines basis == H / d and is unique per lattice, so
+        # this agrees with comparing bases, without hashing Fractions
+        return hash((self.ambient_dim, self._denom, self._hermite))
 
     def __repr__(self):
         rows = ", ".join(

@@ -312,17 +312,16 @@ def _successive_minima(body, lat, k, budget) -> MinimaResult:
     if full_rank:
         n = lat.ambient_dim
         ratio = (2**n) * lat.det() / body.volume()
-        mink_hi = nth_root_enclosure(ratio, n).hi
-        radius = min(mink_hi, basis_gauges[0])
+        if k == 1:
+            radius = min(nth_root_enclosure(ratio, n).hi, basis_gauges[0])
+        else:
+            lam1 = _successive_minima(body, lat, 1, budget).values[0]
+            radius = min(ratio / lam1 ** (n - 1), basis_gauges[k - 1])
         kind = CERT_MINKOWSKI
     else:
         radius = basis_gauges[k - 1]
         kind = CERT_DOUBLING
     cands, big = _sorted_candidates(body, lat, radius, budget)
-    if full_rank and k > 1:
-        lam1 = Fraction(cands[0][0], big)
-        radius = min(ratio / lam1 ** (n - 1), basis_gauges[k - 1])
-        cands, big = _sorted_candidates(body, lat, radius, budget)
     got = _greedy_minima(cands, k, lat._denom, big)
     if got is None:
         raise CertificateError("termination radius failed to contain the minima")

@@ -518,6 +518,29 @@ class TestAgainstOracles:
                 lat._hermite, lat._denom, lat._pivots)
             seen += 1
         assert seen == 60
+        # == and hash read (H, d): they must agree with comparing bases on
+        # skewed pairs, equal (another basis of one lattice) and not
+        # (a rescaled copy, an unrelated lattice of the same shape)
+        outcomes = set()
+        for rng, n, rank, rows in oracle_cases(139):
+            lat = Lattice(rows, n)
+            unimodular = [list(r) for r in rows]
+            for _ in range(3):
+                i, j = rng.randrange(rank), rng.randrange(rank)
+                if i != j:
+                    c = rng.randint(-40, 40)
+                    unimodular[i] = [a + c * b for a, b in zip(unimodular[i], unimodular[j])]
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3))
+            for other in (
+                Lattice(unimodular, n),
+                Lattice([[scale * x for x in row] for row in rows], n),
+                Lattice(skewed_rows(rng, n, rank), n),
+            ):
+                same = lat.basis == other.basis
+                assert (lat == other) == same and (other == lat) == same
+                assert not same or hash(lat) == hash(other)
+                outcomes.add(same)
+        assert outcomes == {True, False}
 
     def test_from_generators_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="mixed dimension"):

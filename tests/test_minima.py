@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from latmin import minima
+from latmin import kernel, minima
 from latmin.body import Box, SymmetricPolytope, cross_polytope, unit_cube
 from latmin.bounds import vdc_lower
 from latmin.errors import (
@@ -607,6 +607,21 @@ class TestMemoSoundness:
         warm = solve_all(False)
         assert minima._successive_minima.cache_info().hits > before
         assert len(cold) > 80 and warm == cold
+
+    def test_lambda_one_walked_once_per_full_rank_pair(self, monkeypatch):
+        # k > 1 at full rank takes lambda_1 from the k = 1 entry, so after a
+        # warm k = 1 call only the k = 2 radius is walked
+        body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
+        lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        clear_caches()
+        cold = successive_minima(body, lat, 2).to_dict()
+        clear_caches()
+        successive_minima(body, lat, 1)
+        walks = []
+        walk = kernel.collect_passing
+        monkeypatch.setattr(kernel, "collect_passing", lambda *a: walks.append(a) or walk(*a))
+        assert successive_minima(body, lat, 2).to_dict() == cold
+        assert len(walks) == 1
 
     def test_dimension_mismatch_raises_before_lookup(self):
         clear_caches()
