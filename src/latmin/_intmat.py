@@ -86,99 +86,6 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form with transforms
-# ---------------------------------------------------------------------------
-
-
-def snf(mat: list[list[int]]):
-    """Smith normal form with transforms.
-
-    Returns (u, d, v) with u @ mat @ v == d, u and v unimodular, and d
-    diagonal with nonnegative entries satisfying d[i] | d[i+1].
-    """
-    a = [list(map(int, row)) for row in mat]
-    nrows, ncols = len(a), len(a[0]) if a else 0
-    u = identity(nrows)
-    v = identity(ncols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [a[i][c] - q * a[j][c] for c in range(ncols)]
-        u[i] = [u[i][c] - q * u[j][c] for c in range(nrows)]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(nrows):
-            a[r][i] -= q * a[r][j]
-        for r in range(ncols):
-            v[r][i] -= q * v[r][j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in range(nrows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(ncols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def least_entry(t):  # position of the least nonzero |a_ij| with i, j >= t
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        return pivot
-
-    t = 0
-    while t < min(nrows, ncols):
-        pivot = least_entry(t)
-        if pivot is None:
-            break
-        while True:
-            i, j = pivot
-            row_swap(t, i)
-            col_swap(t, j)
-            if a[t][t] < 0:
-                row_negate(t)
-            clean = True
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        clean = False
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        clean = False
-            if clean:
-                # enforce divisibility of the trailing block by the pivot
-                offender = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                row_op(t, offender, -1)  # fold the offending row into row t
-                clean = False
-            # re-pick the smallest entry and continue reducing
-            pivot = least_entry(t)
-        t += 1
-    d = [[a[i][j] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
-    return u, d, v
-
-
-# ---------------------------------------------------------------------------
 # Rational Gaussian elimination
 # ---------------------------------------------------------------------------
 

@@ -145,11 +145,9 @@ def siegel_bound(
     m, n = len(rows), len(rows[0])
     if m >= n:
         raise RankError("need strictly fewer rows than columns")
-    if im.frac_rank(rows) != m:
-        raise RankError("matrix must have full row rank")
+    kern = kernel_lattice(rows)  # raises RankError without full row rank
     gram_det = im.frac_det(im.mat_mul(rows, im.transpose(rows)))
     enc = nth_root_enclosure(gram_det, 2 * (n - m), policy)
-    kern = kernel_lattice(rows)
     shortest = successive_minima(Box([Fraction(1)] * n), kern, 1, budget=budget)
     exact = shortest.values[0]
     if exact > enc.hi:

@@ -3,8 +3,9 @@
 A Lattice is stored in integer Hermite form: the Hermite normal form H of
 the scaled basis and the least d with basis == H / d, so two descriptions
 of the same lattice compare equal.  Rank, det, coordinates and membership
-come from H by pivot-by-pivot substitution; duals, intersections, coset
-systems and kernels are exact as well.
+come from H by pivot-by-pivot substitution.  Coset systems, integer kernels
+and saturations come from Hermite forms too, and duals and intersections
+are exact as well.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ class Lattice:
         """Dual lattice; defined here for full-rank lattices only."""
         if self.rank != self.ambient_dim:
             raise RankError("dual implemented for full-rank lattices")
-        rows = im.transpose(im.frac_inv([list(r) for r in self.basis]))
-        return Lattice(rows, self.ambient_dim)
+        # at full rank G^-1 B == B^-T, so the dual basis is dual_in_span()
+        return Lattice(self.dual_in_span(), self.ambient_dim)
 
     def dual_in_span(self) -> list[list[Fraction]]:
         """Vectors d_i in lin(self) with <d_i, b_j> = delta_ij.
@@ -247,12 +248,12 @@ class CosetSystem:
     sublattice: Lattice
     representatives: tuple
     index: int
-    _v: tuple  # unimodular coordinate change, coords . v taken mod diag
-    _diag: tuple
+    _span: Lattice  # the sublattice in lattice coordinates (integer, d = 1)
 
     def label_of_coords(self, z) -> tuple:
-        """Coset label of a lattice point given by its coordinates."""
-        return _coset_label(z, self._v, self._diag)
+        """Coset label of a lattice point given by its coordinates: the
+        coordinates of its coset's representative."""
+        return _coset_label(z, self._span)
 
     def label_of(self, x) -> tuple:
         z = self.lattice._coords(x, integral=True)
@@ -261,46 +262,46 @@ class CosetSystem:
         return self.label_of_coords(z)
 
 
-def _smith_cosets(m):
-    """(V, diag D) for the Smith form U m V = D of a full-rank sublattice's
-    coordinate matrix m: z and z' share a coset iff z V = z' V mod diag D."""
-    _, d, v = im.snf(m)
-    return tuple(tuple(row) for row in v), tuple(d[i][i] for i in range(len(m)))
-
-
-def _coset_label(z, v, diag) -> tuple:
-    zv = im.vec_mat(z, v)
-    return tuple(zv[i] % diag[i] for i in range(len(diag)))
+def _coset_label(z, span: Lattice) -> tuple:
+    """The representative of z modulo a full-rank integer span: with H its
+    upper triangular Hermite form, row i clears w_i down to [0, H_ii)
+    without touching the columns before it."""
+    w = list(z)
+    for i, row in enumerate(span._hermite):
+        q = w[i] // row[i]
+        if q:
+            w = [a - q * b for a, b in zip(w, row)]
+    return tuple(w)
 
 
 def _coset_coords(lat: Lattice, sub: Lattice, index_cap: int):
-    """(coords, V, diag): the lattice coordinates of one representative per
-    coset of lat modulo the full-rank sublattice sub, and its Smith data."""
+    """(coords, span): an iterator over the lattice coordinates of one
+    representative per coset of lat modulo the full-rank sublattice sub, and
+    sub in lattice coordinates.  The representatives are the box
+    0 <= z_i < H_ii of the span's Hermite form H, so the index is the
+    product of its diagonal."""
     if sub.rank != lat.rank:
         raise NotSublatticeError("sublattice must have full rank in the lattice")
-    v, diag = _smith_cosets(lat.coeff_matrix(sub))
+    span = Lattice(lat.coeff_matrix(sub), lat.rank)
+    diag = [row[i] for i, row in enumerate(span._hermite)]
     index = math.prod(diag)
     if index > index_cap:
         raise IndexOverflowError(f"index {index} exceeds cap {index_cap}")
-    vinv = [[int(x) for x in row] for row in im.frac_inv(v)]
-    coords = [
-        im.vec_mat(t, vinv) for t in itertools.product(*(range(di) for di in diag))
-    ]
-    return coords, v, diag
+    return itertools.product(*(range(h) for h in diag)), span
 
 
 def coset_system(
     lat: Lattice, sub: Lattice, index_cap: int = DEFAULT_INDEX_CAP
 ) -> CosetSystem:
     """All coset representatives of lat modulo a full-rank sublattice."""
-    coords, v, diag = _coset_coords(lat, sub, index_cap)
+    coords, span = _coset_coords(lat, sub, index_cap)
+    reps = tuple(tuple(im.vec_mat(z, lat.basis)) for z in coords)
     return CosetSystem(
         lattice=lat,
         sublattice=sub,
-        representatives=tuple(tuple(im.vec_mat(z, lat.basis)) for z in coords),
-        index=len(coords),
-        _v=v,
-        _diag=diag,
+        representatives=reps,
+        index=len(reps),
+        _span=span,
     )
 
 
@@ -369,7 +370,7 @@ def union_covers(
     the union exactly.
     """
     subs = list(sublattices)
-    coords, _, _ = _coset_coords(lat, intersect(subs), index_cap)
+    coords, _ = _coset_coords(lat, intersect(subs), index_cap)
     spans = [Lattice(lat.coeff_matrix(sub), lat.rank) for sub in subs]
     return all(any(span.member(z) for span in spans) for z in coords)
 
@@ -379,15 +380,28 @@ def union_covers(
 # ---------------------------------------------------------------------------
 
 
+def _kernel_rows(rows, n: int) -> list[list[int]]:
+    """Basis of the integer kernel {z in Z^n : rows . z = 0}.
+
+    The Hermite form of the n rows [column j of rows | e_j] spans
+    {(z . rows^T, z) : z in Z^n}; being echelon, its rows that vanish on the
+    left block form a basis of the vectors (0, z), and their right-hand
+    parts are the kernel.
+    """
+    m = len(rows)
+    h = hnf([[row[j] for row in rows] + [int(i == j) for i in range(n)]
+             for j in range(n)])
+    return [r[m:] for r in h if not any(r[:m])]
+
+
 def kernel_lattice(a: list[list[int]]) -> Lattice:
     """Integer kernel {z in Z^n : A z = 0} of a full-row-rank integer matrix."""
     rows = [[int(x) for x in row] for row in a]
     m, n = len(rows), len(rows[0])
-    if im.frac_rank(rows) != m:
+    kernel_rows = _kernel_rows(rows, n)
+    if len(kernel_rows) != n - m:
         raise RankError("matrix must have full row rank")
-    _, _, v = im.snf(rows)
-    kernel_rows = [[v[i][j] for i in range(n)] for j in range(m, n)]
-    lat = Lattice(kernel_rows, n) if kernel_rows else Lattice([], n)
+    lat = Lattice(kernel_rows, n)
     gram = im.mat_mul(rows, im.transpose(rows))
     if lat.det_squared > im.frac_det(gram):
         raise CertificateError("kernel determinant exceeds det(A A^T)")
@@ -416,17 +430,14 @@ def minors_vector(lat: Lattice) -> MinorVector:
 def saturate_rows(rows: list[list[int]]) -> list[list[int]]:
     """Basis of the saturation {z in Z^n : z in Q-rowspan(rows)}.
 
-    With U R V = D in Smith form, the rational row span is spanned by the
-    first rank rows of V^{-1}, and those rows are a basis of the saturation
-    because V is unimodular.
+    That is the integer kernel of the integer kernel of the rows: the
+    integer vectors orthogonal to every z with rows . z = 0.
     """
     rows = [[int(x) for x in row] for row in rows]
-    rank = im.frac_rank(rows)
-    if rank == 0:
+    if not rows:
         return []
-    _, _, v = im.snf(rows)
-    vinv = [[int(x) for x in r] for r in im.frac_inv(v)]
-    return vinv[:rank]
+    n = len(rows[0])
+    return _kernel_rows(_kernel_rows(rows, n), n)
 
 
 def extend_to_full_rank(lat: Lattice, sub: Lattice, scale: int) -> Lattice:

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedBodyError,
 )
 from .exactarith import format_rational, nth_root_enclosure
-from .lattice import Lattice, _coset_label, _smith_cosets, union_covers
+from .lattice import Lattice, _coset_label, union_covers
 
 DEFAULT_BUDGET = 10**7
 
@@ -178,10 +178,10 @@ def _walk_setup(body: ConvexBody, lat: Lattice) -> _WalkSetup:
 
 
 def _walk_system(body, lat, radius, budget):
-    """Kernel arguments (g, t, lo, hi) whose passing z are exactly the
-    nonzero lattice coordinates with gauge(z B) <= radius, or None when
-    there are none.  With radius p/q, g = q E, t = p S and the box is
-    |z_i| <= floor(radius h_K(d_i))."""
+    """(setup, (g, t, lo, hi)): the walk set-up of (body, lattice) and kernel
+    arguments whose passing z are exactly the nonzero lattice coordinates
+    with gauge(z B) <= radius, or None when there are none.  With radius
+    p/q, g = q E, t = p S and the box is |z_i| <= floor(radius h_K(d_i))."""
     if body.dim != lat.ambient_dim:
         raise ValueError("body and lattice dimension mismatch")
     if radius < 0:
@@ -198,13 +198,13 @@ def _walk_system(body, lat, radius, budget):
             f"enumeration box has {size} points, budget is {budget}"
         )
     g = [[q * c for c in row] for row in setup.e]
-    return g, [p * sj for sj in setup.s], lo, hi
+    return setup, (g, [p * sj for sj in setup.s], lo, hi)
 
 
 def _enumerate_coords(body, lat, radius, budget):
     """All nonzero z (lattice coordinates) with gauge(z B) <= radius."""
     walk = _walk_system(body, lat, radius, budget)
-    return kernel.collect_passing(*walk) if walk else []
+    return kernel.collect_passing(*walk[1]) if walk else []
 
 
 def point_sort_key(vector, gauge):
@@ -222,11 +222,13 @@ def _sorted_candidates(body, lat, radius, budget, admissible=None):
     gauge(z B) <= radius, sorted, where x' = z H is the point times d and
     g / L its gauge.  With d > 0 this is ``point_sort_key`` order, and ties
     cannot occur because (|x'|, signs) determines the point."""
-    coords = _enumerate_coords(body, lat, radius, budget)
-    setup = _walk_setup(body, lat)
+    walk = _walk_system(body, lat, radius, budget)
+    if walk is None:
+        return [], _walk_setup(body, lat).big
+    setup, args = walk
     cols, weighted = setup.cols, setup.weighted
     records = []
-    for z in coords:
+    for z in kernel.collect_passing(*args):
         if admissible is not None and not admissible(z):
             continue
         x = tuple([dot(z, col) for col in cols])
@@ -413,7 +415,7 @@ def count_points(
     if lam < 0:
         raise ValueError("dilation factor must be nonnegative")
     walk = _walk_system(body, lat, lam, budget)
-    return (kernel.count_passing(*walk) if walk else 0) + 1
+    return (kernel.count_passing(*walk[1]) if walk else 0) + 1
 
 
 def distinct_cosets_in_body(
@@ -428,10 +430,10 @@ def distinct_cosets_in_body(
     m = lat.coeff_matrix(sub)
     if len(m) != lat.rank:
         raise RankError("sublattice must have full rank in the lattice")
-    v, diag = _smith_cosets(m)
-    labels = {tuple(0 for _ in diag)}  # origin
+    span = Lattice(m, lat.rank)
+    labels = {(0,) * lat.rank}  # origin
     for z in _enumerate_coords(body, lat, lam, budget):
-        labels.add(_coset_label(z, v, diag))
+        labels.add(_coset_label(z, span))
     return len(labels)
 
 

@@ -100,7 +100,7 @@ class TestSiegel:
             bounds.siegel_bound([[1, 0], [0, 1]])
 
     def test_rank_deficient_rejected(self):
-        with pytest.raises(RankError):
+        with pytest.raises(RankError, match="matrix must have full row rank"):
             bounds.siegel_bound([[1, 1, 1], [2, 2, 2]])
 
     def test_failed_check_raises(self, monkeypatch):

@@ -1,5 +1,6 @@
-"""Golden outputs: `examples`, a small `verify` campaign and the instance
-commands must reproduce the checked-in reports byte for byte, in process
+"""Golden outputs: `examples`, a small `verify` campaign, the instance
+commands and three `siegel` reports must reproduce the checked-in reports
+byte for byte, in process
 (`examples` and `verify` twice: with cold caches, then warm) and under
 `python -O`.
 
@@ -17,6 +18,12 @@ a box over a skewed rational lattice with mixed ones), by
     latmin bounds --instance NAME.json --out NAME.bounds.json
     latmin restricted -k K --method M --instance NAME.json \\
         --out NAME.restricted-kK-M.json     # K in 1, 2; M in auto, doubling
+
+and the kernel-vector bound on three matrices by
+
+    latmin siegel --matrix "3 17 101" --out siegel-3-17-101.json
+    latmin siegel --matrix "5 7 11 13" --out siegel-5-7-11-13.json
+    latmin siegel --matrix "2 3 5; 7 11 13" --out siegel-2-3-5-7-11-13.json
 
 Regenerate them only for a change that is meant to alter the reports.
 """
@@ -37,6 +44,9 @@ RUNS = {
         "verify", "--trials", "2", "--dims", "2,3", "--kinds", "lower,full,mixed",
         "--seed", "0", "--torus-trials", "2",
     ],
+    "siegel-3-17-101.json": ["siegel", "--matrix", "3 17 101"],
+    "siegel-5-7-11-13.json": ["siegel", "--matrix", "5 7 11 13"],
+    "siegel-2-3-5-7-11-13.json": ["siegel", "--matrix", "2 3 5; 7 11 13"],
 }
 INSTANCE_COMMANDS = {
     "minima-k2": ["minima", "-k", "2"],

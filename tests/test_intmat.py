@@ -65,33 +65,6 @@ class TestHNF:
         assert 0 <= h[0][1] < h[1][1]
 
 
-class TestSNF:
-    def test_transform_identity(self):
-        rng = random.Random(5)
-        for _ in range(150):
-            m = rng.randint(1, 4)
-            n = rng.randint(1, 4)
-            a = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)]
-            u, d, v = im.snf(a)
-            assert im.mat_mul(im.mat_mul(u, a), v) == d
-            assert abs(im.frac_det(u)) == 1
-            assert abs(im.frac_det(v)) == 1
-            diag = [d[i][i] for i in range(min(m, n))]
-            for x, y in zip(diag, diag[1:]):
-                if y != 0:
-                    assert x != 0 and y % x == 0
-                if x == 0:
-                    assert y == 0
-            for i in range(m):
-                for j in range(n):
-                    if i != j:
-                        assert d[i][j] == 0
-
-    def test_known_diagonal(self):
-        _, d, _ = im.snf([[2, 0], [0, 4]])
-        assert [d[0][0], d[1][1]] == [2, 4]
-
-
 class TestFractionOps:
     def test_det(self):
         assert im.frac_det([[1, 2], [3, 4]]) == -2

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -143,6 +146,15 @@ class TestDual:
         with pytest.raises(RankError):
             Lattice([[1, 0]], 2).dual()
 
+    def test_inverse_transpose_on_skewed_bases(self):
+        rng = random.Random(149)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            rows = skewed_rows(rng, n, n)
+            inverse = oracles.inv(rows)
+            expected = Lattice([[inverse[i][j] for i in range(n)] for j in range(n)], n)
+            assert Lattice(rows, n).dual() == expected
+
 
 class TestIntersect:
     def test_golden_pair(self):
@@ -263,6 +275,17 @@ class TestMValueAndCovering:
         with pytest.raises(IndexOverflowError):
             union_covers(lat, [Lattice([[60, 0], [0, 60]])], index_cap=1000)
 
+    def test_non_cover_stops_at_first_uncovered_coset(self):
+        # representatives are produced one at a time, so a non-cover at the
+        # index cap is decided without building all 10^6 of them
+        tracemalloc.start()
+        try:
+            assert not union_covers(Lattice.standard(2), [Lattice([[1000, 0], [0, 1000]])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_two_strict_sublattices_never_cover(self):
         # index >= m+1 forces a non-cover
         rng = random.Random(41)
@@ -311,6 +334,30 @@ class TestKernel:
             assert k.rank == n - m
             for b in k.basis:
                 assert all(sum(r[j] * b[j] for j in range(n)) == 0 for r in rows)
+
+    def test_whole_kernel_on_skewed_matrices(self):
+        # det(ker A)^2 == det(A A^T) / g^2, with g the gcd of A's m x m
+        # minors, holds for the whole integer kernel and fails for any
+        # proper sublattice of it
+        rng = random.Random(151)
+        imprimitive = 0
+        for trial in range(160):
+            m = 1 + trial % 2
+            n = rng.randint(m + 1, 5)
+            rows = [[rng.randint(-10**4, 10**4) for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.5:  # a common factor of the minors
+                c = rng.randint(2, 60)
+                rows[0] = [c * x for x in rows[0]]
+            if oracles.frac_rank(rows) != m:
+                continue
+            k = kernel_lattice(rows)
+            assert k.rank == n - m
+            for b in k.basis:
+                assert all(sum(r[j] * b[j] for j in range(n)) == 0 for r in rows)
+            g = minors_gcd(rows)
+            assert k.det_squared == oracles.det(gram(rows)) / g**2
+            imprimitive += g > 1
+        assert imprimitive > 40
 
 
 class TestMinors:
@@ -375,6 +422,41 @@ class TestExtendAndSaturate:
         span = Lattice(sat2, 2)
         assert span.member([1, 0]) and span.member([0, 1])
 
+    def test_saturation_on_skewed_rows(self):
+        # independent rows R, sheared by a random integer matrix so their
+        # minors share factors, then given as is, with dependent extra rows
+        # or as zero rows; the saturation has R's rank, contains the given
+        # rows, and det^2 == det(R R^T) / g^2 (g the gcd of R's r x r minors)
+        rng = random.Random(157)
+        kinds = set()
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            r = rng.randint(1, n)
+            while True:
+                base = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+                mix = [[rng.randint(-20, 20) for _ in range(r)] for _ in range(r)]
+                rows = im.mat_mul(mix, base)
+                if oracles.frac_rank(rows) == r:
+                    break
+            kind = rng.choice(("independent", "dependent", "zero"))
+            given = [row[:] for row in rows]
+            if kind == "dependent":
+                for _ in range(rng.randint(1, 3)):
+                    given.insert(rng.randint(0, len(given)),
+                                 combine([rng.randint(-5, 5) for _ in rows], rows))
+            elif kind == "zero":
+                given = [[0] * n for _ in range(rng.randint(1, 3))]
+            kinds.add(kind)
+            sat = saturate_rows(given)
+            if kind == "zero":
+                assert sat == []
+                continue
+            span = Lattice(sat, n)  # raises if the rows were dependent
+            assert span.rank == r
+            assert all(span.member(row) for row in given)
+            assert span.det_squared == oracles.det(gram(rows)) / minors_gcd(rows) ** 2
+        assert kinds == {"independent", "dependent", "zero"}
+
 
 # ---------------------------------------------------------------------------
 # Hermite-form coordinates, membership, det and covers against the oracles
@@ -403,6 +485,19 @@ def skewed_rows(rng, n, rank):
 
 def combine(coeffs, rows):
     return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+
+
+def gram(rows):
+    return [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+
+
+def minors_gcd(rows):
+    """gcd of the r x r minors of r integer rows."""
+    r = len(rows)
+    return math.gcd(*(
+        int(oracles.det([[row[c] for c in cols] for row in rows]))
+        for cols in itertools.combinations(range(len(rows[0])), r)
+    ))
 
 
 def oracle_cases(seed, count=60):
@@ -500,6 +595,40 @@ class TestAgainstOracles:
             assert union_covers(lat, subs) == brute
             outcomes.add(brute)
         assert outcomes == {True, False}
+
+    def test_coset_system_matches_oracle(self):
+        # full-rank sublattices M B of skewed lattices B, index |det M| <= 500:
+        # the index is det(sub) / det(lat), the representatives fall in
+        # distinct cosets, each point's label is its coset representative's
+        # coordinates, and two points share a label iff they differ by a
+        # point of the sublattice
+        rng = random.Random(163)
+        indices, same = set(), 0
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            basis = skewed_rows(rng, n, n)
+            while True:
+                mix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                if 0 < abs(oracles.det(mix)) <= 500:
+                    break
+            sub_rows = im.mat_mul(mix, basis)
+            lat, sub = Lattice(basis, n), Lattice(sub_rows, n)
+            cs = coset_system(lat, sub)
+            assert cs.index == sub.det() / lat.det() == abs(oracles.det(mix))
+            indices.add(cs.index)
+            rep_coords = [tuple(lat.coeffs_of(rep)) for rep in cs.representatives]
+            assert len(set(rep_coords)) == cs.index
+            assert [cs.label_of(rep) for rep in cs.representatives] == rep_coords
+            points = [combine([rng.randint(-30, 30) for _ in range(n)], basis)
+                      for _ in range(12)]
+            points += [combine(z, basis) for z in rep_coords[:4]]
+            labels = [cs.label_of(x) for x in points]
+            assert set(labels) <= set(rep_coords)
+            for (x, lx), (y, ly) in itertools.combinations(zip(points, labels), 2):
+                diff = [a - b for a, b in zip(x, y)]
+                assert (lx == ly) == oracles.in_lattice(sub_rows, diff)
+                same += lx == ly
+        assert same > 20 and max(indices) > 100
 
     def test_from_generators_matches_basis_constructor(self):
         # dependent generating sets: a basis, integer and rational

@@ -477,6 +477,34 @@ class TestSkewedRationalInputs:
             checked += 1
         assert checked > 15
 
+    def test_distinct_cosets_match_oracle(self):
+        # cosets modulo M B met by lam K, against a brute-force grouping of
+        # the oracle's points: x and x' share a coset iff their coordinates
+        # in the sublattice basis differ by integers
+        counts = []
+        for rng, body, short, lat in skewed_cases(313, 60):
+            n = lat.ambient_dim
+            if lat.rank != n:
+                continue
+            while True:
+                mix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                if 0 < abs(oracles.det(mix)) <= 60:
+                    break
+            sub_rows = [combine(row, short) for row in mix]
+            bd = body.to_dict()
+            lam = max(oracles.gauge(bd, row) for row in short) * rng.choice((1, 2, 3))
+            while oracle_box(bd, short, lam) > ORACLE_BOX_CAP // 4:
+                lam /= 2
+            columns = [list(col) for col in zip(*sub_rows)]
+            cosets = {
+                tuple(c % 1 for c in oracles.solve(columns, x))
+                for x, _ in [((0,) * n, 0)] + oracles.points_within(bd, short, lam)
+            }
+            got = distinct_cosets_in_body(body, lat, Lattice(sub_rows, n), lam)
+            assert got == len(cosets)
+            counts.append(got)
+        assert len(counts) > 15 and max(counts) > 10
+
     def test_integer_independence_matches_rank(self):
         rng = random.Random(311)
         dependent = 0
@@ -622,6 +650,25 @@ class TestMemoSoundness:
         monkeypatch.setattr(kernel, "collect_passing", lambda *a: walks.append(a) or walk(*a))
         assert successive_minima(body, lat, 2).to_dict() == cold
         assert len(walks) == 1
+
+    def test_one_set_up_lookup_per_walk(self):
+        # a walk hashes its body and lattice once, cold or warm, and also
+        # when there is nothing to walk
+        body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
+        lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+
+        def lookups():
+            info = minima._walk_setup.cache_info()
+            return info.hits + info.misses
+
+        clear_caches()
+        for radius in (Fraction(5, 2), Fraction(7, 3), Fraction(0)):
+            before = lookups()
+            minima._sorted_candidates(body, lat, radius, minima.DEFAULT_BUDGET)
+            assert lookups() == before + 1
+        before = lookups()
+        count_points(body, lat, 3)
+        assert lookups() == before + 1
 
     def test_dimension_mismatch_raises_before_lookup(self):
         clear_caches()
