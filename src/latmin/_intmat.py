@@ -1,8 +1,10 @@
 """Exact matrix routines for the lattice layer.
 
-Matrices are row-major lists of lists over Python ints or Fractions.
-Dimensions are tiny here (ambient dimension <= ~8), so the implementations
-favor clarity and exactness over asymptotics.
+Matrices are row-major lists of lists over Python ints or Fractions, with
+one normal form (``hnf``), one fraction-free determinant (``frac_det``) and
+one rational elimination (``_eliminate``).  Dimensions are tiny here
+(ambient dimension <= ~8), so the implementations favor clarity and
+exactness over asymptotics.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
 
 def _eliminate(a, ncols) -> list[int]:
     """Reduce the rows ``a`` in place to reduced row echelon form in their
-    first ``ncols`` columns; later columns (a right-hand side, an identity
-    block) ride along.  Returns the pivot columns, row i pivoting on the
+    first ``ncols`` columns; later columns (one or more right-hand sides)
+    ride along.  Returns the pivot columns, row i pivoting on the
     i-th; rows below the last pivot row are zero in the first ``ncols``."""
     nrows = len(a)
     pivots = []
@@ -122,25 +124,26 @@ def frac_rank(m) -> int:
 
 
 def frac_det(m) -> Fraction:
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 1968)
+    of m scaled to integers by the lcm l of its denominators: every
+    division is exact, and det m = det(l m) / l^n."""
     n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
+    scale = lcm_denominators(m)
+    a = [[int(x * scale) for x in row] for row in m]
+    sign, prev = 1, 1
     for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        piv = next((i for i in range(col, n) if a[i][col]), None)
         if piv is None:
             return Fraction(0)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
+            sign = -sign
+        p = a[col][col]
         for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                a[i] = [a[i][j] - f * a[col][j] for j in range(n)]
-    return det
+            f = a[i][col]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[col])]
+        prev = p
+    return Fraction(sign * prev, scale**n)
 
 
 def frac_solve(a, b):
@@ -158,15 +161,6 @@ def frac_solve(a, b):
     for r, col in enumerate(pivots):
         y[col] = aug[r][n]
     return y
-
-
-def frac_inv(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    if len(_eliminate(a, n)) < n:
-        raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in a]
 
 
 def lcm_denominators(rows) -> int:

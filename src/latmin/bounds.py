@@ -142,10 +142,10 @@ def siegel_bound(
     """Sup-norm bound det(A A^T)^(1/(2(n-m))) for a nonzero integer kernel
     vector, verified against the exact shortest one."""
     rows = [[int(x) for x in row] for row in a]
-    m, n = len(rows), len(rows[0])
-    if m >= n:
+    if rows and len(rows) >= len(rows[0]):
         raise RankError("need strictly fewer rows than columns")
-    kern = kernel_lattice(rows)  # raises RankError without full row rank
+    kern = kernel_lattice(rows)  # InputError if empty or ragged, RankError if rank < m
+    m, n = len(rows), len(rows[0])
     gram_det = im.frac_det(im.mat_mul(rows, im.transpose(rows)))
     enc = nth_root_enclosure(gram_det, 2 * (n - m), policy)
     shortest = successive_minima(Box([Fraction(1)] * n), kern, 1, budget=budget)

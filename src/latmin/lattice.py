@@ -3,9 +3,9 @@
 A Lattice is stored in integer Hermite form: the Hermite normal form H of
 the scaled basis and the least d with basis == H / d, so two descriptions
 of the same lattice compare equal.  Rank, det, coordinates and membership
-come from H by pivot-by-pivot substitution.  Coset systems, integer kernels
-and saturations come from Hermite forms too, and duals and intersections
-are exact as well.
+come from H by pivot-by-pivot substitution, and the rest from (H, d) too:
+indices, cosets, kernels, saturations and intersections from Hermite forms,
+det^2 and minors from determinants of H, duals from one elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import _intmat as im
 from ._intmat import dot, hnf
-from .errors import CertificateError, IndexOverflowError, NotSublatticeError, RankError
+from .errors import CertificateError, IndexOverflowError, InputError, NotSublatticeError, RankError
 from .exactarith import format_rational, parse_rational
 
 __all__ = [
@@ -93,10 +93,9 @@ class Lattice:
     def det_squared(self) -> Fraction:
         """Gram determinant of the basis (basis independent)."""
         if self._det_squared is None:
-            gram = [
-                [dot(bi, bj) for bj in self.basis] for bi in self.basis
-            ]
-            self._det_squared = im.frac_det(gram)
+            h = self._hermite
+            gram = [[dot(hi, hj) for hj in h] for hi in h]
+            self._det_squared = im.frac_det(gram) / self._denom ** (2 * self.rank)
         return self._det_squared
 
     def det(self) -> Fraction:
@@ -152,10 +151,7 @@ class Lattice:
         m = super_lattice.coeff_matrix(self)
         if len(m) != super_lattice.rank:
             raise RankError("index needs equal ranks")
-        idx = abs(im.frac_det(m))
-        if idx.denominator != 1 or idx == 0:
-            raise CertificateError(f"sublattice index {idx} is not a positive integer")
-        return int(idx)
+        return int(Lattice(m, self.rank).det())
 
     def scale(self, mu) -> "Lattice":
         mu = Fraction(mu)
@@ -175,12 +171,15 @@ class Lattice:
     def dual_in_span(self) -> list[list[Fraction]]:
         """Vectors d_i in lin(self) with <d_i, b_j> = delta_ij.
 
-        Used for enumeration coordinate bounds; works at any rank.
+        Used for enumeration coordinate bounds; works at any rank.  As
+        basis = H / d, they are the rows D with (H H^T) D = d H.
         """
         if self._dual_rows is None:
-            b = [list(r) for r in self.basis]
-            gram = [[dot(bi, bj) for bj in b] for bi in b]
-            self._dual_rows = im.mat_mul(im.frac_inv(gram), b) if b else []
+            h, d = self._hermite, self._denom
+            a = [[Fraction(dot(hi, hj)) for hj in h] + [Fraction(d * x) for x in hi]
+                 for hi in h]
+            im._eliminate(a, self.rank)
+            self._dual_rows = [row[self.rank:] for row in a]
         return self._dual_rows
 
     # -- serialization / identity --------------------------------------
@@ -279,7 +278,7 @@ def _coset_coords(lat: Lattice, sub: Lattice, index_cap: int):
     representative per coset of lat modulo the full-rank sublattice sub, and
     sub in lattice coordinates.  The representatives are the box
     0 <= z_i < H_ii of the span's Hermite form H, so the index is the
-    product of its diagonal."""
+    product of its diagonal, as in Lattice.index_in."""
     if sub.rank != lat.rank:
         raise NotSublatticeError("sublattice must have full rank in the lattice")
     span = Lattice(lat.coeff_matrix(sub), lat.rank)
@@ -311,7 +310,9 @@ def coset_system(
 
 
 def intersect(lattices, within: Lattice | None = None) -> Lattice:
-    """Intersection of full-rank lattices, via duals: (A ^ B)* = A* + B*.
+    """Intersection of full-rank lattices: with the members scaled to one
+    denominator D, integer lattices uA and vB meet in the uA for (u, v) in
+    the integer left kernel of [A; -B].
 
     When ``within`` is given, the determinant sandwich
     max det L_i <= det L <= det(within)^(1-s) * prod det L_i is verified.
@@ -323,13 +324,13 @@ def intersect(lattices, within: Lattice | None = None) -> Lattice:
     for lat in lattices:
         if lat.ambient_dim != n or lat.rank != n:
             raise RankError("intersection needs full-rank lattices in one space")
-    if len(lattices) == 1:
-        result = lattices[0]
-    else:
-        dual_rows = []
-        for lat in lattices:
-            dual_rows.extend(list(r) for r in lat.dual().basis)
-        result = Lattice.from_generators(dual_rows, n).dual()
+    denom = math.lcm(*(lat._denom for lat in lattices))
+    a, *rest = ([[x * (denom // lat._denom) for x in row] for row in lat._hermite]
+                for lat in lattices)
+    for b in rest:
+        kernel = _kernel_rows(im.transpose(a + [[-x for x in row] for row in b]), 2 * n)
+        a = hnf([im.vec_mat(z[:n], a) for z in kernel])
+    result = Lattice([[Fraction(x, denom) for x in row] for row in a], n)
     if within is not None:
         s = len(lattices)
         d_res = result.det()
@@ -397,6 +398,8 @@ def _kernel_rows(rows, n: int) -> list[list[int]]:
 def kernel_lattice(a: list[list[int]]) -> Lattice:
     """Integer kernel {z in Z^n : A z = 0} of a full-row-rank integer matrix."""
     rows = [[int(x) for x in row] for row in a]
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise InputError("matrix is empty or ragged")
     m, n = len(rows), len(rows[0])
     kernel_rows = _kernel_rows(rows, n)
     if len(kernel_rows) != n - m:
@@ -419,11 +422,11 @@ class MinorVector:
 def minors_vector(lat: Lattice) -> MinorVector:
     if lat.rank < 1:
         raise RankError("minors need rank >= 1")
-    b = [list(r) for r in lat.basis]
+    scale = lat._denom**lat.rank  # the minors of H / d are those of H over d^r
     entries = []
     for cols in itertools.combinations(range(lat.ambient_dim), lat.rank):
-        sub = [[row[c] for c in cols] for row in b]
-        entries.append(im.frac_det(sub))
+        sub = [[row[c] for c in cols] for row in lat._hermite]
+        entries.append(im.frac_det(sub) / scale)
     return MinorVector(tuple(entries), max(abs(e) for e in entries))
 
 
@@ -451,7 +454,7 @@ def extend_to_full_rank(lat: Lattice, sub: Lattice, scale: int) -> Lattice:
         raise RankError("ambient lattice must be full rank")
     if sub.rank >= lat.rank:
         raise RankError("sublattice already has full rank")
-    if int(scale) < 1:
+    if Fraction(scale).denominator != 1 or scale < 1:
         raise ValueError("scale must be a positive integer")
     rows = [list(r) for r in sub.basis]
     for b in lat.basis:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 
@@ -208,43 +207,3 @@ def det(rows):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total += (-1) ** inversions * math.prod(Fraction(rows[i][perm[i]]) for i in range(n))
     return total
-
-
-def monte_carlo_torus_volume(body, sub, lam, samples: int = 10**5, seed: int = 0):
-    """Non-certified sanity estimate of the torus volume of (lam/2) K mod sub.
-
-    Samples uniformly in a fundamental cell and tests membership in the
-    lattice translates of the half-dilate; float arithmetic is fine here
-    because the estimate is only compared against a 4-sigma cushion.
-    Reads only the wire form of the body and the basis rows of the
-    full-rank lattice ``sub``.  Returns (estimate, standard_error).
-    """
-    lam = Fraction(lam)
-    body_dict = body.to_dict()
-    rows = [list(r) for r in sub.basis]
-    n = len(rows)
-    rng = random.Random(seed)
-    basis = [[float(x) for x in row] for row in rows]
-    half = float(lam) / 2
-    reach = [float((lam / 2) * support(body_dict, d)) for d in _dual_in_span(rows)]
-    if body_dict["type"] == "box":
-        hw = [float(Fraction(a)) for a in body_dict["halfwidths"]]
-        fgauge = lambda x: max(abs(xi) / a for xi, a in zip(x, hw))
-    else:
-        fac = [[float(Fraction(c)) for c in row] for row in body_dict["facets"]]
-        fgauge = lambda x: max(abs(sum(c * xi for c, xi in zip(row, x))) for row in fac)
-    hits = 0
-    for _ in range(samples):
-        rho = [rng.random() for _ in range(n)]
-        cells = itertools.product(
-            *(range(int(r - s) - 1, int(r + s) + 2) for r, s in zip(rho, reach))
-        )
-        for cand in cells:
-            delta = [rho[i] - cand[i] for i in range(n)]
-            x = [sum(delta[i] * basis[i][j] for i in range(n)) for j in range(n)]
-            if fgauge(x) <= half + 1e-12:
-                hits += 1
-                break
-    volume = float(abs(det(rows)))
-    p = hits / samples
-    return p * volume, volume * (p * (1 - p) / samples) ** 0.5

@@ -99,6 +99,11 @@ class TestSiegel:
         with pytest.raises(RankError):
             bounds.siegel_bound([[1, 0], [0, 1]])
 
+    def test_empty_or_ragged_rejected(self):
+        for a in ([], [[1, 2, 3], [4, 5]]):
+            with pytest.raises(InputError, match="empty or ragged"):
+                bounds.siegel_bound(a)
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankError, match="matrix must have full row rank"):
             bounds.siegel_bound([[1, 1, 1], [2, 2, 2]])
@@ -387,19 +392,14 @@ class TestTorusVolume:
             exact = torus_packing_volume(BOX2, lat3, Fraction(lam) / 2)
             assert lower == min(exact, 9)
 
-    def test_monte_carlo_consistency(self):
-        lat3 = Lattice([[3, 0], [0, 3]])
-        for lam in (Fraction(3, 2), 3, Fraction(9, 2)):
-            lower = bounds.torus_volume_lower_bound(BOX2, lat3, lam)
-            est, se = oracles.monte_carlo_torus_volume(
-                BOX2, lat3, lam, samples=10**5, seed=12345
-            )
-            assert float(lower) <= est + 4 * se
-
-    def test_monte_carlo_seed_reproducible(self):
-        a = oracles.monte_carlo_torus_volume(BOX2, Z2, 1, samples=2000, seed=7)
-        b = oracles.monte_carlo_torus_volume(BOX2, Z2, 1, samples=2000, seed=7)
-        assert a == b
+    def test_below_exact_box_torus_volume(self):
+        # (lam/2) K for a box of half-widths a_i has side lam a_i, so modulo
+        # the diagonal lattice diag(d_i) its torus volume is prod min(lam a_i, d_i)
+        for body, diag in ((BOX2, (3, 3)), (Box([Fraction(1, 2), 2]), (2, 5))):
+            sub = Lattice.from_diagonal(diag)
+            for lam in (Fraction(1, 3), Fraction(3, 2), 2, 3, Fraction(7, 2), Fraction(9, 2), 6):
+                exact = math.prod(min(lam * a, d) for a, d in zip(body.halfwidths, diag))
+                assert bounds.torus_volume_lower_bound(body, sub, lam) <= exact
 
 
 class TestCountingBounds:

@@ -10,7 +10,8 @@ import oracles
 from latmin import _intmat as im
 from latmin import lattice as lattice_module
 from latmin.body import unit_cube
-from latmin.errors import IndexOverflowError, NotSublatticeError, RankError
+from latmin.errors import IndexOverflowError, InputError, NotSublatticeError, RankError
+from latmin.harness import generate
 from latmin.lattice import (
     CosetSystem,
     Lattice,
@@ -154,6 +155,17 @@ class TestDual:
             inverse = oracles.inv(rows)
             expected = Lattice([[inverse[i][j] for i in range(n)] for j in range(n)], n)
             assert Lattice(rows, n).dual() == expected
+
+    def test_dual_in_span_matches_oracle(self):
+        # every rank 1..n: rows in lin(L) biorthogonal to the stored basis,
+        # against the oracle's inverse Gram matrix times the basis
+        rng = random.Random(163)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            for rank in range(1, n + 1):
+                lat = Lattice(skewed_rows(rng, n, rank), n)
+                basis = [list(b) for b in lat.basis]
+                assert lat.dual_in_span() == oracles._dual_in_span(basis)
 
 
 class TestIntersect:
@@ -322,6 +334,11 @@ class TestKernel:
         with pytest.raises(RankError):
             kernel_lattice([[1, 1, 1], [2, 2, 2]])
 
+    def test_empty_or_ragged_rejected(self):
+        for a in ([], [[1, 2, 3], [1, 2]], [[1], [1, 2, 3]]):
+            with pytest.raises(InputError, match="empty or ragged"):
+                kernel_lattice(a)
+
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(43)
         for _ in range(30):
@@ -381,6 +398,13 @@ class TestExtendAndSaturate:
     def test_golden_extension(self):
         ext = extend_to_full_rank(Lattice.standard(2), Lattice([[1, 0]], 2), 10)
         assert ext == Lattice([[1, 0], [0, 10]])
+
+    def test_non_integer_scale_rejected(self):
+        lat, sub = Lattice.standard(2), Lattice([[1, 0]], 2)
+        for scale in (Fraction(3, 2), 1.5, Fraction(1, 2), 0, -2):
+            with pytest.raises(ValueError, match="positive integer"):
+                extend_to_full_rank(lat, sub, scale)
+        assert extend_to_full_rank(lat, sub, Fraction(10)) == Lattice([[1, 0], [0, 10]])
 
     def test_scale_one_full_rank_superlattice(self):
         lat = Lattice.standard(3)
@@ -681,14 +705,23 @@ class TestAgainstOracles:
 
     def test_intersections_unchanged(self):
         # the intersection built from the dual generators' Hermite form
-        # through the basis constructor, as before from_generators reused it
+        # through the basis constructor, on skewed rational lattices and on
+        # the generator's full-rank forbidden collections
         rng = random.Random(137)
+        cases = []
         for _ in range(40):
             n = rng.randint(1, 3)
-            lats = [Lattice(skewed_rows(rng, n, n), n) for _ in range(rng.randint(2, 3))]
+            cases.append([Lattice(skewed_rows(rng, n, n), n)
+                          for _ in range(rng.randint(2, 3))])
+        for seed in range(20):
+            inst = generate(seed, rng.randint(2, 4), rng.randint(2, 3), "full")
+            cases.append(list(inst.forbidden))
+        for lats in cases:
+            n = lats[0].ambient_dim
             dual_rows = [list(r) for lat in lats for r in lat.dual().basis]
             h, d = lattice_module._hermite(dual_rows)
             expected = Lattice([[Fraction(x, d) for x in row] for row in h], n).dual()
             got = intersect(lats)
             assert got == expected and got.basis == expected.basis
+            assert hash(got) == hash(expected)
             assert all(lat.contains_lattice(got) for lat in lats)
