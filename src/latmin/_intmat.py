@@ -14,8 +14,8 @@ import operator
 from fractions import Fraction
 
 
-def identity(n: int, one=1) -> list[list]:
-    return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
+def identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -128,8 +128,7 @@ def frac_det(m) -> Fraction:
     of m scaled to integers by the lcm l of its denominators: every
     division is exact, and det m = det(l m) / l^n."""
     n = len(m)
-    scale = lcm_denominators(m)
-    a = [[int(x * scale) for x in row] for row in m]
+    a, scale = clear_denominators(m)
     sign, prev = 1, 1
     for col in range(n):
         piv = next((i for i in range(col, n) if a[i][col]), None)
@@ -164,4 +163,11 @@ def frac_solve(a, b):
 
 
 def lcm_denominators(rows) -> int:
-    return math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return math.lcm(*(x.denominator for row in rows for x in row))
+
+
+def clear_denominators(rows):
+    """(R, l): integer rows R and the lcm l of the entries' denominators,
+    with rows == R / l; no Fraction is made."""
+    l = lcm_denominators(rows)
+    return [[x.numerator * (l // x.denominator) for x in row] for row in rows], l

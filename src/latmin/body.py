@@ -70,7 +70,7 @@ class ConvexBody:
 class Box(ConvexBody):
     """[-a_1, a_1] x ... x [-a_n, a_n] with positive rational half-widths."""
 
-    __slots__ = ("halfwidths", "dim")
+    __slots__ = ("halfwidths", "dim", "_hash")
 
     def __init__(self, halfwidths):
         hw = tuple(Fraction(a) for a in halfwidths)
@@ -78,13 +78,14 @@ class Box(ConvexBody):
             raise ValueError("half-widths must be positive")
         self.halfwidths = hw
         self.dim = len(hw)
+        self._hash = hash(("box", hw))
 
     def gauge(self, x) -> Fraction:
-        x = [Fraction(v) for v in x]
+        x = _rationals(x)
         return max(abs(xi) / a for xi, a in zip(x, self.halfwidths))
 
     def support(self, u) -> Fraction:
-        u = [Fraction(v) for v in u]
+        u = _rationals(u)
         return sum(a * abs(ui) for ui, a in zip(u, self.halfwidths))
 
     def volume(self) -> Fraction:
@@ -109,7 +110,7 @@ class Box(ConvexBody):
         return isinstance(other, Box) and self.halfwidths == other.halfwidths
 
     def __hash__(self):
-        return hash(("box", self.halfwidths))
+        return self._hash
 
     def __repr__(self):
         return f"Box({[format_rational(a) for a in self.halfwidths]})"
@@ -128,7 +129,7 @@ class SymmetricPolytope(ConvexBody):
     the central-fan triangulation volume of the vertex set.
     """
 
-    __slots__ = ("facets", "vertices", "dim", "_volume")
+    __slots__ = ("facets", "vertices", "dim", "_volume", "_hash")
 
     def __init__(self, facets, vertices=None, volume=None):
         facets = tuple(tuple(Fraction(x) for x in row) for row in facets)
@@ -166,6 +167,7 @@ class SymmetricPolytope(ConvexBody):
                 )
             if self._volume <= 0:
                 raise ValueError("volume must be positive")
+        self._hash = hash(("polytope", self.facets, self.vertices))
 
     def _check_vertices(self):
         if not self.vertices:
@@ -182,13 +184,13 @@ class SymmetricPolytope(ConvexBody):
                 raise ValueError(f"vertex {v} is tight on fewer than dim facets")
 
     def gauge(self, x) -> Fraction:
-        x = [Fraction(v) for v in x]
+        x = _rationals(x)
         return max(abs(dot(c, x)) for c in self.facets)
 
     def support(self, u) -> Fraction:
         if not self.vertices:
             raise UnsupportedBodyError("support needs a vertex list")
-        u = [Fraction(v) for v in u]
+        u = _rationals(u)
         return max(dot(u, v) for v in self.vertices)
 
     def volume(self) -> Fraction:
@@ -221,7 +223,7 @@ class SymmetricPolytope(ConvexBody):
         )
 
     def __hash__(self):
-        return hash(("polytope", self.facets, self.vertices))
+        return self._hash
 
     def __repr__(self):
         return f"SymmetricPolytope(dim={self.dim}, facets={len(self.facets)}, vertices={len(self.vertices)})"
@@ -262,6 +264,11 @@ def coordinate_section(body: ConvexBody, coords) -> SectionData:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _rationals(x):
+    """The entries of x as exact rationals: ints and Fractions as they are."""
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
 
 
 def _enumerate_vertices(facets):

@@ -39,7 +39,7 @@ from .exactarith import (
     pow_enclosure,
     sqrt_enclosure,
 )
-from .lattice import Lattice, _m_sum, intersect, kernel_lattice, minors_vector
+from .lattice import Lattice, _kernel_and_gram_det, _m_sum, intersect, minors_vector
 from .minima import DEFAULT_BUDGET, successive_minima
 
 BOUND_MINKOWSKI = "minkowski-first"
@@ -144,9 +144,9 @@ def siegel_bound(
     rows = [[int(x) for x in row] for row in a]
     if rows and len(rows) >= len(rows[0]):
         raise RankError("need strictly fewer rows than columns")
-    kern = kernel_lattice(rows)  # InputError if empty or ragged, RankError if rank < m
+    # InputError if empty or ragged, RankError if rank < m
+    kern, gram_det = _kernel_and_gram_det(rows)
     m, n = len(rows), len(rows[0])
-    gram_det = im.frac_det(im.mat_mul(rows, im.transpose(rows)))
     enc = nth_root_enclosure(gram_det, 2 * (n - m), policy)
     shortest = successive_minima(Box([Fraction(1)] * n), kern, 1, budget=budget)
     exact = shortest.values[0]

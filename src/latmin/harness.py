@@ -129,8 +129,10 @@ def _random_full_coeffs(rng, n, p):
 
 
 def _coeffs_to_sub(coeffs, lat: Lattice) -> Lattice:
-    basis = [list(r) for r in lat.basis]
-    return Lattice([im.vec_mat(row, basis) for row in coeffs], lat.ambient_dim)
+    """The sublattice with these coordinates in lat's basis H / d: the
+    integer rows coeffs . H over d."""
+    rows = [im.vec_mat(row, lat._hermite) for row in coeffs]
+    return Lattice._over(rows, lat._denom, lat.ambient_dim)
 
 
 def generate(

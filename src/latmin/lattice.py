@@ -2,10 +2,12 @@
 
 A Lattice is stored in integer Hermite form: the Hermite normal form H of
 the scaled basis and the least d with basis == H / d, so two descriptions
-of the same lattice compare equal.  Rank, det, coordinates and membership
-come from H by pivot-by-pivot substitution, and the rest from (H, d) too:
-indices, cosets, kernels, saturations and intersections from Hermite forms,
-det^2 and minors from determinants of H, duals from one elimination.
+of the same lattice compare equal.  Rows of ints go to the Hermite form as
+they are, and the Fraction basis H / d is built on first read.  Rank, det,
+coordinates and membership come from H by pivot-by-pivot substitution, and
+the rest from (H, d) too: indices, cosets, kernels, saturations and
+intersections from Hermite forms, det^2 and minors from determinants of H,
+duals from one elimination.
 """
 
 from __future__ import annotations
@@ -42,15 +44,18 @@ DEFAULT_INDEX_CAP = 10**6
 class Lattice:
     """Free Z-module of rank r <= n given by r independent rational rows."""
 
-    __slots__ = ("ambient_dim", "rank", "basis", "_hermite", "_denom", "_pivots",
+    __slots__ = ("ambient_dim", "rank", "_basis", "_hermite", "_denom", "_pivots",
                  "_det_squared", "_dual_rows")
 
     def __init__(self, basis, ambient_dim: int | None = None):
-        rows = [[Fraction(x) for x in row] for row in basis]
-        ambient_dim = _ambient_dim(rows, ambient_dim)
+        rows, d = _integer_rows(basis)
+        self._set_rows(rows, d, _ambient_dim(rows, ambient_dim))
+
+    def _set_rows(self, rows, d, ambient_dim):
+        """Set from independent integer rows with basis == rows / d, d least."""
         if len(rows) > ambient_dim:
             raise RankError("more basis rows than the ambient dimension")
-        h, d = _hermite(rows)
+        h = hnf(rows)
         if len(h) != len(rows):
             raise RankError("basis rows are linearly dependent")
         self._set_hermite(h, d, ambient_dim)
@@ -58,34 +63,50 @@ class Lattice:
     def _set_hermite(self, h, d, ambient_dim):
         self.ambient_dim = ambient_dim
         self.rank = len(h)
-        self.basis = tuple(tuple(Fraction(x, d) for x in row) for row in h)
+        self._basis = None
         self._hermite = tuple(tuple(row) for row in h)
         self._denom = d
         self._pivots = tuple(next(j for j, x in enumerate(row) if x) for row in h)
         self._det_squared = None
         self._dual_rows = None
 
+    @property
+    def basis(self) -> tuple:
+        """The basis H / d as tuples of Fractions, built on first read."""
+        if self._basis is None:
+            d = self._denom
+            self._basis = tuple(tuple(Fraction(x, d) for x in row) for row in self._hermite)
+        return self._basis
+
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _over(rows, denom: int, ambient_dim: int) -> "Lattice":
+        """Lattice with basis rows / denom for independent integer rows; the
+        gcd of denom and every entry cancels, which leaves d least."""
+        g = math.gcd(denom, *itertools.chain.from_iterable(rows))
+        lat = Lattice.__new__(Lattice)
+        lat._set_rows([[x // g for x in row] for row in rows], denom // g, ambient_dim)
+        return lat
 
     @staticmethod
     def from_generators(rows, ambient_dim: int | None = None) -> "Lattice":
         """Lattice generated by arbitrarily many (possibly dependent) rows."""
-        rows = [[Fraction(x) for x in row] for row in rows]
+        rows, d = _integer_rows(rows)
         ambient_dim = _ambient_dim(rows, ambient_dim)
         lat = Lattice.__new__(Lattice)
-        lat._set_hermite(*_hermite(rows), ambient_dim)
+        lat._set_hermite(hnf(rows), d, ambient_dim)
         return lat
 
     @staticmethod
     def standard(n: int) -> "Lattice":
-        return Lattice(im.identity(n, Fraction(1)), n)
+        return Lattice(im.identity(n), n)
 
     @staticmethod
     def from_diagonal(diag) -> "Lattice":
-        diag = [Fraction(d) for d in diag]
+        diag = list(diag)
         n = len(diag)
-        rows = [[diag[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        return Lattice(rows, n)
+        return Lattice([[x if i == j else 0 for j in range(n)] for i, x in enumerate(diag)], n)
 
     # -- basic queries ------------------------------------------------
 
@@ -106,14 +127,18 @@ class Lattice:
         return Fraction(pivots, self._denom**self.rank)
 
     def _coords(self, x, integral: bool):
-        """z with z . basis = x, or None: solves z . H = d x pivot by pivot.
-
-        With ``integral`` each pivot is a divmod and a remainder means None,
-        so integer x never becomes a Fraction; otherwise z is rational.
-        """
+        """z with z . basis = x, or None: ``_solve`` of d x."""
         if len(x) != self.ambient_dim:
             raise ValueError("dimension mismatch")
         w = [self._denom * (v if isinstance(v, int) else Fraction(v)) for v in x]
+        return self._solve(w, integral)
+
+    def _solve(self, w, integral: bool):
+        """z with z . H = w, or None: solved pivot by pivot.
+
+        With ``integral`` each pivot is a divmod and a remainder means None,
+        so integer w never becomes a Fraction; otherwise z is rational.
+        """
         z = []
         for row, p in zip(self._hermite, self._pivots):
             if integral:
@@ -140,24 +165,38 @@ class Lattice:
         )
 
     def coeff_matrix(self, sub: "Lattice") -> list[list[int]]:
-        """Integer coordinates of a sublattice basis in this basis."""
-        rows = [self._coords(b, integral=True) for b in sub.basis]
-        if any(z is None for z in rows):
-            raise NotSublatticeError("not a sublattice")
+        """Integer coordinates of a sublattice basis in this basis: with
+        sub's basis H' / d', row i solves z . H = d H'_i / d' in integers."""
+        if sub.ambient_dim != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        d, d_sub = self._denom, sub._denom
+        rows = []
+        for row in sub._hermite:
+            w = [d * x for x in row]
+            if d_sub > 1:
+                if any(v % d_sub for v in w):
+                    raise NotSublatticeError("not a sublattice")
+                w = [v // d_sub for v in w]
+            z = self._solve(w, integral=True)
+            if z is None:
+                raise NotSublatticeError("not a sublattice")
+            rows.append(z)
         return rows
 
     def index_in(self, super_lattice: "Lattice") -> int:
-        """Group index [super : self] for equal-rank nested lattices."""
+        """Group index [super : self] for equal-rank nested lattices: the
+        product of the Hermite diagonal of self in super's coordinates."""
         m = super_lattice.coeff_matrix(self)
         if len(m) != super_lattice.rank:
             raise RankError("index needs equal ranks")
-        return int(Lattice(m, self.rank).det())
+        return math.prod(row[i] for i, row in enumerate(Lattice(m, self.rank)._hermite))
 
     def scale(self, mu) -> "Lattice":
-        mu = Fraction(mu)
+        mu = mu if type(mu) is int else Fraction(mu)
         if mu <= 0:
             raise ValueError("scale must be positive")
-        return Lattice([[mu * x for x in row] for row in self.basis], self.ambient_dim)
+        rows = [[mu.numerator * x for x in row] for row in self._hermite]
+        return Lattice._over(rows, self._denom * mu.denominator, self.ambient_dim)
 
     # -- duality ------------------------------------------------------
 
@@ -227,11 +266,14 @@ def _ambient_dim(rows, ambient_dim):
     return ambient_dim
 
 
-def _hermite(rows):
-    """(H, d): d is the lcm of the rows' denominators, H the Hermite form of
-    d * rows.  Both span one lattice, so d is least with d * basis integral."""
-    d = im.lcm_denominators(rows)
-    return im.hnf([[int(x * d) for x in row] for row in rows]), d
+def _integer_rows(basis):
+    """(rows, d): integer rows and the lcm d of the entries' denominators,
+    with basis == rows / d, so d is least with d * basis integral.  Rows of
+    ints pass as they are, with d = 1; other entries go through Fraction."""
+    rows = [list(row) for row in basis]
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    return im.clear_denominators([[Fraction(x) for x in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +372,7 @@ def intersect(lattices, within: Lattice | None = None) -> Lattice:
     for b in rest:
         kernel = _kernel_rows(im.transpose(a + [[-x for x in row] for row in b]), 2 * n)
         a = hnf([im.vec_mat(z[:n], a) for z in kernel])
-    result = Lattice([[Fraction(x, denom) for x in row] for row in a], n)
+    result = Lattice._over(a, denom, n)
     if within is not None:
         s = len(lattices)
         d_res = result.det()
@@ -397,6 +439,12 @@ def _kernel_rows(rows, n: int) -> list[list[int]]:
 
 def kernel_lattice(a: list[list[int]]) -> Lattice:
     """Integer kernel {z in Z^n : A z = 0} of a full-row-rank integer matrix."""
+    return _kernel_and_gram_det(a)[0]
+
+
+def _kernel_and_gram_det(a):
+    """(kernel_lattice(a), det(A A^T)): the kernel and the determinant its
+    det^2 is checked against."""
     rows = [[int(x) for x in row] for row in a]
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise InputError("matrix is empty or ragged")
@@ -405,10 +453,10 @@ def kernel_lattice(a: list[list[int]]) -> Lattice:
     if len(kernel_rows) != n - m:
         raise RankError("matrix must have full row rank")
     lat = Lattice(kernel_rows, n)
-    gram = im.mat_mul(rows, im.transpose(rows))
-    if lat.det_squared > im.frac_det(gram):
+    gram_det = im.frac_det(im.mat_mul(rows, im.transpose(rows)))
+    if lat.det_squared > gram_det:
         raise CertificateError("kernel determinant exceeds det(A A^T)")
-    return lat
+    return lat, gram_det
 
 
 @dataclass(frozen=True)

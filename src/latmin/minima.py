@@ -141,7 +141,8 @@ class _WalkSetup(NamedTuple):
     weighted: tuple  # E_j * (L / S_j), so a point's gauge is max |row . z| / L
     big: int  # L = lcm(S)
     cols: tuple  # columns of H, so x' = z H is (z . col for each col)
-    supports: tuple  # h_K(d_i) as (num, den) for the dual span vectors d_i
+    supports: tuple  # h_K(d_i) as integer (num, den) for the dual span vectors d_i
+    basis_gauges: tuple  # gauges of the basis vectors z = e_i times L, sorted
 
 
 def _gauge_system(body: ConvexBody, lat: Lattice):
@@ -154,11 +155,24 @@ def _gauge_system(body: ConvexBody, lat: Lattice):
         return e, [a.numerator * d for a in hw]
     e, s = [], []
     for c in body.facets:
-        cd = im.lcm_denominators([c])
-        cint = [int(x * cd) for x in c]
+        (cint,), cd = im.clear_denominators([c])
         e.append([dot(cint, row) for row in h])
         s.append(cd * d)
     return e, s
+
+
+def _support_pairs(body: ConvexBody, rows):
+    """h_K(u) as integer (num, den) for each rational row u: with the rows
+    U / m and the half-widths a or the vertices V over one denominator q,
+    h_K(U_i / m) is sum_j |U_ij| a_j / (m q) or max_v U_i . v / (m q)."""
+    u, m = im.clear_denominators(rows)
+    if isinstance(body, Box):
+        (a,), q = im.clear_denominators([body.halfwidths])
+        nums = [dot(map(abs, ui), a) for ui in u]
+    else:
+        verts, q = im.clear_denominators(body.vertices)
+        nums = [max(dot(ui, v) for v in verts) for ui in u]
+    return tuple((num, m * q) for num in nums)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -166,14 +180,15 @@ def _walk_setup(body: ConvexBody, lat: Lattice) -> _WalkSetup:
     """The walk set-up of (body, lattice), computed once per value."""
     e, s = _gauge_system(body, lat)
     big = math.lcm(*s)
-    supports = [body.support(u) for u in lat.dual_in_span()]
+    weighted = tuple(tuple(c * (big // sj) for c in row) for row, sj in zip(e, s))
     return _WalkSetup(
         tuple(map(tuple, e)),
         tuple(s),
-        tuple(tuple(c * (big // sj) for c in row) for row, sj in zip(e, s)),
+        weighted,
         big,
         tuple(zip(*lat._hermite)),
-        tuple((h.numerator, h.denominator) for h in supports),
+        _support_pairs(body, lat.dual_in_span()),
+        tuple(sorted(max(map(abs, col)) for col in zip(*weighted))),
     )
 
 
@@ -309,19 +324,20 @@ def successive_minima(
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _successive_minima(body, lat, k, budget) -> MinimaResult:
-    basis_gauges = sorted(body.gauge(b) for b in lat.basis)
+    setup = _walk_setup(body, lat)
+    basis_gauge = Fraction(setup.basis_gauges[k - 1], setup.big)  # the k-th smallest
     full_rank = lat.rank == lat.ambient_dim
     if full_rank:
         n = lat.ambient_dim
         ratio = (2**n) * lat.det() / body.volume()
         if k == 1:
-            radius = min(nth_root_enclosure(ratio, n).hi, basis_gauges[0])
+            radius = min(nth_root_enclosure(ratio, n).hi, basis_gauge)
         else:
             lam1 = _successive_minima(body, lat, 1, budget).values[0]
-            radius = min(ratio / lam1 ** (n - 1), basis_gauges[k - 1])
+            radius = min(ratio / lam1 ** (n - 1), basis_gauge)
         kind = CERT_MINKOWSKI
     else:
-        radius = basis_gauges[k - 1]
+        radius = basis_gauge
         kind = CERT_DOUBLING
     cands, big = _sorted_candidates(body, lat, radius, budget)
     got = _greedy_minima(cands, k, lat._denom, big)

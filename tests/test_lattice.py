@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ import pytest
 
 import oracles
 from latmin import _intmat as im
-from latmin import lattice as lattice_module
 from latmin.body import unit_cube
 from latmin.errors import IndexOverflowError, InputError, NotSublatticeError, RankError
 from latmin.harness import generate
@@ -703,6 +703,93 @@ class TestAgainstOracles:
         with pytest.raises(ValueError, match="ambient_dim required"):
             Lattice.from_generators([])
 
+    def test_integer_rows_give_the_fraction_lattice(self):
+        # rows of ints skip the Fraction pass; rational (ints mixed with
+        # Fractions), str and bool rows take it: each must give the lattice
+        # of the same values as Fractions, and the same errors
+        forms = {
+            "int": int,
+            "rational": lambda x: int(x) if x.denominator == 1 else x,
+            "str": str,
+            "bool": bool,
+        }
+        seen = set()
+        for trial in range(240):
+            rng = random.Random(trial)
+            form = list(forms)[trial % 4]
+            n = rng.randint(1, 4)
+            rank = rng.randint(1, n)
+            if form == "bool":
+                rows = [[Fraction(rng.randint(0, 1)) for _ in range(n)] for _ in range(rank)]
+            elif form == "int":
+                rows = [[Fraction(rng.randint(-10**4, 10**4)) for _ in range(n)]
+                        for _ in range(rank)]
+            else:
+                rows = skewed_rows(rng, n, rank)
+            given = [[forms[form](x) for x in row] for row in rows]
+            bad = [
+                (rows + [rows[0]], given + [given[0]]),  # dependent
+                (rows[:-1] + [rows[-1][:-1]], given[:-1] + [given[-1][:-1]]),  # ragged
+                (rows + [rows[0]] * (n + 1 - rank), given + [given[0]] * (n + 1 - rank)),
+            ]
+            for ref_rows, form_rows in bad:
+                with pytest.raises((RankError, ValueError)) as ref:
+                    Lattice(ref_rows, n)
+                with pytest.raises(ref.type, match=f"^{re.escape(str(ref.value))}$"):
+                    Lattice(form_rows, n)
+            if oracles.frac_rank(rows) < rank:
+                with pytest.raises(RankError, match="dependent"):
+                    Lattice(given, n)
+                seen.add((form, "dependent"))
+                continue
+            ref, got = Lattice(rows, n), Lattice(given, n)
+            assert got == ref and hash(got) == hash(ref)
+            assert got.basis == ref.basis
+            assert all(type(x) is Fraction for row in got.basis for x in row)
+            assert (got._hermite, got._denom, got._pivots) == (
+                ref._hermite, ref._denom, ref._pivots)
+            assert got.to_dict() == ref.to_dict() and repr(got) == repr(ref)
+            assert Lattice.from_generators(given + [given[0]], n) == ref
+            mu = rng.choice((rng.randint(1, 6), Fraction(rng.randint(1, 6), rng.randint(1, 6))))
+            scaled = Lattice([[mu * x for x in row] for row in ref.basis], n)
+            assert got.scale(mu) == scaled and got.scale(mu).basis == scaled.basis
+            seen.add((form, got._denom > 1))
+        assert seen >= {("int", False), ("bool", False), ("bool", "dependent"),
+                        ("rational", True), ("str", True)}
+
+    def test_coeff_matrix_matches_oracle(self):
+        # integer combinations of skewed rational bases, with d > 1 on the
+        # lattice, on the sublattice, or on both; half-integer ones are not
+        # sublattices
+        kinds = set()
+        for rng, n, rank, rows in oracle_cases(157, 80):
+            lat = Lattice(rows, n)
+            sub_rank = rng.randint(1, rank)
+            while True:
+                coeffs = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(sub_rank)]
+                if oracles.frac_rank(coeffs) == sub_rank:
+                    break
+            if rng.random() < 0.3:
+                coeffs = [[lat._denom * c for c in row] for row in coeffs]
+            sub = Lattice([combine(c, rows) for c in coeffs], n)
+            got = lat.coeff_matrix(sub)
+            columns = [list(col) for col in zip(*lat.basis)]
+            assert got == [oracles.solve(columns, b) for b in sub.basis]
+            assert all(type(c) is int for z in got for c in z)
+            assert lat.contains_lattice(sub)
+            kinds.add((lat._denom > 1, sub._denom > 1))
+            halves = [[Fraction(c, 2) for c in coeffs[0]]] + coeffs[1:]
+            if all(c.denominator == 1 for c in halves[0]):
+                continue
+            off = Lattice([combine(c, rows) for c in halves], n)
+            with pytest.raises(NotSublatticeError):
+                lat.coeff_matrix(off)
+            assert not lat.contains_lattice(off)
+            kinds.add("not a sublattice")
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                lat.coeff_matrix(Lattice.standard(n + 1))
+        assert kinds == {(False, False), (True, False), (True, True), "not a sublattice"}
+
     def test_intersections_unchanged(self):
         # the intersection built from the dual generators' Hermite form
         # through the basis constructor, on skewed rational lattices and on
@@ -719,7 +806,8 @@ class TestAgainstOracles:
         for lats in cases:
             n = lats[0].ambient_dim
             dual_rows = [list(r) for lat in lats for r in lat.dual().basis]
-            h, d = lattice_module._hermite(dual_rows)
+            d = im.lcm_denominators(dual_rows)
+            h = im.hnf([[int(x * d) for x in row] for row in dual_rows])
             expected = Lattice([[Fraction(x, d) for x in row] for row in h], n).dual()
             got = intersect(lats)
             assert got == expected and got.basis == expected.basis

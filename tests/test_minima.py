@@ -477,6 +477,19 @@ class TestSkewedRationalInputs:
             checked += 1
         assert checked > 15
 
+    def test_setup_gauges_and_supports_match_body(self):
+        # the walk set-up reads each basis gauge off its integer rows and
+        # takes the supports at the dual span vectors as integer pairs
+        bodies = set()
+        for _, body, _, lat in skewed_cases(317, 40):
+            setup = minima._walk_setup(body, lat)
+            got = [Fraction(g, setup.big) for g in setup.basis_gauges]
+            assert got == sorted(body.gauge(b) for b in lat.basis)
+            got = [Fraction(num, den) for num, den in setup.supports]
+            assert got == [body.support(u) for u in lat.dual_in_span()]
+            bodies.add(type(body))
+        assert bodies == {Box, SymmetricPolytope}
+
     def test_distinct_cosets_match_oracle(self):
         # cosets modulo M B met by lam K, against a brute-force grouping of
         # the oracle's points: x and x' share a coset iff their coordinates

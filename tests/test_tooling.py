@@ -1,6 +1,7 @@
 """Source-level rules that the package keeps."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import latmin
@@ -19,3 +20,32 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements in the package: {found}"
+
+
+def test_integer_lattices_make_no_fraction(monkeypatch):
+    # integer rows stay integers: a lattice built from them, a forbidden
+    # collection over it and its coefficient matrices
+    from latmin import _intmat, lattice, minima
+
+    made = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    for module in (_intmat, lattice, minima):
+        monkeypatch.setattr(module, "Fraction", CountedFraction)
+    lat = lattice.Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 5]], 3)
+    subs = [
+        lattice.Lattice([[4, 2, 0], [0, 3, 1], [1, 0, 5]], 3),
+        lattice.Lattice([[2, 4, 1]], 3),
+        lattice.Lattice([[2, 1, 0], [1, 0, 5]], 3),
+    ]
+    fc = minima.ForbiddenCollection(lat, subs)
+    coords = [lat.coeff_matrix(sub) for sub in subs]
+    assert made == []
+    assert fc.classification == "mixed"
+    for z, sub in zip(coords, subs):  # reading the bases makes Fractions
+        assert [tuple(_intmat.vec_mat(c, lat.basis)) for c in z] == list(sub.basis)
+    assert made
