@@ -1,10 +1,12 @@
 """Exact matrix routines for the lattice layer.
 
 Matrices are row-major lists of lists over Python ints or Fractions, with
-one normal form (``hnf``), one fraction-free determinant (``frac_det``) and
-one rational elimination (``_eliminate``).  Dimensions are tiny here
-(ambient dimension <= ~8), so the implementations favor clarity and
-exactness over asymptotics.
+one normal form (``hnf``) and one elimination (``_reduce``, fraction-free
+Gauss-Jordan on integer rows), which gives rank, solutions, determinants
+and duals.  Rational input is scaled to integers first
+(``clear_denominators``).  Dimensions are tiny here (ambient dimension
+<= ~8), so the implementations favor clarity and exactness over
+asymptotics.
 """
 
 from __future__ import annotations
@@ -88,61 +90,55 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Rational Gaussian elimination
+# Fraction-free Gauss-Jordan elimination
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(a, ncols) -> list[int]:
-    """Reduce the rows ``a`` in place to reduced row echelon form in their
-    first ``ncols`` columns; later columns (one or more right-hand sides)
-    ride along.  Returns the pivot columns, row i pivoting on the
-    i-th; rows below the last pivot row are zero in the first ``ncols``."""
+def _reduce(a, ncols):
+    """(pivots, delta): fraction-free Gauss-Jordan elimination (Bareiss,
+    Math. Comp. 1968) of the integer rows ``a`` in place, in their first
+    ``ncols`` columns; later columns ride along as right-hand sides.  Row i
+    pivots on the i-th pivot column, and ``a`` ends as p times its reduced
+    row echelon form, p the last pivot.  Every entry stays a minor of the
+    input, so each division by the previous pivot is exact.  delta is p
+    times the sign of the row swaps: det a when a is square and nonsingular.
+    """
     nrows = len(a)
     pivots = []
+    sign, prev = 1, 1
     for col in range(ncols):
         top = len(pivots)
         if top == nrows:
             break
-        piv = next((i for i in range(top, nrows) if a[i][col] != 0), None)
+        piv = next((i for i in range(top, nrows) if a[i][col]), None)
         if piv is None:
             continue
-        a[top], a[piv] = a[piv], a[top]
-        inv = 1 / a[top][col]
-        a[top] = [x * inv for x in a[top]]
+        if piv != top:
+            a[top], a[piv] = a[piv], a[top]
+            sign = -sign
+        row, p = a[top], a[top][col]
         for i in range(nrows):
-            if i != top and a[i][col] != 0:
+            if i != top:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
         pivots.append(col)
-    return pivots
+    return pivots, sign * prev
 
 
 def frac_rank(m) -> int:
     if not m:
         return 0
-    return len(_eliminate([[Fraction(x) for x in row] for row in m], len(m[0])))
+    a, _ = clear_denominators(m)
+    return len(_reduce(a, len(m[0]))[0])
 
 
 def frac_det(m) -> Fraction:
-    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 1968)
-    of m scaled to integers by the lcm l of its denominators: every
-    division is exact, and det m = det(l m) / l^n."""
+    """det m = det(l m) / l^n, with l the lcm of the denominators of m."""
     n = len(m)
     a, scale = clear_denominators(m)
-    sign, prev = 1, 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        p = a[col][col]
-        for i in range(col + 1, n):
-            f = a[i][col]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[col])]
-        prev = p
-    return Fraction(sign * prev, scale**n)
+    pivots, delta = _reduce(a, n)
+    return Fraction(delta if len(pivots) == n else 0, scale**n)
 
 
 def frac_solve(a, b):
@@ -152,13 +148,13 @@ def frac_solve(a, b):
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots = _eliminate(aug, n)
-    if any(aug[i][n] != 0 for i in range(len(pivots), m)):
+    aug, _ = clear_denominators([list(a[i]) + [b[i]] for i in range(m)])
+    pivots, _ = _reduce(aug, n)
+    if any(aug[i][n] for i in range(len(pivots), m)):
         return None
     y = [Fraction(0)] * n
     for r, col in enumerate(pivots):
-        y[col] = aug[r][n]
+        y[col] = Fraction(aug[r][n], aug[r][col])
     return y
 
 

@@ -88,6 +88,19 @@ def _lambda1(body, lat, budget):
     return successive_minima(body, lat, 1, budget=budget).values[0]
 
 
+def _check_dims(body, lat):
+    if body.dim != lat.ambient_dim:
+        raise ValueError("body and lattice dimension mismatch")
+
+
+def _full_rank_dim(lat) -> int:
+    """The ambient dimension n of a full-rank lattice, with n >= 2."""
+    n = lat.ambient_dim
+    if lat.rank != n or n < 2:
+        raise RankError("needs a full-rank lattice in dimension >= 2")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # volume bound on the first minimum
 # ---------------------------------------------------------------------------
@@ -105,6 +118,7 @@ def minkowski_first_bound(
     caller to supply the exact section volume of the body by the lattice
     span.
     """
+    _check_dims(body, lat)
     r = lat.rank
     if r < 1:
         raise RankError("need rank >= 1")
@@ -181,6 +195,7 @@ def fukshansky_bound(
     Stated for the unit cube only; |v| is the largest absolute minor of a
     basis matrix.
     """
+    _check_dims(body, lat)
     if not (isinstance(body, Box) and body.is_unit_cube()):
         raise UnsupportedBodyError("this bound is stated for the unit cube")
     subs = list(sublattices)
@@ -223,6 +238,7 @@ def gaudron_bound(
     (nu / lambda_1(K, lat ^ span_i))^((r-2)/2) over the sublattices.
     Section volumes and the span minima are caller-supplied.
     """
+    _check_dims(body, lat)
     subs = list(sublattices)
     r = lat.rank
     if r != lat.ambient_dim or r < 2:
@@ -286,9 +302,7 @@ def avoidance_bound_lower_rank(
     n-th root of 2^n det/vol.  Proof quantities beta, rho, gamma_bar are
     recorded for the gauge-normalized body, together with the scale.
     """
-    n = lat.ambient_dim
-    if lat.rank != n or n < 2:
-        raise RankError("needs a full-rank lattice in dimension >= 2")
+    n = _full_rank_dim(lat)
     lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(body, lat, sublattices, budget)
     gamma_bar = beta + nth_root_enclosure(rho, n, policy)
     final = lam1 * gamma_bar
@@ -318,9 +332,7 @@ def higher_minima_bound_lower_rank(
     beta + (alpha + rho^((n-j)/n))^(1/(n-j)) on the gauge-normalized body,
     mapped back by the scale.
     """
-    n = lat.ambient_dim
-    if lat.rank != n or n < 2:
-        raise RankError("needs a full-rank lattice in dimension >= 2")
+    n = _full_rank_dim(lat)
     if not 1 <= j <= n - 1:
         raise InputError(f"j must lie in [1, n-1]; got {j}")
     lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(body, lat, sublattices, budget)
@@ -347,6 +359,19 @@ def higher_minima_bound_lower_rank(
 # ---------------------------------------------------------------------------
 
 
+def _full_rank_terms(body, lat, subs, budget):
+    """(L_bar, m, index ratios, lambda_1(K, L_bar), main term) shared by the
+    full-rank bounds: L_bar is the intersection of the sublattices and the
+    main term 2^n det/(lambda_1(K, L_bar)^(n-1) vol) m."""
+    n = lat.ambient_dim
+    inter = intersect(subs, within=lat)
+    msum, ratios = _m_sum(inter, subs)
+    lam1_bar = _lambda1(body, inter, budget)
+    det, vol = lat.det(), body.volume()
+    main = Fraction(2) ** n * det / (lam1_bar ** (n - 1) * vol) * msum
+    return inter, msum, ratios, lam1_bar, main
+
+
 def avoidance_bound_full_rank(
     body: ConvexBody,
     lat: Lattice,
@@ -362,20 +387,14 @@ def avoidance_bound_full_rank(
     when s = 1 (never worse), or the improved root coefficient
     n^(-1/(n-1)) (n^n - 1)/n^n of lambda_1(K, L_bar) when requested.
     """
-    n = lat.ambient_dim
-    if lat.rank != n or n < 2:
-        raise RankError("needs a full-rank lattice in dimension >= 2")
+    n = _full_rank_dim(lat)
     subs = list(sublattices)
     if not subs:
         raise InputError("need s >= 1 forbidden sublattices")
     for sub in subs:
         if sub.rank != n:
             raise RankError("forbidden sublattices must have full rank")
-    inter = intersect(subs, within=lat)
-    msum, ratios = _m_sum(inter, subs)
-    lam1_bar = _lambda1(body, inter, budget)
-    det, vol = lat.det(), body.volume()
-    main = Fraction(2) ** n * det / (lam1_bar ** (n - 1) * vol) * msum
+    inter, msum, ratios, lam1_bar, main = _full_rank_terms(body, lat, subs, budget)
     inters = {
         "m": msum,
         "det_intersection": inter.det(),
@@ -419,19 +438,13 @@ def higher_minima_bound_full_rank(
     (exact counterexample: [-3,3]x[-1/2,1/2], lattice Z x 2Z, forbidden
     span{(1,2),(0,4)}, where restricted lambda_2 = 4).  Exact rational.
     """
-    n = lat.ambient_dim
-    if lat.rank != n or n < 2:
-        raise RankError("needs a full-rank lattice in dimension >= 2")
+    n = _full_rank_dim(lat)
     if not 1 <= i <= n:
         raise InputError(f"i must lie in [1, n]; got {i}")
     subs = list(sublattices)
-    inter = intersect(subs, within=lat)
-    msum, _ = _m_sum(inter, subs)
+    inter, msum, _, lam1_bar, main = _full_rank_terms(body, lat, subs, budget)
     bar = successive_minima(body, inter, i, budget=budget)
-    lam1_bar = bar.values[0]
     extra = bar.values[i - 1] if i >= 2 else Fraction(0)
-    det, vol = lat.det(), body.volume()
-    main = Fraction(2) ** n * det / (lam1_bar ** (n - 1) * vol) * msum
     final = main + lam1_bar + extra
     return BoundBreakdown(
         BOUND_HIGHER_FULL,
@@ -458,9 +471,7 @@ def higher_minima_bound_single_full(
 
     2^n det/(lambda_1(K, L_1)^(n-1) vol) + lambda_1(K, lat) + lambda_i(K, lat).
     """
-    n = lat.ambient_dim
-    if lat.rank != n or n < 2:
-        raise RankError("needs a full-rank lattice in dimension >= 2")
+    n = _full_rank_dim(lat)
     if not 1 <= i <= n:
         raise InputError(f"i must lie in [1, n]; got {i}")
     if sub.rank != n:
@@ -529,9 +540,8 @@ def torus_volume_lower_bound(
 def vdc_lower(body: ConvexBody, lat: Lattice, lam) -> int:
     """2 floor(vol(lam K)/(2^n det)) + 1, a lower bound on the point count."""
     lam = Fraction(lam)
+    _check_dims(body, lat)
     n = lat.ambient_dim
-    if body.dim != n:
-        raise ValueError("body and lattice dimension mismatch")
     if lat.rank != n:
         raise RankError("needs a full-rank lattice")
     ratio = lam**n * body.volume() / (Fraction(2) ** n * lat.det())
@@ -543,6 +553,7 @@ def bhw_upper(
 ) -> Fraction:
     """(2/lambda_1(lam K) + 1)^n, an upper bound on the point count."""
     lam = Fraction(lam)
+    _check_dims(body, lat)
     n = lat.ambient_dim
     if lat.rank != n:
         raise RankError("needs a full-rank lattice")

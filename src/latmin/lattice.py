@@ -7,7 +7,8 @@ they are, and the Fraction basis H / d is built on first read.  Rank, det,
 coordinates and membership come from H by pivot-by-pivot substitution, and
 the rest from (H, d) too: indices, cosets, kernels, saturations and
 intersections from Hermite forms, det^2 and minors from determinants of H,
-duals from one elimination.
+and dual rows as integers over one denominator from one fraction-free
+elimination.
 """
 
 from __future__ import annotations
@@ -205,20 +206,20 @@ class Lattice:
         if self.rank != self.ambient_dim:
             raise RankError("dual implemented for full-rank lattices")
         # at full rank G^-1 B == B^-T, so the dual basis is dual_in_span()
-        return Lattice(self.dual_in_span(), self.ambient_dim)
+        return Lattice._over(*self.dual_in_span(), self.ambient_dim)
 
-    def dual_in_span(self) -> list[list[Fraction]]:
-        """Vectors d_i in lin(self) with <d_i, b_j> = delta_ij.
-
-        Used for enumeration coordinate bounds; works at any rank.  As
-        basis = H / d, they are the rows D with (H H^T) D = d H.
-        """
+    def dual_in_span(self) -> tuple:
+        """(D, m): integer rows over m > 0 whose d_i = D_i / m lie in
+        lin(self) with <d_i, b_j> = delta_ij, at any rank; they bound the
+        enumeration box.  As basis = H / d they are the rows of G^-1 d H for
+        G = H H^T, and one fraction-free elimination takes [G | d H] to
+        [m I | D] with m = det G: G is positive definite, so its pivots are
+        its leading minors, all positive, and no row is swapped."""
         if self._dual_rows is None:
-            h, d = self._hermite, self._denom
-            a = [[Fraction(dot(hi, hj)) for hj in h] + [Fraction(d * x) for x in hi]
-                 for hi in h]
-            im._eliminate(a, self.rank)
-            self._dual_rows = [row[self.rank:] for row in a]
+            h, d, r = self._hermite, self._denom, self.rank
+            a = [[dot(hi, hj) for hj in h] + [d * x for x in hi] for hi in h]
+            _, m = im._reduce(a, r)
+            self._dual_rows = ([row[r:] for row in a], m)
         return self._dual_rows
 
     # -- serialization / identity --------------------------------------
@@ -415,7 +416,7 @@ def union_covers(
     subs = list(sublattices)
     coords, _ = _coset_coords(lat, intersect(subs), index_cap)
     spans = [Lattice(lat.coeff_matrix(sub), lat.rank) for sub in subs]
-    return all(any(span.member(z) for span in spans) for z in coords)
+    return all(any(s._solve(z, integral=True) is not None for s in spans) for z in coords)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@ minima, and restricted successive minima.
 
 Enumeration walks an axis-aligned integer box in lattice coordinates; the
 per-coordinate bounds come from the support function of the body at the
-dual basis of the lattice span.  Gauges, their order and independence are
-decided on integers (with basis == H / d, a point is z H / d and its gauge
-an integer over one common denominator); only the reported witnesses and
-values become exact rationals.  Each successive minimum and each walk
-set-up is computed once per value of (body, lattice), in bounded memos.
-Restricted minima terminate either under a proved bound radius (when the
-forbidden collection matches one of the bound evaluators' hypotheses) or by
-geometric doubling.
+dual rows of the lattice span, integers over one denominator.  Gauges,
+their order and independence are decided on integers: with basis == H / d,
+a point is z H / d and its gauge max_j |W_j . z| / L for integer rows W and
+one integer L, the one gauge form the walk tests too.  Only the reported
+witnesses and values become exact rationals.  Each successive minimum and
+each walk set-up is computed once per value of (body, lattice), in bounded
+memos.  Restricted minima terminate either under a proved bound radius
+(when the forbidden collection matches one of the bound evaluators'
+hypotheses) or by geometric doubling.
 """
 
 from __future__ import annotations
@@ -78,10 +79,8 @@ class ForbiddenCollection:
         self.ambient = ambient
         self.sublattices = tuple(subs)
         # coeff_matrix raises NotSublatticeError off the ambient lattice; the
-        # spans in coordinate space are integer lattices (d = 1), kept as
-        # their Hermite rows and pivots
-        spans = [Lattice(ambient.coeff_matrix(sub), ambient.rank) for sub in subs]
-        self._spans = [(span._hermite, span._pivots) for span in spans]
+        # spans in coordinate space are integer lattices (d = 1)
+        self._spans = [Lattice(ambient.coeff_matrix(sub), ambient.rank) for sub in subs]
         ranks = {sub.rank for sub in subs}
         if ranks == {ambient.rank}:
             self.classification = "all-full-rank"
@@ -101,26 +100,13 @@ class ForbiddenCollection:
 
     def admissible_coords(self, z) -> bool:
         """Whether the integer lattice coordinates z lie in no forbidden span."""
-        return not any(_in_row_span(z, h, pivots) for h, pivots in self._spans)
+        return all(span._solve(z, integral=True) is None for span in self._spans)
 
     def to_dict(self) -> dict:
         return {
             "classification": self.classification,
             "sublattices": [sub.to_dict() for sub in self.sublattices],
         }
-
-
-def _in_row_span(z, hermite, pivots) -> bool:
-    """Whether the integer vector z is an integer combination of the integer
-    Hermite rows: a divmod clears each pivot, and nothing may remain."""
-    w = list(z)
-    for row, p in zip(hermite, pivots):
-        c, rem = divmod(w[p], row[p])
-        if rem:
-            return False
-        if c:
-            w = [a - c * b for a, b in zip(w, row)]
-    return not any(w)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +122,10 @@ _CACHE_SIZE = 32
 class _WalkSetup(NamedTuple):
     """What every walk over (body, lattice) shares, whatever its radius."""
 
-    e: tuple  # gauge rows E and scales S of ``_gauge_system``
-    s: tuple
-    weighted: tuple  # E_j * (L / S_j), so a point's gauge is max |row . z| / L
-    big: int  # L = lcm(S)
+    weighted: tuple  # W_j = E_j * (L / S_j) for (E, S) of ``_gauge_system``
+    big: int  # L = lcm(S), so a point's gauge is max_j |W_j . z| / L
     cols: tuple  # columns of H, so x' = z H is (z . col for each col)
-    supports: tuple  # h_K(d_i) as integer (num, den) for the dual span vectors d_i
+    supports: tuple  # h_K(D_i / m) as integer (num, den) for the dual rows (D, m)
     basis_gauges: tuple  # gauges of the basis vectors z = e_i times L, sorted
 
 
@@ -161,11 +145,10 @@ def _gauge_system(body: ConvexBody, lat: Lattice):
     return e, s
 
 
-def _support_pairs(body: ConvexBody, rows):
-    """h_K(u) as integer (num, den) for each rational row u: with the rows
-    U / m and the half-widths a or the vertices V over one denominator q,
-    h_K(U_i / m) is sum_j |U_ij| a_j / (m q) or max_v U_i . v / (m q)."""
-    u, m = im.clear_denominators(rows)
+def _support_pairs(body: ConvexBody, u, m):
+    """h_K(U_i / m) as integer (num, den) for each integer row U_i: with the
+    half-widths a or the vertices V over one denominator q, it is
+    sum_j |U_ij| a_j / (m q) or max_v U_i . v / (m q)."""
     if isinstance(body, Box):
         (a,), q = im.clear_denominators([body.halfwidths])
         nums = [dot(map(abs, ui), a) for ui in u]
@@ -182,12 +165,10 @@ def _walk_setup(body: ConvexBody, lat: Lattice) -> _WalkSetup:
     big = math.lcm(*s)
     weighted = tuple(tuple(c * (big // sj) for c in row) for row, sj in zip(e, s))
     return _WalkSetup(
-        tuple(map(tuple, e)),
-        tuple(s),
         weighted,
         big,
         tuple(zip(*lat._hermite)),
-        _support_pairs(body, lat.dual_in_span()),
+        _support_pairs(body, *lat.dual_in_span()),
         tuple(sorted(max(map(abs, col)) for col in zip(*weighted))),
     )
 
@@ -196,7 +177,8 @@ def _walk_system(body, lat, radius, budget):
     """(setup, (g, t, lo, hi)): the walk set-up of (body, lattice) and kernel
     arguments whose passing z are exactly the nonzero lattice coordinates
     with gauge(z B) <= radius, or None when there are none.  With radius
-    p/q, g = q E, t = p S and the box is |z_i| <= floor(radius h_K(d_i))."""
+    p/q, g = q W and t_j = p L, and the box is |z_i| <= floor(radius h_K(d_i)).
+    As W_j = E_j (L / S_j), |W_j . z| q <= p L holds iff |E_j . z| q <= p S_j."""
     if body.dim != lat.ambient_dim:
         raise ValueError("body and lattice dimension mismatch")
     if radius < 0:
@@ -212,8 +194,8 @@ def _walk_system(body, lat, radius, budget):
         raise BudgetExceededError(
             f"enumeration box has {size} points, budget is {budget}"
         )
-    g = [[q * c for c in row] for row in setup.e]
-    return setup, (g, [p * sj for sj in setup.s], lo, hi)
+    g = [[q * c for c in row] for row in setup.weighted]
+    return setup, (g, [p * setup.big] * len(g), lo, hi)
 
 
 def _enumerate_coords(body, lat, radius, budget):

@@ -434,6 +434,24 @@ class TestCountingBounds:
             assert cnt <= bounds.henze_upper(inst.body, inst.lattice, lam_n)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda body: bounds.minkowski_first_bound(body, Z2),
+        lambda body: bounds.fukshansky_bound(body, Z2, [Lattice([[1, 0]], 2)]),
+        lambda body: bounds.gaudron_bound(
+            body, Z2, [Lattice([[1, 0]], 2)], [coordinate_section(BOX2, [0])], [Fraction(1)]
+        ),
+        lambda body: bounds.bhw_upper(body, Z2, 0),
+    ],
+    ids=["minkowski-first", "fukshansky", "gaudron", "bhw-upper-at-zero"],
+)
+def test_dimension_mismatch_rejected(evaluate):
+    # a unit cube in R^3 over Z^2: each evaluator used to return a number
+    with pytest.raises(ValueError, match="body and lattice dimension mismatch"):
+        evaluate(unit_cube(3))
+
+
 class TestCertificateValidity:
     def test_enumeration_at_certificate_radius_finds_witnesses(self):
         rng = random.Random(101)

@@ -217,11 +217,18 @@ class TestCLI:
             (["siegel", "--matrix", ""], None),
             (["siegel", "--matrix", "1 1 1; 1 1"], None),
             (["verify", "--trials", "1", "--kinds", "bogus"], None),
+            (
+                ["bounds", "--instance", "{file}"],
+                {
+                    "instance_id": "x", "kind": "none", "lattice": Z2_WIRE,
+                    "body": {"type": "box", "halfwidths": ["1", "1", "1"]},
+                },
+            ),
         ],
         ids=[
             "precision-bits-negative", "precision-bits-zero", "instance-missing-keys",
             "forbidden-without-basis", "instance-is-a-list", "matrix-empty",
-            "matrix-ragged", "unknown-kind",
+            "matrix-ragged", "unknown-kind", "bounds-dimension-mismatch",
         ],
     )
     def test_input_faults_exit_3_without_traceback(self, argv, instance, tmp_path):

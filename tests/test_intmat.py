@@ -21,6 +21,19 @@ def rand_matrix(rng, m, n):
             for i in range(m)]
 
 
+def int_matrix(rng, deficient):
+    """Integer matrix of 1..5 rows and columns with entries up to 10^6: random,
+    or rank deficient (rank < min(m, n)) as a product X Y."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    if not deficient:
+        return [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(m)]
+    r = rng.randint(0, min(m, n) - 1)
+    big = 10**6 // (3 * max(r, 1))
+    x = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+    y = [[rng.randint(-big, big) for _ in range(n)] for _ in range(r)]
+    return [[sum(x[i][k] * y[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+
+
 def rand_unimodular(rng, r, ops=6):
     u = im.identity(r)
     for _ in range(ops):
@@ -93,23 +106,33 @@ class TestFractionOps:
 
 
 class TestEliminationAgainstOracle:
-    """The shared elimination behind frac_rank, frac_solve and
-    Lattice.dual_in_span, and the fraction-free determinant, checked against
-    the independent oracles on random rectangular and rank-deficient
-    rational matrices."""
+    """The one fraction-free elimination, behind frac_rank, frac_solve,
+    frac_det and Lattice.dual_in_span, checked against the independent
+    oracles on random rectangular and rank-deficient rational matrices and
+    on large-entry and rank-deficient rectangular integer matrices."""
 
     def test_rank(self):
         rng = random.Random(2024)
-        for _ in range(300):
-            a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            assert im.frac_rank(a) == oracles.frac_rank(a)
+        deficient = 0
+        for trial in range(500):
+            if trial < 300:
+                a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            else:
+                a = int_matrix(rng, deficient=trial % 2)
+            rank = oracles.frac_rank(a)
+            deficient += trial >= 300 and rank < min(len(a), len(a[0]))
+            assert im.frac_rank(a) == rank
+        assert deficient >= 100
 
     def test_solve(self):
         rng = random.Random(2025)
         solved = unsolvable = 0
-        for _ in range(300):
-            m, n = rng.randint(1, 5), rng.randint(1, 5)
-            a = rand_matrix(rng, m, n)
+        for trial in range(500):
+            if trial < 300:
+                a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            else:
+                a = int_matrix(rng, deficient=trial % 2)
+            m, n = len(a), len(a[0])
             if rng.random() < 0.5:  # consistent by construction
                 y0 = [rand_rational(rng) for _ in range(n)]
                 b = [sum((a[i][j] * y0[j] for j in range(n)), Fraction(0)) for i in range(m)]
@@ -126,14 +149,18 @@ class TestEliminationAgainstOracle:
 
     def test_det(self):
         # integer, rational and singular matrices (rand_matrix is often rank
-        # deficient), large entries, and the empty matrix
+        # deficient), large entries, integer matrices with a zero in the top
+        # left corner (the first pivot needs a row swap, which flips the
+        # sign), and the empty matrix
         rng = random.Random(2026)
         kinds = {"singular": 0, "integer": 0}
-        for trial in range(300):
-            n = rng.randint(1, 5)
-            if trial % 3 == 0:
+        for trial in range(400):
+            n = rng.randint(1, 5) if trial < 300 else rng.randint(2, 5)
+            if trial % 3 == 0 or trial >= 300:
                 a = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
                 kinds["integer"] += 1
+                if trial >= 300:
+                    a[0][0] = 0
             else:
                 a = rand_matrix(rng, n, n)
             expected = oracles.det(a)
@@ -141,4 +168,4 @@ class TestEliminationAgainstOracle:
             got = im.frac_det(a)
             assert got == expected and isinstance(got, Fraction)
         assert im.frac_det([]) == oracles.det([]) == 1
-        assert kinds["singular"] > 50 and kinds["integer"] == 100
+        assert kinds["singular"] > 50 and kinds["integer"] == 200

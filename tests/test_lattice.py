@@ -157,15 +157,20 @@ class TestDual:
             assert Lattice(rows, n).dual() == expected
 
     def test_dual_in_span_matches_oracle(self):
-        # every rank 1..n: rows in lin(L) biorthogonal to the stored basis,
-        # against the oracle's inverse Gram matrix times the basis
+        # every rank 1..n: integer rows over a positive denominator, in
+        # lin(L) and biorthogonal to the stored basis, against the oracle's
+        # inverse Gram matrix times the basis
         rng = random.Random(163)
         for _ in range(40):
             n = rng.randint(1, 4)
             for rank in range(1, n + 1):
                 lat = Lattice(skewed_rows(rng, n, rank), n)
                 basis = [list(b) for b in lat.basis]
-                assert lat.dual_in_span() == oracles._dual_in_span(basis)
+                rows, m = lat.dual_in_span()
+                assert type(m) is int and m > 0
+                assert all(type(x) is int for row in rows for x in row)
+                got = [[Fraction(x, m) for x in row] for row in rows]
+                assert got == oracles._dual_in_span(basis)
 
 
 class TestIntersect:

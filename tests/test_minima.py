@@ -486,7 +486,8 @@ class TestSkewedRationalInputs:
             got = [Fraction(g, setup.big) for g in setup.basis_gauges]
             assert got == sorted(body.gauge(b) for b in lat.basis)
             got = [Fraction(num, den) for num, den in setup.supports]
-            assert got == [body.support(u) for u in lat.dual_in_span()]
+            rows, m = lat.dual_in_span()
+            assert got == [body.support([Fraction(x, m) for x in u]) for u in rows]
             bodies.add(type(body))
         assert bodies == {Box, SymmetricPolytope}
 

@@ -24,9 +24,12 @@ def test_no_assert_statements_in_package():
 
 def test_integer_lattices_make_no_fraction(monkeypatch):
     # integer rows stay integers: a lattice built from them, a forbidden
-    # collection over it and its coefficient matrices
+    # collection over it, its coefficient matrices, its dual rows at full
+    # and lower rank, its dual and the walk set-up of a box over it
     from latmin import _intmat, lattice, minima
+    from latmin.body import Box
 
+    box = Box([Fraction(1, 2), 3, Fraction(5, 3)])
     made = []
 
     class CountedFraction(Fraction):
@@ -44,7 +47,13 @@ def test_integer_lattices_make_no_fraction(monkeypatch):
     ]
     fc = minima.ForbiddenCollection(lat, subs)
     coords = [lat.coeff_matrix(sub) for sub in subs]
+    duals = [lat.dual_in_span(), subs[2].dual_in_span()]
+    dual = lat.dual()
+    setup = minima._walk_setup.__wrapped__(box, lat)  # bypass the memo
     assert made == []
+    assert all(type(m) is int and m > 0 for _, m in duals)
+    assert dual.dual() == lat
+    assert setup.supports and setup.weighted
     assert fc.classification == "mixed"
     for z, sub in zip(coords, subs):  # reading the bases makes Fractions
         assert [tuple(_intmat.vec_mat(c, lat.basis)) for c in z] == list(sub.basis)
