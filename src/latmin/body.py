@@ -81,11 +81,11 @@ class Box(ConvexBody):
         self._hash = hash(("box", hw))
 
     def gauge(self, x) -> Fraction:
-        x = _rationals(x)
+        x = _rationals(x, self.dim)
         return max(abs(xi) / a for xi, a in zip(x, self.halfwidths))
 
     def support(self, u) -> Fraction:
-        u = _rationals(u)
+        u = _rationals(u, self.dim)
         return sum(a * abs(ui) for ui, a in zip(u, self.halfwidths))
 
     def volume(self) -> Fraction:
@@ -184,13 +184,13 @@ class SymmetricPolytope(ConvexBody):
                 raise ValueError(f"vertex {v} is tight on fewer than dim facets")
 
     def gauge(self, x) -> Fraction:
-        x = _rationals(x)
+        x = _rationals(x, self.dim)
         return max(abs(dot(c, x)) for c in self.facets)
 
     def support(self, u) -> Fraction:
         if not self.vertices:
             raise UnsupportedBodyError("support needs a vertex list")
-        u = _rationals(u)
+        u = _rationals(u, self.dim)
         return max(dot(u, v) for v in self.vertices)
 
     def volume(self) -> Fraction:
@@ -266,9 +266,13 @@ def coordinate_section(body: ConvexBody, coords) -> SectionData:
 # ---------------------------------------------------------------------------
 
 
-def _rationals(x):
-    """The entries of x as exact rationals: ints and Fractions as they are."""
-    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
+def _rationals(x, dim):
+    """The entries of x as exact rationals: ints and Fractions as they are.
+    A vector whose length is not the body's dimension is rejected."""
+    x = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
+    if len(x) != dim:
+        raise ValueError("vector and body dimension mismatch")
+    return x
 
 
 def _enumerate_vertices(facets):

@@ -40,7 +40,7 @@ from .exactarith import (
     sqrt_enclosure,
 )
 from .lattice import Lattice, _kernel_and_gram_det, _m_sum, intersect, minors_vector
-from .minima import DEFAULT_BUDGET, successive_minima
+from .minima import DEFAULT_BUDGET, _check_dims, _dilation, successive_minima
 
 BOUND_MINKOWSKI = "minkowski-first"
 BOUND_SIEGEL = "siegel"
@@ -86,11 +86,6 @@ def _ser(v):
 
 def _lambda1(body, lat, budget):
     return successive_minima(body, lat, 1, budget=budget).values[0]
-
-
-def _check_dims(body, lat):
-    if body.dim != lat.ambient_dim:
-        raise ValueError("body and lattice dimension mismatch")
 
 
 def _full_rank_dim(lat) -> int:
@@ -516,13 +511,11 @@ def torus_volume_lower_bound(
     lam = floor(lam/l1) l1 + frac * l1 and l1 is the first minimum of the
     sublattice.  Coincides with the exact packing volume while lam <= l1.
     """
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    if lam == 0:
-        return Fraction(0)
+    lam = _dilation(lam)
     if sub.rank != sub.ambient_dim or sub.ambient_dim != body.dim:
         raise RankError("needs a full-rank lattice of matching dimension")
+    if lam == 0:
+        return Fraction(0)
     n = body.dim
     lam1 = _lambda1(body, sub, budget)
     q = lam / lam1
@@ -539,7 +532,7 @@ def torus_volume_lower_bound(
 
 def vdc_lower(body: ConvexBody, lat: Lattice, lam) -> int:
     """2 floor(vol(lam K)/(2^n det)) + 1, a lower bound on the point count."""
-    lam = Fraction(lam)
+    lam = _dilation(lam)
     _check_dims(body, lat)
     n = lat.ambient_dim
     if lat.rank != n:
@@ -552,7 +545,7 @@ def bhw_upper(
     body: ConvexBody, lat: Lattice, lam, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
     """(2/lambda_1(lam K) + 1)^n, an upper bound on the point count."""
-    lam = Fraction(lam)
+    lam = _dilation(lam)
     _check_dims(body, lat)
     n = lat.ambient_dim
     if lat.rank != n:
@@ -571,7 +564,7 @@ def henze_upper(
     Valid only when lam K contains n independent lattice points; checked
     exactly and rejected otherwise.
     """
-    lam = Fraction(lam)
+    lam = _dilation(lam)
     n = lat.ambient_dim
     if lat.rank != n:
         raise RankError("needs a full-rank lattice")

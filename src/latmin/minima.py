@@ -9,9 +9,12 @@ a point is z H / d and its gauge max_j |W_j . z| / L for integer rows W and
 one integer L, the one gauge form the walk tests too.  Only the reported
 witnesses and values become exact rationals.  Each successive minimum and
 each walk set-up is computed once per value of (body, lattice), in bounded
-memos.  Restricted minima terminate either under a proved bound radius
-(when the forbidden collection matches one of the bound evaluators'
-hypotheses) or by geometric doubling.
+memos.  Successive and restricted minima share one solve, ``_solve``: walk,
+sort, take the first k independent (admissible) points, and on a shortfall
+walk again at twice the radius, clipped to a proved cap (Minkowski's bound or
+a basis gauge, or the bound evaluator whose hypotheses the forbidden
+collection meets); restricted minima without such a cap double until found.
+The caller's budget bounds every walk, the bound evaluators' included.
 """
 
 from __future__ import annotations
@@ -173,14 +176,26 @@ def _walk_setup(body: ConvexBody, lat: Lattice) -> _WalkSetup:
     )
 
 
+def _check_dims(body, lat):
+    if body.dim != lat.ambient_dim:
+        raise ValueError("body and lattice dimension mismatch")
+
+
+def _dilation(lam) -> Fraction:
+    """The dilation factor lam as an exact rational, rejected if negative."""
+    lam = Fraction(lam)
+    if lam < 0:
+        raise ValueError("dilation factor must be nonnegative")
+    return lam
+
+
 def _walk_system(body, lat, radius, budget):
     """(setup, (g, t, lo, hi)): the walk set-up of (body, lattice) and kernel
     arguments whose passing z are exactly the nonzero lattice coordinates
     with gauge(z B) <= radius, or None when there are none.  With radius
     p/q, g = q W and t_j = p L, and the box is |z_i| <= floor(radius h_K(d_i)).
     As W_j = E_j (L / S_j), |W_j . z| q <= p L holds iff |E_j . z| q <= p S_j."""
-    if body.dim != lat.ambient_dim:
-        raise ValueError("body and lattice dimension mismatch")
+    _check_dims(body, lat)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if lat.rank == 0 or radius == 0:
@@ -196,12 +211,6 @@ def _walk_system(body, lat, radius, budget):
         )
     g = [[q * c for c in row] for row in setup.weighted]
     return setup, (g, [p * setup.big] * len(g), lo, hi)
-
-
-def _enumerate_coords(body, lat, radius, budget):
-    """All nonzero z (lattice coordinates) with gauge(z B) <= radius."""
-    walk = _walk_system(body, lat, radius, budget)
-    return kernel.collect_passing(*walk[1]) if walk else []
 
 
 def point_sort_key(vector, gauge):
@@ -274,19 +283,23 @@ def _add_if_independent(echelon, z) -> bool:
     return True
 
 
-def _greedy_minima(records, k, d, big):
-    """First k sorted candidate records that are linearly independent.
-
-    Returns exact (values, witnesses) or None if fewer than k independent.
-    """
-    echelon, chosen = [], []
-    for rec in records:
-        if _add_if_independent(echelon, rec[3]):
-            chosen.append(_exact(rec, d, big))
-            if len(chosen) == k:
-                witnesses, values = zip(*chosen)
-                return values, witnesses
-    return None
+def _solve(body, lat, k, budget, radius, cap, admissible=None):
+    """(values, witnesses, radius): the first k independent (admissible)
+    points in ``point_sort_key`` order and the radius of the walk that found
+    them.  A failed walk is retried at twice its radius, clipped to the cap;
+    a failed walk at the cap, a proved radius, is a ``CertificateError``."""
+    while True:
+        records, big = _sorted_candidates(body, lat, radius, budget, admissible)
+        echelon, chosen = [], []
+        for rec in records:
+            if _add_if_independent(echelon, rec[3]):
+                chosen.append(_exact(rec, lat._denom, big))
+                if len(chosen) == k:
+                    witnesses, values = zip(*chosen)
+                    return values, witnesses, radius
+        if cap is not None and radius >= cap:
+            raise CertificateError("certified radius failed to contain the minima")
+        radius = 2 * radius if cap is None else min(2 * radius, cap)
 
 
 def successive_minima(
@@ -299,34 +312,47 @@ def successive_minima(
     """
     if not 1 <= k <= lat.rank:
         raise RankError(f"k must lie in [1, rank]; got k={k}, rank={lat.rank}")
-    if body.dim != lat.ambient_dim:
-        raise ValueError("body and lattice dimension mismatch")
+    _check_dims(body, lat)
     return _successive_minima(body, lat, k, budget)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _successive_minima(body, lat, k, budget) -> MinimaResult:
     setup = _walk_setup(body, lat)
-    basis_gauge = Fraction(setup.basis_gauges[k - 1], setup.big)  # the k-th smallest
-    full_rank = lat.rank == lat.ambient_dim
-    if full_rank:
+    radius = Fraction(setup.basis_gauges[k - 1], setup.big)  # the k-th smallest
+    kind = CERT_DOUBLING
+    if lat.rank == lat.ambient_dim:
         n = lat.ambient_dim
         ratio = (2**n) * lat.det() / body.volume()
         if k == 1:
-            radius = min(nth_root_enclosure(ratio, n).hi, basis_gauge)
+            mink = nth_root_enclosure(ratio, n).hi
         else:
-            lam1 = _successive_minima(body, lat, 1, budget).values[0]
-            radius = min(ratio / lam1 ** (n - 1), basis_gauge)
-        kind = CERT_MINKOWSKI
-    else:
-        radius = basis_gauge
-        kind = CERT_DOUBLING
-    cands, big = _sorted_candidates(body, lat, radius, budget)
-    got = _greedy_minima(cands, k, lat._denom, big)
-    if got is None:
-        raise CertificateError("termination radius failed to contain the minima")
-    values, witnesses = got
+            mink = ratio / _successive_minima(body, lat, 1, budget).values[0] ** (n - 1)
+        radius, kind = min(mink, radius), CERT_MINKOWSKI
+    values, witnesses, _ = _solve(body, lat, k, budget, radius, radius)
     return MinimaResult(values, witnesses, radius, kind)
+
+
+def _certificate(body, lat, forbidden, k, budget):
+    """(kind, cap): the proved radius of restricted minimum k from the bound
+    evaluator whose hypotheses hold, or (doubling, None) when none does."""
+    if lat.rank == lat.ambient_dim >= 2:
+        from . import bounds  # deferred: bounds uses this module's minima
+
+        subs = forbidden.sublattices
+        if forbidden.classification == "all-full-rank":
+            if k == 1:
+                bd = bounds.avoidance_bound_full_rank(body, lat, subs, budget=budget)
+                return CERT_THM_FULL, bd.final.hi
+            bd = bounds.higher_minima_bound_full_rank(body, lat, subs, k, budget=budget)
+            return CERT_COR_FULL, bd.final.hi
+        if forbidden.classification == "all-lower-rank":
+            if k == 1:
+                bd = bounds.avoidance_bound_lower_rank(body, lat, subs, budget=budget)
+                return CERT_THM_LOWER, bd.final.hi
+            bd = bounds.higher_minima_bound_lower_rank(body, lat, subs, k - 1, budget=budget)
+            return CERT_COR_LOWER, bd.final.hi
+    return CERT_DOUBLING, None
 
 
 def restricted_minima(
@@ -339,10 +365,10 @@ def restricted_minima(
 ) -> MinimaResult:
     """Minima over lattice points avoiding every forbidden sublattice.
 
-    Termination radius: the matching bound evaluator when the collection is
-    purely lower-rank or purely full-rank (and the ambient lattice has full
-    rank), otherwise geometric doubling.  Enumeration proceeds in doubling
-    rungs under the certified cap, so typical instances stop far below it.
+    Termination radius: the matching bound evaluator's (``_certificate``),
+    otherwise geometric doubling.  Enumeration starts at lambda_1 and
+    doubles under the certified cap, so typical instances stop far below
+    it; the budget bounds the evaluators' walks as well as these.
     """
     if forbidden.ambient != lat:
         raise ValueError("forbidden collection belongs to a different lattice")
@@ -350,54 +376,18 @@ def restricted_minima(
         raise RankError(f"k must lie in [1, rank]; got k={k}, rank={lat.rank}")
     if method not in ("auto", "doubling"):
         raise ValueError(f"unknown method {method!r}; use 'auto' or 'doubling'")
-    n = lat.ambient_dim
     if forbidden.covers_lattice:
         raise EmptyAdmissibleSetError(
             "the forbidden sublattices cover the whole lattice"
         )
-    cert_radius = None
-    kind = CERT_DOUBLING
-    if method == "auto" and lat.rank == n and n >= 2:
-        from . import bounds  # deferred: bounds uses this module's minima
-
-        if forbidden.classification == "all-full-rank":
-            if k == 1:
-                bd = bounds.avoidance_bound_full_rank(body, lat, forbidden.sublattices)
-                kind = CERT_THM_FULL
-            else:
-                bd = bounds.higher_minima_bound_full_rank(
-                    body, lat, forbidden.sublattices, k
-                )
-                kind = CERT_COR_FULL
-            cert_radius = bd.final.hi
-        elif forbidden.classification == "all-lower-rank":
-            if k == 1:
-                bd = bounds.avoidance_bound_lower_rank(body, lat, forbidden.sublattices)
-                kind = CERT_THM_LOWER
-            else:
-                bd = bounds.higher_minima_bound_lower_rank(
-                    body, lat, forbidden.sublattices, k - 1
-                )
-                kind = CERT_COR_LOWER
-            cert_radius = bd.final.hi
+    kind, cap = CERT_DOUBLING, None
+    if method == "auto":
+        kind, cap = _certificate(body, lat, forbidden, k, budget)
     lam1 = successive_minima(body, lat, 1, budget=budget).values[0]
-    radius = lam1 if cert_radius is None else min(lam1, cert_radius)
-    while True:
-        cands, big = _sorted_candidates(
-            body, lat, radius, budget, admissible=forbidden.admissible_coords
-        )
-        got = _greedy_minima(cands, k, lat._denom, big)
-        if got is not None and got[0][k - 1] <= radius:
-            values, witnesses = got
-            final_radius = cert_radius if cert_radius is not None else radius
-            return MinimaResult(values, witnesses, final_radius, kind)
-        if cert_radius is not None and radius >= cert_radius:
-            raise CertificateError(
-                "certified radius failed to contain the restricted minima"
-            )
-        radius = 2 * radius
-        if cert_radius is not None:
-            radius = min(radius, cert_radius)
+    start = lam1 if cap is None else min(lam1, cap)
+    admissible = forbidden.admissible_coords
+    values, witnesses, rung = _solve(body, lat, k, budget, start, cap, admissible)
+    return MinimaResult(values, witnesses, rung if cap is None else cap, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +399,7 @@ def count_points(
     body: ConvexBody, lat: Lattice, lam, budget: int = DEFAULT_BUDGET
 ) -> int:
     """|lam K  intersect  lattice|, origin included."""
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    walk = _walk_system(body, lat, lam, budget)
+    walk = _walk_system(body, lat, _dilation(lam), budget)
     return (kernel.count_passing(*walk[1]) if walk else 0) + 1
 
 
@@ -424,14 +411,14 @@ def distinct_cosets_in_body(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Number of cosets of lat modulo sub met by points of lam K."""
-    lam = Fraction(lam)
     m = lat.coeff_matrix(sub)
     if len(m) != lat.rank:
         raise RankError("sublattice must have full rank in the lattice")
     span = Lattice(m, lat.rank)
     labels = {(0,) * lat.rank}  # origin
-    for z in _enumerate_coords(body, lat, lam, budget):
-        labels.add(_coset_label(z, span))
+    walk = _walk_system(body, lat, _dilation(lam), budget)
+    if walk:
+        labels.update(_coset_label(z, span) for z in kernel.collect_passing(*walk[1]))
     return len(labels)
 
 
@@ -439,23 +426,20 @@ def covering_radius_diagonal(body: ConvexBody, lat: Lattice) -> Fraction:
     """Exact covering radius for a box and a diagonal lattice."""
     if not isinstance(body, Box):
         raise UnsupportedBodyError("exact covering radius needs a box")
+    _check_dims(body, lat)
     if lat.rank != lat.ambient_dim:
         raise RankError("covering radius needs a full-rank lattice")
-    diag = []
-    for i, row in enumerate(lat.basis):
-        if any(row[j] != 0 for j in range(lat.ambient_dim) if j != i):
-            raise UnsupportedBodyError("exact covering radius needs a diagonal lattice")
-        diag.append(row[i])
-    return max(d / (2 * a) for d, a in zip(diag, body.halfwidths))
+    basis = lat.basis
+    if any(x for i, row in enumerate(basis) for j, x in enumerate(row) if i != j):
+        raise UnsupportedBodyError("exact covering radius needs a diagonal lattice")
+    return max(row[i] / (2 * a) for i, (row, a) in enumerate(zip(basis, body.halfwidths)))
 
 
 def torus_packing_volume(
     body: ConvexBody, sub: Lattice, lam, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
     """Exact torus volume of (lam K)/sub while lam K packs: lam^n vol(K)."""
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError("dilation factor must be nonnegative")
+    lam = _dilation(lam)
     if sub.rank != sub.ambient_dim or sub.ambient_dim != body.dim:
         raise RankError("torus volume needs a full-rank lattice of matching dimension")
     lam1 = successive_minima(body, sub, 1, budget=budget).values[0]

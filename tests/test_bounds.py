@@ -383,6 +383,10 @@ class TestTorusVolume:
     def test_zero(self):
         assert bounds.torus_volume_lower_bound(BOX2, Lattice([[3, 0], [0, 3]]), 0) == 0
 
+    def test_zero_still_checks_dimension(self):
+        with pytest.raises(RankError, match="matching dimension"):
+            bounds.torus_volume_lower_bound(unit_cube(3), Z2, 0)
+
     def test_packing_regime_matches_exact(self):
         from latmin.minima import torus_packing_volume
 
@@ -413,6 +417,17 @@ class TestCountingBounds:
         assert bounds.vdc_lower(BOX2, Z2, 2) == 9
         assert bounds.bhw_upper(BOX2, Z2, 2) == 25
         assert count_points(BOX2, Z2, 2) == 25
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [count_points, bounds.vdc_lower, bounds.bhw_upper, bounds.henze_upper,
+         bounds.torus_volume_lower_bound],
+        ids=["count", "vdc", "bhw", "henze", "torus-lower"],
+    )
+    def test_negative_dilation_rejected(self, evaluate):
+        # vdc_lower and bhw_upper used to return 19 and 25 at lam = -3
+        with pytest.raises(ValueError, match="dilation factor must be nonnegative"):
+            evaluate(BOX2, Z2, -3)
 
     def test_small_dilate(self):
         assert bounds.vdc_lower(BOX2, Z2, Fraction(1, 4)) == 1

@@ -1,21 +1,28 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
-from latmin import kernel, minima
+from latmin import bounds, cli, kernel, minima
 from latmin.body import Box, SymmetricPolytope, cross_polytope, unit_cube
 from latmin.bounds import vdc_lower
 from latmin.errors import (
     BudgetExceededError,
+    CertificateError,
     EmptyAdmissibleSetError,
     PackingConditionError,
     RankError,
     UnsupportedBodyError,
 )
+from latmin.exactarith import Enclosure
 from latmin.harness import generate, rectangle_fixture
 from latmin.lattice import Lattice, kernel_lattice
 from latmin.minima import (
@@ -233,6 +240,21 @@ class TestRestrictedMinima:
             assert scaled.values[0] == base.values[0] / mu
             assert fx["body"].scale(mu).gauge(scaled.witnesses[0]) == scaled.values[0]
 
+    def test_budget_covers_the_certificate_bound(self, tmp_path, capsys):
+        # lambda_1 and the doubling rungs fit in 25 box points, but the
+        # Corollary 3.5 evaluator walks larger boxes, and the budget holds
+        # for its walks too
+        inst = generate(1, 3, 2, "full")
+        fc = inst.forbidden_collection()
+        with pytest.raises(BudgetExceededError):
+            restricted_minima(inst.body, inst.lattice, fc, 2, budget=25)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        argv = ["restricted", "--instance", str(path), "-k", "2", "--budget", "25"]
+        assert cli.main(argv) == 4
+        assert cli.main([*argv, "--method", "doubling"]) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["kind"] == "doubling"
+
     def test_unknown_method_rejected(self):
         fc = ForbiddenCollection(Z2, [Lattice([[1, 0]], 2)])
         with pytest.raises(ValueError, match="method"):
@@ -347,13 +369,84 @@ class TestDimensionMismatch:
             lambda: count_points(BOX2, Z3, 0),
             lambda: count_points(unit_cube(3), Z2, 1),
             lambda: successive_minima(unit_cube(3), Z2, 1),
+            lambda: covering_radius_diagonal(Box([1, 1, Fraction(1, 100)]), Z2),
+            lambda: unit_cube(3).gauge([5, 0]),
+            lambda: unit_cube(3).support([5, 0]),
+            lambda: cross_polytope(3).gauge([5, 0]),
+            lambda: cross_polytope(2).support([5, 0, 1]),
         ],
         ids=["count", "enumerate", "cosets", "vdc", "count-at-zero", "count-3d-body",
-             "minima-3d-body"],
+             "minima-3d-body", "covering-radius-3d-body", "box-gauge", "box-support",
+             "polytope-gauge", "polytope-support"],
     )
     def test_raises(self, call):
         with pytest.raises(ValueError, match="dimension mismatch"):
             call()
+
+
+class TestCertificateCheck:
+    """A proved radius that fails to contain the minima raises, never
+    returns, also under python -O.  The memos are cleared first, so the
+    patched radius is the one walked."""
+
+    HALF = Enclosure.point(Fraction(1, 2))
+    FULL = "ForbiddenCollection(Z2, [Lattice([[2, 0], [0, 2]])])"
+    PATCHES = {
+        # a Minkowski radius below lambda_1 = 1
+        "successive": (
+            "minima.nth_root_enclosure = lambda *a: HALF",
+            "successive_minima(BOX2, Z2, 1)",
+        ),
+        # a Theorem 1.2 radius below the restricted minimum 1
+        "restricted": (
+            "bounds.avoidance_bound_full_rank = "
+            "lambda *a, **kw: bounds.BoundBreakdown('patched', HALF, {})",
+            f"restricted_minima(BOX2, Z2, {FULL}, 1)",
+        ),
+    }
+
+    def test_minkowski_radius_below_lambda1(self, monkeypatch):
+        clear_caches()
+        monkeypatch.setattr(minima, "nth_root_enclosure", lambda *a: self.HALF)
+        with pytest.raises(CertificateError, match="certified radius failed"):
+            successive_minima(BOX2, Z2, 1)
+
+    def test_bound_below_restricted_minimum(self, monkeypatch):
+        clear_caches()
+        patched = bounds.BoundBreakdown("patched", self.HALF, {})
+        monkeypatch.setattr(bounds, "avoidance_bound_full_rank", lambda *a, **kw: patched)
+        fc = ForbiddenCollection(Z2, [Lattice([[2, 0], [0, 2]])])
+        with pytest.raises(CertificateError, match="certified radius failed"):
+            restricted_minima(BOX2, Z2, fc, 1)
+
+    @pytest.mark.parametrize("case", sorted(PATCHES))
+    def test_raises_under_optimize(self, case):
+        patch, call = self.PATCHES[case]
+        script = (
+            "from fractions import Fraction\n"
+            "from latmin import bounds, minima\n"
+            "from latmin.body import unit_cube\n"
+            "from latmin.errors import CertificateError\n"
+            "from latmin.exactarith import Enclosure\n"
+            "from latmin.lattice import Lattice\n"
+            "from latmin.minima import ForbiddenCollection, restricted_minima,"
+            " successive_minima\n"
+            "assert False, 'asserts are stripped under -O'\n"
+            "BOX2, Z2 = unit_cube(2), Lattice.standard(2)\n"
+            "HALF = Enclosure.point(Fraction(1, 2))\n"
+            f"{patch}\n"
+            "try:\n"
+            f"    {call}\n"
+            "except CertificateError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(minima.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,38 @@ def test_no_assert_statements_in_package():
     assert found == [], f"assert statements in the package: {found}"
 
 
+def test_budget_is_passed_on():
+    # inside a function that takes a budget, every call to a package function
+    # that takes one too passes it on, by keyword or by position; a call that
+    # drops it walks under the default budget instead of the caller's
+    functions = [
+        node
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and "budget" in [a.arg for a in node.args.args + node.args.kwonlyargs]
+    ]
+    position = {}  # name -> index of budget among the positional parameters
+    for fn in functions:
+        params = [a.arg for a in fn.args.args]
+        index = params.index("budget") if "budget" in params else None
+        assert position.setdefault(fn.name, index) == index, f"{fn.name} is ambiguous"
+    assert {"successive_minima", "restricted_minima", "avoidance_bound_full_rank"} <= set(position)
+    dropped = []
+    for fn in functions:
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if callee not in position:
+                continue
+            index = position[callee]
+            by_position = index is not None and len(call.args) > index
+            if not by_position and all(kw.arg != "budget" for kw in call.keywords):
+                dropped.append(f"{fn.name}:{call.lineno} -> {callee}")
+    assert dropped == [], f"calls that drop the caller's budget: {dropped}"
+
+
 def test_integer_lattices_make_no_fraction(monkeypatch):
     # integer rows stay integers: a lattice built from them, a forbidden
     # collection over it, its coefficient matrices, its dual rows at full
