@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, instance=True, precision=False):
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="enumeration budget in visited points")
+                        help="enumeration budget in box points")
         if precision:
             sp.add_argument("--precision-bits", type=_positive_int, default=64,
                             help="enclosure width target 2^-bits")

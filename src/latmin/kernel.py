@@ -1,9 +1,11 @@
-"""The constraint walk.
+"""The constraint walk over half of a symmetric box.
 
-Walks the integer box lo <= z <= hi in odometer order (axis 0 fastest),
-skipping z = 0, and tests each point against the scaled-integer constraint
-system |(G z)_j| <= t_j.  Arithmetic is plain Python int, so there is no
-overflow ceiling.
+The box lo <= z <= hi must be symmetric about 0 (lo = -hi), and the system
+|(G z)_j| <= t_j is symmetric too, so z passes exactly when -z does.  In
+odometer order (axis 0 fastest) the index of -z mirrors the index of z around
+the index of 0, so the walk starts at 0 and visits only the points after it:
+exactly one member of each pair +-z, the one whose last nonzero coordinate is
+positive.  Arithmetic is plain Python int, so there is no overflow ceiling.
 """
 
 from __future__ import annotations
@@ -20,20 +22,22 @@ def backend_name() -> str:
 
 
 def count_passing(g, t, lo, hi) -> int:
-    """Number of nonzero z in the box with |(G z)_j| <= t_j for all j."""
+    """Number of nonzero z in the box with |(G z)_j| <= t_j for all j: twice
+    the number the walk finds in its half."""
     total = 0
     for _ in _walk(g, t, lo, hi):
         total += 1
-    return total
+    return 2 * total
 
 
 def collect_passing(g, t, lo, hi) -> list:
-    """The passing z themselves, in odometer order (axis 0 fastest)."""
+    """One member of each passing pair +-z, the one after 0 in odometer
+    order (axis 0 fastest), in that order."""
     return [tuple(z) for z in _walk(g, t, lo, hi)]
 
 
 def box_size(lo, hi) -> int:
-    """Number of points the walk would visit."""
+    """Number of points in the box, the half the walk skips included."""
     total = 1
     for l, h in zip(lo, hi):
         if h < l:
@@ -43,24 +47,18 @@ def box_size(lo, hi) -> int:
 
 
 def _walk(g, t, lo, hi):
-    """Yield each passing z; the yielded list is reused, so copy it."""
+    """Yield each passing z after 0; the yielded list is reused, so copy it.
+    Raises ``ValueError`` on a nonempty box that is not symmetric about 0."""
     r = len(lo)
     m = len(t)
     if r == 0 or any(l > h for l, h in zip(lo, hi)):
         return
+    if any(l != -h for l, h in zip(lo, hi)):
+        raise ValueError(f"walk box must be symmetric about 0; got lo={lo}, hi={hi}")
     gcols = [[g[j][i] for j in range(m)] for i in range(r)]
-    z = list(lo)
-    y = [sum(g[j][i] * lo[i] for i in range(r)) for j in range(m)]
+    z = [0] * r
+    y = [0] * m
     while True:
-        if any(z):
-            ok = True
-            for j in range(m):
-                yj = y[j]
-                if yj > t[j] or -yj > t[j]:
-                    ok = False
-                    break
-            if ok:
-                yield z
         axis = 0
         while axis < r:
             if z[axis] < hi[axis]:
@@ -77,3 +75,9 @@ def _walk(g, t, lo, hi):
             axis += 1
         if axis == r:
             return
+        for j in range(m):
+            yj = y[j]
+            if yj > t[j] or -yj > t[j]:
+                break
+        else:
+            yield z

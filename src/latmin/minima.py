@@ -1,9 +1,16 @@
 """Exact enumeration of lattice points in dilates of a body, successive
 minima, and restricted successive minima.
 
-Enumeration walks an axis-aligned integer box in lattice coordinates; the
-per-coordinate bounds come from the support function of the body at the
-dual rows of the lattice span, integers over one denominator.  Gauges,
+Enumeration walks half of an axis-aligned integer box in lattice
+coordinates, symmetric about 0; the per-coordinate bounds come from the
+support function of the body at the dual rows of the lattice span, integers
+over one denominator.  The body is o-symmetric, so the walk finds one member
+of each pair +-z, and this module, its one caller, keeps the canonical one:
+first nonzero coordinate positive, in z and so in z H, as H is echelon with
+positive pivots.  It is first in ``point_sort_key`` order, and its partner
+has the same gauge, is dependent on it and is admissible exactly when it is,
+so the minima never need the partner; counts, coset labels and the public
+point list restore it.  Gauges,
 their order and independence are decided on integers: with basis == H / d,
 a point is z H / d and its gauge max_j |W_j . z| / L for integer rows W and
 one integer L, the one gauge form the walk tests too.  Only the reported
@@ -191,9 +198,10 @@ def _dilation(lam) -> Fraction:
 
 def _walk_system(body, lat, radius, budget):
     """(setup, (g, t, lo, hi)): the walk set-up of (body, lattice) and kernel
-    arguments whose passing z are exactly the nonzero lattice coordinates
-    with gauge(z B) <= radius, or None when there are none.  With radius
-    p/q, g = q W and t_j = p L, and the box is |z_i| <= floor(radius h_K(d_i)).
+    arguments whose passing z are one of each pair +-z of nonzero lattice
+    coordinates with gauge(z B) <= radius, or None when there are none.  With
+    radius p/q, g = q W and t_j = p L, and the box is the symmetric
+    |z_i| <= floor(radius h_K(d_i)); the budget bounds its full size.
     As W_j = E_j (L / S_j), |W_j . z| q <= p L holds iff |E_j . z| q <= p S_j."""
     _check_dims(body, lat)
     if radius < 0:
@@ -224,10 +232,11 @@ def point_sort_key(vector, gauge):
 
 
 def _sorted_candidates(body, lat, radius, budget, admissible=None):
-    """(records, L): one (g, |x'|, signs of x', z, x') per admissible z with
-    gauge(z B) <= radius, sorted, where x' = z H is the point times d and
-    g / L its gauge.  With d > 0 this is ``point_sort_key`` order, and ties
-    cannot occur because (|x'|, signs) determines the point."""
+    """(records, L): one (g, |x'|, signs of x', z, x') per admissible pair
+    +-z with gauge(z B) <= radius, for its canonical member z, sorted, where
+    x' = z H is the point times d and g / L its gauge.  With d > 0 this is
+    ``point_sort_key`` order, and ties cannot occur because (|x'|, signs)
+    determines the point."""
     walk = _walk_system(body, lat, radius, budget)
     if walk is None:
         return [], _walk_setup(body, lat).big
@@ -237,6 +246,11 @@ def _sorted_candidates(body, lat, radius, budget, admissible=None):
     for z in kernel.collect_passing(*args):
         if admissible is not None and not admissible(z):
             continue
+        for v in z:  # flip to the canonical member: first nonzero positive
+            if v:
+                break
+        if v < 0:
+            z = tuple([-v for v in z])
         x = tuple([dot(z, col) for col in cols])
         g = max([abs(dot(z, row)) for row in weighted])
         records.append((g, tuple(map(abs, x)), tuple([v < 0 for v in x]), z, x))
@@ -257,7 +271,11 @@ def enumerate_points(
     Sorted by ``point_sort_key``; the zero vector is never included.
     """
     records, big = _sorted_candidates(body, lat, Fraction(radius), budget)
-    return [_exact(rec, lat._denom, big) for rec in records]
+    mirrored = [
+        (g, ax, tuple([v > 0 for v in x]), tuple([-v for v in z]), tuple([-v for v in x]))
+        for g, ax, _, z, x in records
+    ]
+    return [_exact(rec, lat._denom, big) for rec in sorted(records + mirrored)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +436,9 @@ def distinct_cosets_in_body(
     labels = {(0,) * lat.rank}  # origin
     walk = _walk_system(body, lat, _dilation(lam), budget)
     if walk:
-        labels.update(_coset_label(z, span) for z in kernel.collect_passing(*walk[1]))
+        for z in kernel.collect_passing(*walk[1]):
+            labels.add(_coset_label(z, span))
+            labels.add(_coset_label([-v for v in z], span))
     return len(labels)
 
 

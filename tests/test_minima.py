@@ -636,6 +636,81 @@ class TestSkewedRationalInputs:
         assert dependent > 100
 
 
+class TestHalfWalk:
+    # the walk visits one member of each pair +-z; the minima keep the
+    # canonical one, and the point list, counts and coset labels restore
+    # the other, so every public result matches the oracle's full loops
+    def test_points_counts_and_cosets_match_oracle(self):
+        seen = set()
+        for rng, body, short, lat in skewed_cases(331, 60):
+            bd = body.to_dict()
+            n, rank = lat.ambient_dim, lat.rank
+            radius = max(oracles.gauge(bd, row) for row in short) * rng.choice((1, 2, 3))
+            while oracle_box(bd, short, radius) > ORACLE_BOX_CAP:
+                radius /= 2
+            expected = oracles.points_within(bd, short, radius)
+            expected.sort(key=lambda p: point_sort_key(*p))
+            assert enumerate_points(body, lat, radius) == expected
+            assert count_points(body, lat, radius) == len(expected) + 1
+            while True:
+                mix = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+                if 1 < abs(oracles.det(mix)) <= 30:
+                    break
+            sub_rows = [combine(row, short) for row in mix]
+            columns = [list(col) for col in zip(*sub_rows)]
+            cosets = {
+                tuple(c % 1 for c in oracles.solve(columns, x))
+                for x in [(0,) * n] + [x for x, _ in expected]
+            }
+            assert distinct_cosets_in_body(body, lat, Lattice(sub_rows, n), radius) == len(cosets)
+            if len(expected) > 4:
+                seen.add(type(body))
+                seen.add("lower-rank" if rank < n else "full-rank")
+                seen.add("d > 1" if lat._denom > 1 else "d = 1")
+        assert seen == {Box, SymmetricPolytope, "lower-rank", "full-rank", "d > 1", "d = 1"}
+
+    def test_first_nonzero_signs_of_z_and_x_agree(self):
+        # H is echelon with positive pivots, so the first nonzero coordinate
+        # of x = z H has the sign of the first nonzero coordinate of z
+        def first_nonzero(v):
+            return next(a for a in v if a)
+
+        rng = random.Random(337)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            rank = rng.randint(1, n)
+            d = rng.randint(1, 6)
+            while True:
+                rows = [[Fraction(rng.randint(-20, 20), d) for _ in range(n)] for _ in range(rank)]
+                if oracles.frac_rank(rows) == rank:
+                    break
+            lat = Lattice(rows, n)
+            for _ in range(20):
+                z = [rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(lat.rank)]
+                if any(z):
+                    x = [sum(c * row[j] for c, row in zip(z, lat._hermite)) for j in range(n)]
+                    assert (first_nonzero(z) > 0) == (first_nonzero(x) > 0)
+
+    def test_candidates_are_canonical_members(self):
+        # each record holds the member of its pair that point_sort_key puts
+        # first, and together with the partners they are every point
+        for _, body, short, lat in skewed_cases(347, 30):
+            bd = body.to_dict()
+            radius = max(oracles.gauge(bd, row) for row in short)
+            while oracle_box(bd, short, radius) > ORACLE_BOX_CAP:
+                radius /= 2
+            records, _ = minima._sorted_candidates(body, lat, radius, minima.DEFAULT_BUDGET)
+            got = [tuple(Fraction(v, lat._denom) for v in rec[4]) for rec in records]
+            first = {}
+            for x, g in oracles.points_within(bd, short, radius):
+                key = max(x, tuple(-v for v in x))
+                if key not in first or point_sort_key(x, g) < point_sort_key(*first[key]):
+                    first[key] = (x, g)
+            assert sorted(got) == sorted(x for x, _ in first.values())
+            for rec in records:
+                assert next(v for v in rec[3] if v) > 0
+
+
 class TestForbiddenSpans:
     def test_admissible_coords_match_member_and_oracle(self):
         # forbidden sublattices of full and lower rank, given by skewed

@@ -54,6 +54,20 @@ def test_budget_is_passed_on():
     assert dropped == [], f"calls that drop the caller's budget: {dropped}"
 
 
+def test_only_minima_calls_the_walk():
+    # the walk returns one member of each pair +-z, and minima.py is the one
+    # module that knows it and restores the partners where results need them
+    walks = {"collect_passing", "count_passing"}
+    callers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in walks
+    }
+    assert callers == {"minima.py"}
+
+
 def test_integer_lattices_make_no_fraction(monkeypatch):
     # integer rows stay integers: a lattice built from them, a forbidden
     # collection over it, its coefficient matrices, its dual rows at full
