@@ -51,10 +51,15 @@ def _parse_matrix(text):
     return matrix
 
 
-def _positive_int(text):
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(low):
+    """An argparse type: a decimal integer of at least ``low``."""
+
+    def parse(text):
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _load_instance(args) -> Instance:
@@ -215,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, instance=True, precision=False):
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        sp.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET,
                         help="enumeration budget in box points")
         if precision:
-            sp.add_argument("--precision-bits", type=_positive_int, default=64,
+            sp.add_argument("--precision-bits", type=_int_at_least(1), default=64,
                             help="enclosure width target 2^-bits")
         sp.add_argument("--out", help="write output to a file instead of stdout")
         if instance:

@@ -31,9 +31,10 @@ def count_passing(g, t, lo, hi) -> int:
 
 
 def collect_passing(g, t, lo, hi) -> list:
-    """One member of each passing pair +-z, the one after 0 in odometer
-    order (axis 0 fastest), in that order."""
-    return [tuple(z) for z in _walk(g, t, lo, hi)]
+    """(max_j |(G z)_j|, z) for one member z of each passing pair +-z, the
+    one after 0 in odometer order (axis 0 fastest), in that order.  The
+    maximum is read off the walk's running sums y = G z."""
+    return [(max(map(abs, y)), tuple(z)) for z, y in _walk(g, t, lo, hi)]
 
 
 def box_size(lo, hi) -> int:
@@ -47,8 +48,9 @@ def box_size(lo, hi) -> int:
 
 
 def _walk(g, t, lo, hi):
-    """Yield each passing z after 0; the yielded list is reused, so copy it.
-    Raises ``ValueError`` on a nonempty box that is not symmetric about 0."""
+    """Yield (z, y) with y = G z for each passing z after 0; the pair and
+    both lists are reused, so copy what is kept.  Raises ``ValueError`` on
+    a nonempty box that is not symmetric about 0."""
     r = len(lo)
     m = len(t)
     if r == 0 or any(l > h for l, h in zip(lo, hi)):
@@ -58,6 +60,7 @@ def _walk(g, t, lo, hi):
     gcols = [[g[j][i] for j in range(m)] for i in range(r)]
     z = [0] * r
     y = [0] * m
+    pair = (z, y)
     while True:
         axis = 0
         while axis < r:
@@ -80,4 +83,4 @@ def _walk(g, t, lo, hi):
             if yj > t[j] or -yj > t[j]:
                 break
         else:
-            yield z
+            yield pair

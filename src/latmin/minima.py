@@ -10,18 +10,22 @@ first nonzero coordinate positive, in z and so in z H, as H is echelon with
 positive pivots.  It is first in ``point_sort_key`` order, and its partner
 has the same gauge, is dependent on it and is admissible exactly when it is,
 so the minima never need the partner; counts, coset labels and the public
-point list restore it.  Gauges,
-their order and independence are decided on integers: with basis == H / d,
-a point is z H / d and its gauge max_j |W_j . z| / L for integer rows W and
-one integer L, the one gauge form the walk tests too.  Only the reported
-witnesses and values become exact rationals.  Each successive minimum and
-each walk set-up is computed once per value of (body, lattice), in bounded
-memos.  Successive and restricted minima share one solve, ``_solve``: walk,
-sort, take the first k independent (admissible) points, and on a shortfall
-walk again at twice the radius, clipped to a proved cap (Minkowski's bound or
-a basis gauge, or the bound evaluator whose hypotheses the forbidden
-collection meets); restricted minima without such a cap double until found.
-The caller's budget bounds every walk, the bound evaluators' included.
+point list restore it.  Gauges, their order and independence are decided on
+integers: with basis == H / d, a point is z H / d and its gauge
+max_j |W_j . z| / L for integer rows W and one integer L, the one gauge form
+the walk tests, and the walk returns the numerator with each point.  Only the reported witnesses and values become
+exact rationals.  Each successive minimum and each walk set-up is computed
+once per value of (body, lattice), in bounded memos.  Successive and
+restricted minima share one solve, ``_solve``: walk, read the points in
+``point_sort_key`` order one gauge level at a time, ordering only tied
+levels by the rest of the key, and take the first k independent
+(admissible) points, testing each only as the pass reaches it.  On a
+shortfall it walks again at twice the radius, clipped to a proved cap
+(Minkowski's bound or a basis gauge, or the bound evaluator whose
+hypotheses the forbidden collection meets), keeps what it chose and reads
+only the points beyond the failed radius; restricted minima without such a
+cap double until found.  The caller's budget bounds every walk, the bound
+evaluators' included.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import _intmat as im
@@ -231,36 +237,39 @@ def point_sort_key(vector, gauge):
     )
 
 
-def _sorted_candidates(body, lat, radius, budget, admissible=None):
-    """(records, L): one (g, |x'|, signs of x', z, x') per admissible pair
-    +-z with gauge(z B) <= radius, for its canonical member z, sorted, where
-    x' = z H is the point times d and g / L its gauge.  With d > 0 this is
-    ``point_sort_key`` order, and ties cannot occur because (|x'|, signs)
-    determines the point."""
+def _canonical(z, cols):
+    """(|x'|, signs of x', z, x') for the canonical member z of the pair +-z,
+    first nonzero coordinate positive, where x' = z H is the point times d:
+    after the gauge, the rest of ``point_sort_key``.  With d > 0 it is that
+    key's order, and (|x'|, signs) determines the point, so ties cannot occur."""
+    for v in z:
+        if v:
+            break
+    if v < 0:
+        z = tuple([-v for v in z])
+    x = tuple([dot(z, col) for col in cols])
+    return tuple(map(abs, x)), tuple([v < 0 for v in x]), z, x
+
+
+def _sorted_candidates(body, lat, radius, budget):
+    """(records, L): one (g, |x'|, signs of x', z, x') per pair +-z with
+    gauge(z B) <= radius, for its canonical member z, in ``point_sort_key``
+    order, where g / L is the gauge; at radius p / q the walk returns
+    max_j |q W_j . z| = q g with each point.  Only ``enumerate_points``
+    reads every record; the solves read the walk's pairs lazily."""
     walk = _walk_system(body, lat, radius, budget)
     if walk is None:
         return [], _walk_setup(body, lat).big
     setup, args = walk
-    cols, weighted = setup.cols, setup.weighted
-    records = []
-    for z in kernel.collect_passing(*args):
-        if admissible is not None and not admissible(z):
-            continue
-        for v in z:  # flip to the canonical member: first nonzero positive
-            if v:
-                break
-        if v < 0:
-            z = tuple([-v for v in z])
-        x = tuple([dot(z, col) for col in cols])
-        g = max([abs(dot(z, row)) for row in weighted])
-        records.append((g, tuple(map(abs, x)), tuple([v < 0 for v in x]), z, x))
+    q, cols = radius.denominator, setup.cols
+    records = [(m // q, *_canonical(z, cols)) for m, z in kernel.collect_passing(*args)]
     records.sort()
     return records, setup.big
 
 
-def _exact(record, d, big):
-    """The point and gauge of a candidate record as exact rationals."""
-    return tuple(Fraction(v, d) for v in record[4]), Fraction(record[0], big)
+def _exact(x, g, d, big):
+    """The point x' / d and the gauge g / L as exact rationals."""
+    return tuple(Fraction(v, d) for v in x), Fraction(g, big)
 
 
 def enumerate_points(
@@ -275,7 +284,8 @@ def enumerate_points(
         (g, ax, tuple([v > 0 for v in x]), tuple([-v for v in z]), tuple([-v for v in x]))
         for g, ax, _, z, x in records
     ]
-    return [_exact(rec, lat._denom, big) for rec in sorted(records + mirrored)]
+    d = lat._denom
+    return [_exact(rec[4], rec[0], d, big) for rec in sorted(records + mirrored)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +315,44 @@ def _solve(body, lat, k, budget, radius, cap, admissible=None):
     """(values, witnesses, radius): the first k independent (admissible)
     points in ``point_sort_key`` order and the radius of the walk that found
     them.  A failed walk is retried at twice its radius, clipped to the cap;
-    a failed walk at the cap, a proved radius, is a ``CertificateError``."""
+    a failed walk at the cap, a proved radius, is a ``CertificateError``.
+
+    Each walk's pairs are sorted by the gauge numerator the walk returns and
+    read one gauge level at a time.  A level of one point needs no key; a
+    level of ties is put in order by ``_canonical``.  Admissibility, then
+    independence, is tested point by point, so the pass stops at the k-th
+    witness.  The chosen witnesses and the echelon carry over to the next
+    rung, which drops the points at or below the failed radius unread."""
+    d = lat._denom
+    echelon, chosen = [], []
+    read = None  # the last failed rung: every point at or below it was read
     while True:
-        records, big = _sorted_candidates(body, lat, radius, budget, admissible)
-        echelon, chosen = [], []
-        for rec in records:
-            if _add_if_independent(echelon, rec[3]):
-                chosen.append(_exact(rec, lat._denom, big))
-                if len(chosen) == k:
-                    witnesses, values = zip(*chosen)
-                    return values, witnesses, radius
+        walk = _walk_system(body, lat, radius, budget)
+        if walk is not None:
+            setup, args = walk
+            q, big, cols = radius.denominator, setup.big, setup.cols
+            pairs = kernel.collect_passing(*args)
+            if read is not None:  # the gauge m / (q L) is at most read
+                floor = read.numerator * q * big // read.denominator
+                pairs = [pair for pair in pairs if pair[0] > floor]
+            pairs.sort(key=itemgetter(0))
+            for m, level in groupby(pairs, itemgetter(0)):
+                level = [z for _, z in level]
+                if len(level) > 1:
+                    recs = [_canonical(z, cols) for z in level]
+                    recs.sort()
+                    level = [rec[2] for rec in recs]
+                for z in level:
+                    if admissible is not None and not admissible(z):
+                        continue
+                    if _add_if_independent(echelon, z):
+                        chosen.append(_exact(_canonical(z, cols)[3], m // q, d, big))
+                        if len(chosen) == k:
+                            witnesses, values = zip(*chosen)
+                            return values, witnesses, radius
         if cap is not None and radius >= cap:
             raise CertificateError("certified radius failed to contain the minima")
+        read = radius
         radius = 2 * radius if cap is None else min(2 * radius, cap)
 
 
@@ -436,7 +472,7 @@ def distinct_cosets_in_body(
     labels = {(0,) * lat.rank}  # origin
     walk = _walk_system(body, lat, _dilation(lam), budget)
     if walk:
-        for z in kernel.collect_passing(*walk[1]):
+        for _, z in kernel.collect_passing(*walk[1]):
             labels.add(_coset_label(z, span))
             labels.add(_coset_label([-v for v in z], span))
     return len(labels)

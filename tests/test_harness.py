@@ -205,6 +205,7 @@ class TestCLI:
         [
             (["siegel", "--matrix", "1 1 1", "--precision-bits", "-3"], None),
             (["siegel", "--matrix", "1 1 1", "--precision-bits", "0"], None),
+            (["siegel", "--matrix", "1 2 3", "--budget", "-5"], None),
             (["bounds", "--instance", "{file}"], {"body": BOX_WIRE}),
             (
                 ["restricted", "--instance", "{file}"],
@@ -226,7 +227,8 @@ class TestCLI:
             ),
         ],
         ids=[
-            "precision-bits-negative", "precision-bits-zero", "instance-missing-keys",
+            "precision-bits-negative", "precision-bits-zero", "budget-negative",
+            "instance-missing-keys",
             "forbidden-without-basis", "instance-is-a-list", "matrix-empty",
             "matrix-ragged", "unknown-kind", "bounds-dimension-mismatch",
         ],

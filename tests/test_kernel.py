@@ -32,6 +32,11 @@ def brute_passing(g, t, lo, hi):
     ]
 
 
+def gauge(g, z):
+    """max_j |(G z)_j|, the number the walk returns with each point."""
+    return max(abs(sum(c * x for c, x in zip(row, z))) for row in g)
+
+
 def negate(z):
     return tuple(-x for x in z)
 
@@ -41,12 +46,12 @@ class TestPurePython:
     # one member of each pair +-z, while the count covers the whole box
     def test_zero_skipped(self):
         g, t = [[1]], [10]
-        assert kernel.collect_passing(g, t, [-2], [2]) == [(1,), (2,)]
+        assert kernel.collect_passing(g, t, [-2], [2]) == [(1, (1,)), (2, (2,))]
         assert kernel.count_passing(g, t, [-2], [2]) == 4
 
     def test_constraint_filtering(self):
         g, t = [[1, 0], [0, 1]], [1, 0]
-        assert kernel.collect_passing(g, t, [-2, -2], [2, 2]) == [(1, 0)]
+        assert kernel.collect_passing(g, t, [-2, -2], [2, 2]) == [(1, (1, 0))]
         assert kernel.count_passing(g, t, [-2, -2], [2, 2]) == 2
 
     def test_empty_box(self):
@@ -56,7 +61,7 @@ class TestPurePython:
 
     def test_odometer_order(self):
         got = kernel.collect_passing([[1, 1]], [99], [-1, -1], [1, 1])
-        assert got == [(1, 0), (-1, 1), (0, 1), (1, 1)]
+        assert got == [(1, (1, 0)), (0, (-1, 1)), (1, (0, 1)), (2, (1, 1))]
         assert kernel.count_passing([[1, 1]], [99], [-1, -1], [1, 1]) == 8
 
     def test_against_brute_force(self):
@@ -70,8 +75,9 @@ class TestPurePython:
             got = kernel.collect_passing(g, t, lo, hi)
             # in order, after 0, and with its negation every passing point
             # once: so no zero, no duplicate and one member per pair
-            assert got == [z for z in expected if z in after_zero]
-            assert sorted(got + [negate(z) for z in got]) == sorted(expected)
+            assert got == [(gauge(g, z), z) for z in expected if z in after_zero]
+            points = [z for _, z in got]
+            assert sorted(points + [negate(z) for z in points]) == sorted(expected)
             assert kernel.count_passing(g, t, lo, hi) == len(expected)
             pairs += len(got)
         assert pairs > 1000

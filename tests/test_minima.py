@@ -465,7 +465,10 @@ def rational_body(rng, n):
         return Box([Fraction(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(n)])
     if kind == 1 or n != 2:
         return cross_polytope(n).scale(mu)
-    s = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return sheared_hexagon(mu, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+def sheared_hexagon(mu, s):
     return SymmetricPolytope([[a / mu, (b + s * a) / mu] for a, b in HEXAGON])
 
 
@@ -858,3 +861,117 @@ class TestMemoSoundness:
             successive_minima(unit_cube(3), Z2, 1)
         assert minima._successive_minima.cache_info() == (0, 0, minima._CACHE_SIZE, 0)
         assert minima._walk_setup.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the lazy greedy solve against the greedy pass over the sorted point list
+# ---------------------------------------------------------------------------
+
+
+def greedy_reference(body, lat, radius, k, forbidden_rows=()):
+    """The first k points of ``enumerate_points`` at the radius that are
+    linearly independent of those before them and lie in no forbidden
+    lattice, with their gauges; admissibility and rank by the oracles.
+    A point whose negation came first is skipped unread: it shares that
+    one's admissibility and depends on it."""
+    chosen, seen = [], set()
+    for x, g in enumerate_points(body, lat, radius):
+        seen.add(x)
+        if tuple(-v for v in x) in seen:
+            continue
+        if any(oracles.in_lattice(rows, list(x)) for rows in forbidden_rows):
+            continue
+        if oracles.frac_rank([list(w) for w, _ in chosen] + [list(x)]) > len(chosen):
+            chosen.append((x, g))
+            if len(chosen) == k:
+                break
+    return tuple(g for _, g in chosen), tuple(x for x, _ in chosen)
+
+
+def lazy_solve_cases():
+    """(body, lattice, forbidden rows or None): sharpness rectangles, the
+    skewed inputs, sheared hexagons, lower-rank lattices and a thin box
+    whose doubling rungs find one witness long before the second."""
+    for p, mus in ((5, (1, Fraction(3, 2), 7)), (7, (1, Fraction(2, 9))),
+                   (11, (Fraction(5, 3), 4)), (73, (Fraction(17, 5),))):
+        fx = rectangle_fixture(p)
+        for mu in mus:
+            body = Box([mu, mu * fx["alpha"]])
+            rows = [[list(r) for r in sub.basis] for sub in fx["subs"]]
+            yield body, fx["lattice"], rows
+            yield body, fx["lattice"], None
+    for rng, body, short, lat in skewed_cases(331, 30):
+        bd = body.to_dict()
+        if oracle_box(bd, short, 4 * max(oracles.gauge(bd, r) for r in short)) > ORACLE_BOX_CAP:
+            continue
+        yield body, lat, forbidden_for(rng, short)
+        yield body, lat, None
+    for mu, s in ((Fraction(1), Fraction(-2, 3)), (Fraction(7, 2), Fraction(3, 2))):
+        hexagon = sheared_hexagon(mu, s)
+        lat = Lattice([[3, 1], [1, 2]])
+        yield hexagon, lat, [[[3, 1]]]
+        yield hexagon, lat, [[[6, 2], [1, 2]]]
+        yield hexagon, lat, None
+    plane = Lattice([[1, 2, 0], [0, 3, 5]], 3)
+    line = Lattice([[2, -1, 3]], 3)
+    for body in (Box([1, Fraction(1, 2), Fraction(3, 4)]), cross_polytope(3).scale(2)):
+        yield body, plane, [[[1, 5, 5]]]
+        yield body, plane, [[[2, 4, 0], [0, 3, 5]]]
+        yield body, plane, None
+        yield body, line, None
+    thin = Box([1, Fraction(1, 10)])
+    yield thin, Z2, [[[1, 1]]]
+    yield thin, Z2, [[[1, 0], [0, 2]]]
+    yield thin, Z2, None
+
+
+class TestLazySolve:
+    def test_matches_greedy_over_enumerated_points(self):
+        solves = 0
+        for body, lat, rows in lazy_solve_cases():
+            fc = None if rows is None else ForbiddenCollection(
+                lat, [Lattice(r, lat.ambient_dim) for r in rows])
+            for k in range(1, lat.rank + 1):
+                if fc is None:
+                    runs = [successive_minima(body, lat, k)]
+                else:
+                    runs = [restricted_minima(body, lat, fc, k, method=method)
+                            for method in ("auto", "doubling")]
+                for res in runs:
+                    # any radius from lambda_k on has the same first k
+                    # points; twice lambda_k keeps the p = 73 lists short
+                    assert res.values[-1] <= res.certificate_radius
+                    radius = min(res.certificate_radius, 2 * res.values[-1])
+                    expected = greedy_reference(body, lat, radius, k, rows or ())
+                    assert (res.values, res.witnesses) == expected
+                    solves += 1
+        assert solves > 150
+
+    def test_admissibility_tested_lazily(self, monkeypatch):
+        # restricted lambda_1 of the p = 73 rectangle: the rungs below it
+        # test each of their points once and its own rung stops at the
+        # witness, so no more tests than canonical points with gauge <= it
+        fx = rectangle_fixture(73)
+        body, lat = fx["body"], fx["lattice"]
+        clear_caches()
+        calls = []
+        test = ForbiddenCollection.admissible_coords
+        monkeypatch.setattr(ForbiddenCollection, "admissible_coords",
+                            lambda self, z: calls.append(z) or test(self, z))
+        res = restricted_minima(body, lat, ForbiddenCollection(lat, fx["subs"]), 1)
+        assert res.values == (Fraction(73 * 73, 2),)
+        within = len(enumerate_points(body, lat, res.values[0])) // 2
+        assert 0 < len(calls) <= within
+        assert len(set(calls)) == len(calls)
+
+    def test_solves_never_sort_every_candidate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a solve sorted every candidate")
+
+        monkeypatch.setattr(minima, "_sorted_candidates", refuse)
+        clear_caches()
+        fx = rectangle_fixture(11)
+        fc = ForbiddenCollection(fx["lattice"], fx["subs"])
+        for method in ("auto", "doubling"):
+            restricted_minima(fx["body"], fx["lattice"], fc, 2, method=method)
+        successive_minima(fx["body"], fx["lattice"], 2)
