@@ -14,11 +14,8 @@ from .exactarith import (
     pi_enclosure,
 )
 from .lattice import (
-    CosetSystem,
     Lattice,
     MinorVector,
-    coset_system,
-    extend_to_full_rank,
     hnf,
     intersect,
     kernel_lattice,
@@ -43,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Box",
     "ConvexBody",
-    "CosetSystem",
     "DEFAULT_POLICY",
     "Enclosure",
     "ForbiddenCollection",
@@ -56,13 +52,11 @@ __all__ = [
     "SymmetricPolytope",
     "ball_volume_enclosure",
     "coordinate_section",
-    "coset_system",
     "count_points",
     "covering_radius_diagonal",
     "cross_polytope",
     "distinct_cosets_in_body",
     "enumerate_points",
-    "extend_to_full_rank",
     "hnf",
     "intersect",
     "kernel_lattice",

@@ -241,7 +241,9 @@ def cross_polytope(n: int) -> SymmetricPolytope:
 
 
 def coordinate_section(body: ConvexBody, coords) -> SectionData:
-    """Exact section of a box by a coordinate subspace."""
+    """Exact section of a box by a coordinate subspace, the section data
+    ``bounds.gaudron_bound`` takes; the ``bounds`` and ``verify`` commands
+    do not report that bound."""
     if not isinstance(body, Box):
         raise UnsupportedBodyError(
             "coordinate sections are exact for boxes only; supply SectionData"

@@ -231,7 +231,8 @@ def gaudron_bound(
     nu = 7 r (s w_r det / vol)^(1/r); the final value is nu times the
     largest of 1, nu^(r-1) vol(K ^ span_i)/(w_r det_i), and
     (nu / lambda_1(K, lat ^ span_i))^((r-2)/2) over the sublattices.
-    Section volumes and the span minima are caller-supplied.
+    Section volumes and the span minima are caller-supplied.  A library
+    evaluator only: the ``bounds`` and ``verify`` commands do not report it.
     """
     _check_dims(body, lat)
     subs = list(sublattices)
@@ -510,6 +511,8 @@ def torus_volume_lower_bound(
     min{ (floor(lam/l1) + frac^n) (l1/2)^n vol(K), det(sub) }, where
     lam = floor(lam/l1) l1 + frac * l1 and l1 is the first minimum of the
     sublattice.  Coincides with the exact packing volume while lam <= l1.
+    A library evaluator only: the ``bounds`` and ``verify`` commands do not
+    report it.
     """
     lam = _dilation(lam)
     if sub.rank != sub.ambient_dim or sub.ambient_dim != body.dim:

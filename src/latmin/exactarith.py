@@ -119,9 +119,6 @@ class Enclosure:
             result = result * self
         return result
 
-    def union(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def contains(self, x) -> bool:
         x = Fraction(x)
         return self.lo <= x <= self.hi

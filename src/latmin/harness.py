@@ -18,7 +18,7 @@ from . import bounds
 from .body import Box, ConvexBody, unit_cube
 from .errors import InputError
 from .exactarith import format_rational
-from .lattice import Lattice, coset_system, intersect, m_value, saturate_rows, union_covers
+from .lattice import Lattice, intersect, m_value, saturate_rows, union_covers
 from .minima import (
     DEFAULT_BUDGET,
     ForbiddenCollection,
@@ -382,7 +382,7 @@ def _f3_coverage(chk, budget):
     chk.check("m-value", m == 14, str(m))
     chk.check("covers-124", union_covers(lat, [fx["L1"], fx["L2"], fx["L4"]]))
     chk.check("not-covers-123", not union_covers(lat, [fx["L1"], fx["L2"], fx["L3"]]))
-    chk.check("coset-count", coset_system(lat, inter).index == 12)
+    chk.check("coset-count", inter.index_in(lat) == 12)
 
 
 def _f4_single_full(chk, budget):
@@ -581,7 +581,7 @@ def check_instance(
         if diag:
             d_lat = Lattice.from_diagonal(diag)
             subs_d = [
-                _coeffs_to_sub(lat.coeff_matrix(sub), d_lat) for sub in inst.forbidden
+                _coeffs_to_sub(lat.in_coords(sub)._hermite, d_lat) for sub in inst.forbidden
             ]
             mu = covering_radius_diagonal(body, d_lat)
             fc_d = ForbiddenCollection(d_lat, subs_d)

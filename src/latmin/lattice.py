@@ -24,12 +24,9 @@ from .errors import CertificateError, IndexOverflowError, InputError, NotSublatt
 from .exactarith import format_rational, parse_rational
 
 __all__ = [
-    "CosetSystem",
     "DEFAULT_INDEX_CAP",
     "Lattice",
     "MinorVector",
-    "coset_system",
-    "extend_to_full_rank",
     "hnf",
     "intersect",
     "kernel_lattice",
@@ -59,9 +56,6 @@ class Lattice:
         h = hnf(rows)
         if len(h) != len(rows):
             raise RankError("basis rows are linearly dependent")
-        self._set_hermite(h, d, ambient_dim)
-
-    def _set_hermite(self, h, d, ambient_dim):
         self.ambient_dim = ambient_dim
         self.rank = len(h)
         self._basis = None
@@ -88,15 +82,6 @@ class Lattice:
         g = math.gcd(denom, *itertools.chain.from_iterable(rows))
         lat = Lattice.__new__(Lattice)
         lat._set_rows([[x // g for x in row] for row in rows], denom // g, ambient_dim)
-        return lat
-
-    @staticmethod
-    def from_generators(rows, ambient_dim: int | None = None) -> "Lattice":
-        """Lattice generated by arbitrarily many (possibly dependent) rows."""
-        rows, d = _integer_rows(rows)
-        ambient_dim = _ambient_dim(rows, ambient_dim)
-        lat = Lattice.__new__(Lattice)
-        lat._set_hermite(hnf(rows), d, ambient_dim)
         return lat
 
     @staticmethod
@@ -165,9 +150,10 @@ class Lattice:
             self.member(row) for row in other.basis
         )
 
-    def coeff_matrix(self, sub: "Lattice") -> list[list[int]]:
-        """Integer coordinates of a sublattice basis in this basis: with
-        sub's basis H' / d', row i solves z . H = d H'_i / d' in integers."""
+    def in_coords(self, sub: "Lattice") -> "Lattice":
+        """A sublattice in this lattice's coordinates, as an integer lattice
+        in Z^rank: with sub's basis H' / d', row i solves z . H = d H'_i / d'
+        in integers."""
         if sub.ambient_dim != self.ambient_dim:
             raise ValueError("dimension mismatch")
         d, d_sub = self._denom, sub._denom
@@ -182,15 +168,15 @@ class Lattice:
             if z is None:
                 raise NotSublatticeError("not a sublattice")
             rows.append(z)
-        return rows
+        return Lattice(rows, self.rank)
 
     def index_in(self, super_lattice: "Lattice") -> int:
         """Group index [super : self] for equal-rank nested lattices: the
         product of the Hermite diagonal of self in super's coordinates."""
-        m = super_lattice.coeff_matrix(self)
-        if len(m) != super_lattice.rank:
+        span = super_lattice.in_coords(self)
+        if span.rank != super_lattice.rank:
             raise RankError("index needs equal ranks")
-        return math.prod(row[i] for i, row in enumerate(Lattice(m, self.rank)._hermite))
+        return math.prod(row[i] for i, row in enumerate(span._hermite))
 
     def scale(self, mu) -> "Lattice":
         mu = mu if type(mu) is int else Fraction(mu)
@@ -200,13 +186,6 @@ class Lattice:
         return Lattice._over(rows, self._denom * mu.denominator, self.ambient_dim)
 
     # -- duality ------------------------------------------------------
-
-    def dual(self) -> "Lattice":
-        """Dual lattice; defined here for full-rank lattices only."""
-        if self.rank != self.ambient_dim:
-            raise RankError("dual implemented for full-rank lattices")
-        # at full rank G^-1 B == B^-T, so the dual basis is dual_in_span()
-        return Lattice._over(*self.dual_in_span(), self.ambient_dim)
 
     def dual_in_span(self) -> tuple:
         """(D, m): integer rows over m > 0 whose d_i = D_i / m lie in
@@ -278,77 +257,7 @@ def _integer_rows(basis):
 
 
 # ---------------------------------------------------------------------------
-# Coset systems
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CosetSystem:
-    """Representatives of lattice / sublattice for a full-rank sublattice."""
-
-    lattice: Lattice
-    sublattice: Lattice
-    representatives: tuple
-    index: int
-    _span: Lattice  # the sublattice in lattice coordinates (integer, d = 1)
-
-    def label_of_coords(self, z) -> tuple:
-        """Coset label of a lattice point given by its coordinates: the
-        coordinates of its coset's representative."""
-        return _coset_label(z, self._span)
-
-    def label_of(self, x) -> tuple:
-        z = self.lattice._coords(x, integral=True)
-        if z is None:
-            raise NotSublatticeError("point is not in the lattice")
-        return self.label_of_coords(z)
-
-
-def _coset_label(z, span: Lattice) -> tuple:
-    """The representative of z modulo a full-rank integer span: with H its
-    upper triangular Hermite form, row i clears w_i down to [0, H_ii)
-    without touching the columns before it."""
-    w = list(z)
-    for i, row in enumerate(span._hermite):
-        q = w[i] // row[i]
-        if q:
-            w = [a - q * b for a, b in zip(w, row)]
-    return tuple(w)
-
-
-def _coset_coords(lat: Lattice, sub: Lattice, index_cap: int):
-    """(coords, span): an iterator over the lattice coordinates of one
-    representative per coset of lat modulo the full-rank sublattice sub, and
-    sub in lattice coordinates.  The representatives are the box
-    0 <= z_i < H_ii of the span's Hermite form H, so the index is the
-    product of its diagonal, as in Lattice.index_in."""
-    if sub.rank != lat.rank:
-        raise NotSublatticeError("sublattice must have full rank in the lattice")
-    span = Lattice(lat.coeff_matrix(sub), lat.rank)
-    diag = [row[i] for i, row in enumerate(span._hermite)]
-    index = math.prod(diag)
-    if index > index_cap:
-        raise IndexOverflowError(f"index {index} exceeds cap {index_cap}")
-    return itertools.product(*(range(h) for h in diag)), span
-
-
-def coset_system(
-    lat: Lattice, sub: Lattice, index_cap: int = DEFAULT_INDEX_CAP
-) -> CosetSystem:
-    """All coset representatives of lat modulo a full-rank sublattice."""
-    coords, span = _coset_coords(lat, sub, index_cap)
-    reps = tuple(tuple(im.vec_mat(z, lat.basis)) for z in coords)
-    return CosetSystem(
-        lattice=lat,
-        sublattice=sub,
-        representatives=reps,
-        index=len(reps),
-        _span=span,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Intersections, covering, m-values
+# Intersections, cosets, covering, m-values
 # ---------------------------------------------------------------------------
 
 
@@ -404,23 +313,47 @@ def _m_sum(inter: Lattice, sublattices):
     return Fraction(1 - len(indices)) + sum(indices), indices
 
 
+def _coset_label(z, span: Lattice) -> tuple:
+    """The representative of z modulo a full-rank integer span: with H its
+    upper triangular Hermite form, row i clears w_i down to [0, H_ii)
+    without touching the columns before it."""
+    w = list(z)
+    for i, row in enumerate(span._hermite):
+        q = w[i] // row[i]
+        if q:
+            w = [a - q * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
 def union_covers(
     lat: Lattice, sublattices, index_cap: int = DEFAULT_INDEX_CAP
 ) -> bool:
-    """Exact test of whether the union of full-rank sublattices is the lattice.
+    """Exact test of whether the union of full-rank sublattices is the
+    lattice, decided in its coordinates, so lat may have any rank."""
+    return _spans_cover([lat.in_coords(sub) for sub in sublattices], index_cap)
 
-    Every coset of lat modulo the intersection lies inside some sublattice
-    or meets none of them, so checking one representative per coset decides
-    the union exactly.
+
+def _spans_cover(spans, index_cap: int = DEFAULT_INDEX_CAP) -> bool:
+    """Whether full-rank integer spans in Z^r cover Z^r.
+
+    Every coset of their intersection lies inside some span or meets none of
+    them, so one representative per coset decides the union exactly.  The
+    representatives are the box 0 <= z_i < H_ii of the intersection's
+    Hermite form H, so the index is the product of its diagonal; they are
+    streamed, and the test stops at the first coset that no span contains.
     """
-    subs = list(sublattices)
-    coords, _ = _coset_coords(lat, intersect(subs), index_cap)
-    spans = [Lattice(lat.coeff_matrix(sub), lat.rank) for sub in subs]
-    return all(any(s._solve(z, integral=True) is not None for s in spans) for z in coords)
+    diag = [row[i] for i, row in enumerate(intersect(spans)._hermite)]
+    index = math.prod(diag)
+    if index > index_cap:
+        raise IndexOverflowError(f"index {index} exceeds cap {index_cap}")
+    return all(
+        any(s._solve(z, integral=True) is not None for s in spans)
+        for z in itertools.product(*(range(h) for h in diag))
+    )
 
 
 # ---------------------------------------------------------------------------
-# Kernels, minors, rank extension
+# Kernels, minors, saturation
 # ---------------------------------------------------------------------------
 
 
@@ -491,24 +424,3 @@ def saturate_rows(rows: list[list[int]]) -> list[list[int]]:
     n = len(rows[0])
     return _kernel_rows(_kernel_rows(rows, n), n)
 
-
-def extend_to_full_rank(lat: Lattice, sub: Lattice, scale: int) -> Lattice:
-    """Adjoin scaled lattice vectors to a lower-rank sublattice.
-
-    Completes sub to a full-rank sublattice of lat by adding scale * z for
-    basis vectors z of lat that raise the rank.  The result meets lin(sub)
-    exactly in sub, whatever the scale.
-    """
-    if lat.rank != lat.ambient_dim:
-        raise RankError("ambient lattice must be full rank")
-    if sub.rank >= lat.rank:
-        raise RankError("sublattice already has full rank")
-    if Fraction(scale).denominator != 1 or scale < 1:
-        raise ValueError("scale must be a positive integer")
-    rows = [list(r) for r in sub.basis]
-    for b in lat.basis:
-        if im.frac_rank(rows + [list(b)]) > len(rows):
-            rows.append([int(scale) * x for x in b])
-        if len(rows) == lat.rank:
-            break
-    return Lattice(rows, lat.ambient_dim)

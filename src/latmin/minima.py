@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedBodyError,
 )
 from .exactarith import format_rational, nth_root_enclosure
-from .lattice import Lattice, _coset_label, union_covers
+from .lattice import Lattice, _coset_label, _spans_cover
 
 DEFAULT_BUDGET = 10**7
 
@@ -94,9 +94,9 @@ class ForbiddenCollection:
             raise ValueError("forbidden sublattices must have rank >= 1")
         self.ambient = ambient
         self.sublattices = tuple(subs)
-        # coeff_matrix raises NotSublatticeError off the ambient lattice; the
-        # spans in coordinate space are integer lattices (d = 1)
-        self._spans = [Lattice(ambient.coeff_matrix(sub), ambient.rank) for sub in subs]
+        # the members in the ambient lattice's coordinates, integer lattices
+        # in Z^rank; in_coords raises NotSublatticeError off the lattice
+        self._spans = [ambient.in_coords(sub) for sub in subs]
         ranks = {sub.rank for sub in subs}
         if ranks == {ambient.rank}:
             self.classification = "all-full-rank"
@@ -110,9 +110,8 @@ class ForbiddenCollection:
         """Whether the union is the whole ambient lattice, decided once: it
         is iff the full-rank members cover, as lower-rank ones are too sparse
         to finish a cover."""
-        amb = self.ambient
-        full = [s for s in self.sublattices if s.rank == amb.rank]
-        return bool(full) and amb.rank == amb.ambient_dim and union_covers(amb, full)
+        full = [span for span in self._spans if span.rank == self.ambient.rank]
+        return bool(full) and _spans_cover(full)
 
     def admissible_coords(self, z) -> bool:
         """Whether the integer lattice coordinates z lie in no forbidden span."""
@@ -465,10 +464,9 @@ def distinct_cosets_in_body(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Number of cosets of lat modulo sub met by points of lam K."""
-    m = lat.coeff_matrix(sub)
-    if len(m) != lat.rank:
+    span = lat.in_coords(sub)
+    if span.rank != lat.rank:
         raise RankError("sublattice must have full rank in the lattice")
-    span = Lattice(m, lat.rank)
     labels = {(0,) * lat.rank}  # origin
     walk = _walk_system(body, lat, _dilation(lam), budget)
     if walk:

@@ -207,3 +207,10 @@ def det(rows):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total += (-1) ** inversions * math.prod(Fraction(rows[i][perm[i]]) for i in range(n))
     return total
+
+
+def dual_basis(rows):
+    """Rows of B^-T for a square nonsingular B: the dual basis of the rows."""
+    inverse = inv(rows)
+    n = len(rows)
+    return [[inverse[i][j] for i in range(n)] for j in range(n)]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from latmin import cli, harness
+from latmin.body import unit_cube
 from latmin.errors import InputError
 from latmin.exactarith import Enclosure
 from latmin.lattice import Lattice, union_covers
@@ -265,6 +266,25 @@ class TestCLI:
             ["minima", "--box", "1,1/100", "--diag", "1,1", "-k", "2", "--budget", "10"]
         )
         assert code == 4
+
+    def test_covering_members_of_a_lower_rank_lattice_exit_3(self, tmp_path, capsys):
+        # the F3 triple L1, L2, L4 covers Z^2; carried onto a rank-2 lattice
+        # in R^3 it still covers, and the cover is an input error found
+        # before any walk
+        fx = harness.coverage_fixture()
+        lift = lambda lat: Lattice([[a, b, a + b] for a, b in lat.basis], 3)
+        inst = harness.Instance(
+            instance_id="lifted-124",
+            kind="full",
+            body=unit_cube(3),
+            lattice=lift(fx["lattice"]),
+            forbidden=tuple(lift(fx[name]) for name in ("L1", "L2", "L4")),
+            seed=0,
+        )
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        assert cli.main(["restricted", "--instance", str(path)]) == 3
+        assert "cover the whole lattice" in capsys.readouterr().err
 
     def test_violation_exit_code(self, tmp_path):
         report = harness.VerificationReport(command="verify", seed=0)

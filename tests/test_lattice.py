@@ -9,14 +9,12 @@ import pytest
 
 import oracles
 from latmin import _intmat as im
-from latmin.body import unit_cube
 from latmin.errors import IndexOverflowError, InputError, NotSublatticeError, RankError
 from latmin.harness import generate
 from latmin.lattice import (
-    CosetSystem,
     Lattice,
-    coset_system,
-    extend_to_full_rank,
+    _coset_label,
+    _spans_cover,
     intersect,
     kernel_lattice,
     m_value,
@@ -24,7 +22,6 @@ from latmin.lattice import (
     saturate_rows,
     union_covers,
 )
-from latmin.minima import successive_minima
 
 
 def random_lattice(rng, n, rank=None, span=4):
@@ -39,11 +36,6 @@ class TestConstruction:
     def test_dependent_rows_rejected(self):
         with pytest.raises(RankError):
             Lattice([[1, 2], [2, 4]])
-
-    def test_from_generators_accepts_dependent(self):
-        lat = Lattice.from_generators([[2, 0], [0, 2], [1, 1]])
-        assert lat.det() == 2
-        assert lat.det_squared == 4
 
     def test_canonical_equality(self):
         a = Lattice([[1, 0], [3, 1]])
@@ -124,37 +116,44 @@ class TestMembership:
         assert lat.coeffs_of([1, 3]) == [Fraction(1), Fraction(1)]
 
 
+def dual_of(lat):
+    """The dual of a full-rank lattice from its dual rows D / m, which at
+    full rank are the dual basis of the stored basis."""
+    rows, m = lat.dual_in_span()
+    return Lattice([[Fraction(x, m) for x in row] for row in rows], lat.ambient_dim)
+
+
+def oracle_dual(lat):
+    return Lattice(oracles.dual_basis([list(b) for b in lat.basis]), lat.ambient_dim)
+
+
 class TestDual:
     def test_standard_self_dual(self):
-        assert Lattice.standard(2).dual() == Lattice.standard(2)
+        assert dual_of(Lattice.standard(2)) == Lattice.standard(2)
+        assert oracle_dual(Lattice.standard(2)) == Lattice.standard(2)
 
     def test_scaled(self):
-        assert Lattice([[2, 0], [0, 2]]).dual() == Lattice(
-            [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
-        )
-        assert Lattice([[2, 0], [0, 3]]).dual() == Lattice(
-            [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
-        )
+        for diag in ([2, 2], [2, 3]):
+            expected = Lattice.from_diagonal([Fraction(1, a) for a in diag])
+            assert dual_of(Lattice.from_diagonal(diag)) == expected
+            assert oracle_dual(Lattice.from_diagonal(diag)) == expected
 
     def test_involution_and_reciprocity(self):
         rng = random.Random(31)
         for _ in range(40):
             lat = random_lattice(rng, rng.randint(2, 4))
-            assert lat.dual().dual() == lat
-            assert lat.dual().det_squared * lat.det_squared == 1
-
-    def test_lower_rank_rejected(self):
-        with pytest.raises(RankError):
-            Lattice([[1, 0]], 2).dual()
+            dual = dual_of(lat)
+            assert dual == oracle_dual(lat)
+            assert dual_of(dual) == lat
+            assert dual.det_squared * lat.det_squared == 1
 
     def test_inverse_transpose_on_skewed_bases(self):
         rng = random.Random(149)
         for _ in range(60):
             n = rng.randint(1, 4)
             rows = skewed_rows(rng, n, n)
-            inverse = oracles.inv(rows)
-            expected = Lattice([[inverse[i][j] for i in range(n)] for j in range(n)], n)
-            assert Lattice(rows, n).dual() == expected
+            expected = Lattice(oracles.dual_basis(rows), n)
+            assert dual_of(Lattice(rows, n)) == expected
 
     def test_dual_in_span_matches_oracle(self):
         # every rank 1..n: integer rows over a positive denominator, in
@@ -215,47 +214,57 @@ class TestIntersect:
             intersect([Lattice([[1, 0]], 2)])
 
 
+def coset_labels(lat, sub, radius):
+    """{coordinates z of lat in [-radius, radius]^rank: the label of z
+    modulo sub}."""
+    span = lat.in_coords(sub)
+    return {
+        z: _coset_label(z, span)
+        for z in itertools.product(range(-radius, radius + 1), repeat=lat.rank)
+    }
+
+
 class TestCosets:
     def test_two_by_two(self):
-        cs = coset_system(Lattice.standard(2), Lattice([[2, 0], [0, 2]]))
-        assert cs.index == 4
-        assert set(cs.representatives) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+        z2, sub = Lattice.standard(2), Lattice([[2, 0], [0, 2]])
+        assert sub.index_in(z2) == 4
+        labels = coset_labels(z2, sub, 3)
+        assert set(labels.values()) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+        assert all(label == (z[0] % 2, z[1] % 2) for z, label in labels.items())
 
     def test_golden_twelve(self):
         inter = intersect(
             [Lattice([[1, 0], [0, 2]]), Lattice([[2, 0], [0, 1]]), Lattice([[1, 0], [0, 3]])]
         )
-        cs = coset_system(Lattice.standard(2), inter)
-        assert cs.index == 12
-        assert len(cs.representatives) == 12
+        assert inter.index_in(Lattice.standard(2)) == 12
+        assert len(set(coset_labels(Lattice.standard(2), inter, 6).values())) == 12
 
     def test_trivial(self):
         lat = Lattice([[2, 1], [0, 1]])
-        cs = coset_system(lat, lat)
-        assert cs.index == 1
+        assert lat.index_in(lat) == 1
+        assert set(coset_labels(lat, lat, 2).values()) == {(0, 0)}
 
     def test_representatives_pairwise_distinct(self):
         lat = Lattice.standard(2)
         sub = Lattice([[2, 1], [0, 3]])
-        cs = coset_system(lat, sub)
-        assert cs.index == 6
-        reps = cs.representatives
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                diff = [a - b for a, b in zip(reps[i], reps[j])]
-                assert not sub.member(diff)
-        labels = {cs.label_of(rep) for rep in reps}
-        assert len(labels) == cs.index
+        assert sub.index_in(lat) == 6
+        labels = coset_labels(lat, sub, 4)
+        assert len(set(labels.values())) == 6
+        for (x, lx), (y, ly) in itertools.combinations(labels.items(), 2):
+            diff = [a - b for a, b in zip(x, y)]
+            assert (lx == ly) == sub.member(diff)
 
     def test_not_sublattice_rejected(self):
+        half = Lattice([[Fraction(1, 2), 0], [0, 1]])
         with pytest.raises(NotSublatticeError):
-            coset_system(Lattice.standard(2), Lattice([[Fraction(1, 2), 0], [0, 1]]))
+            half.index_in(Lattice.standard(2))
+        with pytest.raises(NotSublatticeError):
+            Lattice.standard(2).in_coords(half)
 
     def test_index_cap(self):
+        span = Lattice.standard(2).in_coords(Lattice([[100, 0], [0, 100]]))
         with pytest.raises(IndexOverflowError):
-            coset_system(
-                Lattice.standard(2), Lattice([[100, 0], [0, 100]]), index_cap=100
-            )
+            _spans_cover([span], index_cap=100)
 
 
 class TestMValueAndCovering:
@@ -400,50 +409,6 @@ class TestMinors:
 
 
 class TestExtendAndSaturate:
-    def test_golden_extension(self):
-        ext = extend_to_full_rank(Lattice.standard(2), Lattice([[1, 0]], 2), 10)
-        assert ext == Lattice([[1, 0], [0, 10]])
-
-    def test_non_integer_scale_rejected(self):
-        lat, sub = Lattice.standard(2), Lattice([[1, 0]], 2)
-        for scale in (Fraction(3, 2), 1.5, Fraction(1, 2), 0, -2):
-            with pytest.raises(ValueError, match="positive integer"):
-                extend_to_full_rank(lat, sub, scale)
-        assert extend_to_full_rank(lat, sub, Fraction(10)) == Lattice([[1, 0], [0, 10]])
-
-    def test_scale_one_full_rank_superlattice(self):
-        lat = Lattice.standard(3)
-        sub = Lattice([[1, 1, 0]], 3)
-        ext = extend_to_full_rank(lat, sub, 1)
-        assert ext.rank == 3
-        assert lat.contains_lattice(ext)
-        assert ext.contains_lattice(sub)
-
-    def test_span_intersection_is_preserved(self):
-        lat = Lattice.standard(3)
-        sub = Lattice([[2, 1, 0], [0, 0, 3]], 3)
-        ext = extend_to_full_rank(lat, sub, 7)
-        # members of ext lying in the span of sub must be members of sub
-        rng = random.Random(47)
-        for _ in range(50):
-            z = [rng.randint(-3, 3) for _ in range(3)]
-            v = [
-                sum(Fraction(z[i]) * ext.basis[i][j] for i in range(3))
-                for j in range(3)
-            ]
-            in_span = im.frac_rank([list(b) for b in sub.basis] + [v]) == sub.rank
-            if in_span:
-                assert sub.member(v)
-
-    def test_large_scale_preserves_first_minimum(self):
-        lat = Lattice.standard(2)
-        sub = Lattice([[1, 0]], 2)
-        ext = extend_to_full_rank(lat, sub, 10)
-        box = unit_cube(2)
-        lam_sub = successive_minima(box, sub, 1).values[0]
-        lam_ext = successive_minima(box, ext, 1).values[0]
-        assert lam_sub == lam_ext == 1
-
     def test_saturation(self):
         sat = saturate_rows([[2, 4]])
         assert Lattice(sat, 2).member([1, 2])
@@ -603,33 +568,49 @@ class TestAgainstOracles:
 
     def test_union_covers_matches_brute_force(self):
         # the index-2 and index-3 sublattices of Z^2 in coordinates, carried
-        # onto skewed ambient lattices; their unions are periodic modulo 6 Z^2,
-        # and all three index-2 ones (or all four index-3 ones) cover
+        # onto skewed ambient lattices of rank 2 in R^2 and in R^3; their
+        # unions are periodic modulo 6 Z^2, and all three index-2 ones (or
+        # all four index-3 ones) cover
         index2 = [[[1, 0], [0, 2]], [[2, 0], [0, 1]], [[1, 1], [0, 2]]]
         index3 = [[[1, 0], [0, 3]], [[3, 0], [0, 1]], [[1, 1], [0, 3]], [[1, 2], [0, 3]]]
         rng = random.Random(127)
         outcomes = set()
         for trial in range(40):
-            basis = skewed_rows(rng, 2, 2)
-            lat = Lattice(basis, 2)
             family = (index2, index3)[trial % 2]
             coeffs = rng.sample(family, rng.randint(len(family) - 1, len(family)))
             coeffs += rng.sample(index2 + index3, rng.randint(0, 2))
-            subs = [Lattice(im.mat_mul(m, basis), 2) for m in coeffs]
             brute = all(
                 any(oracles.in_lattice(m, [z1, z2]) for m in coeffs)
                 for z1 in range(6)
                 for z2 in range(6)
             )
-            assert union_covers(lat, subs) == brute
-            outcomes.add(brute)
-        assert outcomes == {True, False}
+            for n in (2, 3):
+                basis = skewed_rows(rng, n, 2)
+                lat = Lattice(basis, n)
+                subs = [Lattice(im.mat_mul(m, basis), n) for m in coeffs]
+                assert union_covers(lat, subs) == brute
+                outcomes.add((n, brute))
+        assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+
+    def test_union_covers_rejects_lower_rank_and_off_lattice_members(self):
+        # at either ambient rank: a member of lower rank than the lattice is
+        # a RankError, a member off the lattice a NotSublatticeError
+        for basis in ([[1, 0], [0, 1]], [[1, 0, 1], [0, 1, 1]]):
+            n = len(basis[0])
+            lat = Lattice(basis, n)
+            full = Lattice(im.mat_mul([[1, 0], [0, 2]], basis), n)
+            with pytest.raises(RankError):
+                union_covers(lat, [full, Lattice([basis[0]], n)])
+            half = Lattice([[Fraction(x, 2) for x in basis[0]], basis[1]], n)
+            with pytest.raises(NotSublatticeError):
+                union_covers(lat, [full, half])
 
     def test_coset_system_matches_oracle(self):
         # full-rank sublattices M B of skewed lattices B, index |det M| <= 500:
-        # the index is det(sub) / det(lat), the representatives fall in
-        # distinct cosets, each point's label is its coset representative's
-        # coordinates, and two points share a label iff they differ by a
+        # the index is det(sub) / det(lat), the box 0 <= z_i < H_ii of the
+        # sublattice's Hermite form in lattice coordinates holds one point of
+        # each coset and labels each of them itself, every point's label is
+        # one of those, and two points share a label iff they differ by a
         # point of the sublattice
         rng = random.Random(163)
         indices, same = set(), 0
@@ -642,16 +623,21 @@ class TestAgainstOracles:
                     break
             sub_rows = im.mat_mul(mix, basis)
             lat, sub = Lattice(basis, n), Lattice(sub_rows, n)
-            cs = coset_system(lat, sub)
-            assert cs.index == sub.det() / lat.det() == abs(oracles.det(mix))
-            indices.add(cs.index)
-            rep_coords = [tuple(lat.coeffs_of(rep)) for rep in cs.representatives]
-            assert len(set(rep_coords)) == cs.index
-            assert [cs.label_of(rep) for rep in cs.representatives] == rep_coords
+            span = lat.in_coords(sub)
+            index = sub.index_in(lat)
+            assert index == sub.det() / lat.det() == abs(oracles.det(mix))
+            indices.add(index)
+            rep_coords = list(itertools.product(
+                *(range(row[i]) for i, row in enumerate(span._hermite))))
+            assert len(rep_coords) == index
+            assert [_coset_label(z, span) for z in rep_coords] == rep_coords
+            for z, w in itertools.combinations(rep_coords[:12], 2):
+                diff = combine([a - b for a, b in zip(z, w)], lat.basis)
+                assert not oracles.in_lattice(sub_rows, diff)
             points = [combine([rng.randint(-30, 30) for _ in range(n)], basis)
                       for _ in range(12)]
-            points += [combine(z, basis) for z in rep_coords[:4]]
-            labels = [cs.label_of(x) for x in points]
+            points += [combine(z, lat.basis) for z in rep_coords[:4]]
+            labels = [_coset_label([int(c) for c in lat.coeffs_of(x)], span) for x in points]
             assert set(labels) <= set(rep_coords)
             for (x, lx), (y, ly) in itertools.combinations(zip(points, labels), 2):
                 diff = [a - b for a, b in zip(x, y)]
@@ -660,22 +646,6 @@ class TestAgainstOracles:
         assert same > 20 and max(indices) > 100
 
     def test_from_generators_matches_basis_constructor(self):
-        # dependent generating sets: a basis, integer and rational
-        # combinations of it that stay in the lattice, and zero rows
-        seen = 0
-        for rng, n, rank, rows in oracle_cases(131):
-            lat = Lattice(rows, n)
-            gens = [list(r) for r in rows]
-            for _ in range(rng.randint(1, 4)):
-                gens.append(combine([rng.randint(-50, 50) for _ in rows], rows))
-            gens.append([Fraction(0)] * n)
-            rng.shuffle(gens)
-            got = Lattice.from_generators(gens, n)
-            assert got == lat and hash(got) == hash(lat) and got.basis == lat.basis
-            assert (got._hermite, got._denom, got._pivots) == (
-                lat._hermite, lat._denom, lat._pivots)
-            seen += 1
-        assert seen == 60
         # == and hash read (H, d): they must agree with comparing bases on
         # skewed pairs, equal (another basis of one lattice) and not
         # (a rescaled copy, an unrelated lattice of the same shape)
@@ -702,11 +672,11 @@ class TestAgainstOracles:
 
     def test_from_generators_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="mixed dimension"):
-            Lattice.from_generators([[1, 0], [1]])
+            Lattice([[1, 0], [1]])
         with pytest.raises(ValueError, match="mixed dimension"):
-            Lattice.from_generators([[1, 0]], 3)
+            Lattice([[1, 0]], 3)
         with pytest.raises(ValueError, match="ambient_dim required"):
-            Lattice.from_generators([])
+            Lattice([])
 
     def test_integer_rows_give_the_fraction_lattice(self):
         # rows of ints skip the Fraction pass; rational (ints mixed with
@@ -754,7 +724,6 @@ class TestAgainstOracles:
             assert (got._hermite, got._denom, got._pivots) == (
                 ref._hermite, ref._denom, ref._pivots)
             assert got.to_dict() == ref.to_dict() and repr(got) == repr(ref)
-            assert Lattice.from_generators(given + [given[0]], n) == ref
             mu = rng.choice((rng.randint(1, 6), Fraction(rng.randint(1, 6), rng.randint(1, 6))))
             scaled = Lattice([[mu * x for x in row] for row in ref.basis], n)
             assert got.scale(mu) == scaled and got.scale(mu).basis == scaled.basis
@@ -777,10 +746,12 @@ class TestAgainstOracles:
             if rng.random() < 0.3:
                 coeffs = [[lat._denom * c for c in row] for row in coeffs]
             sub = Lattice([combine(c, rows) for c in coeffs], n)
-            got = lat.coeff_matrix(sub)
+            got = lat.in_coords(sub)
             columns = [list(col) for col in zip(*lat.basis)]
-            assert got == [oracles.solve(columns, b) for b in sub.basis]
-            assert all(type(c) is int for z in got for c in z)
+            assert got == Lattice([oracles.solve(columns, b) for b in sub.basis], rank)
+            assert got.ambient_dim == rank and got._denom == 1
+            assert all(type(c) is int for z in got._hermite for c in z)
+            assert Lattice([combine(z, lat.basis) for z in got._hermite], n) == sub
             assert lat.contains_lattice(sub)
             kinds.add((lat._denom > 1, sub._denom > 1))
             halves = [[Fraction(c, 2) for c in coeffs[0]]] + coeffs[1:]
@@ -788,11 +759,11 @@ class TestAgainstOracles:
                 continue
             off = Lattice([combine(c, rows) for c in halves], n)
             with pytest.raises(NotSublatticeError):
-                lat.coeff_matrix(off)
+                lat.in_coords(off)
             assert not lat.contains_lattice(off)
             kinds.add("not a sublattice")
             with pytest.raises(ValueError, match="dimension mismatch"):
-                lat.coeff_matrix(Lattice.standard(n + 1))
+                lat.in_coords(Lattice.standard(n + 1))
         assert kinds == {(False, False), (True, False), (True, True), "not a sublattice"}
 
     def test_intersections_unchanged(self):
@@ -810,10 +781,10 @@ class TestAgainstOracles:
             cases.append(list(inst.forbidden))
         for lats in cases:
             n = lats[0].ambient_dim
-            dual_rows = [list(r) for lat in lats for r in lat.dual().basis]
+            dual_rows = [list(r) for lat in lats for r in oracle_dual(lat).basis]
             d = im.lcm_denominators(dual_rows)
             h = im.hnf([[int(x * d) for x in row] for row in dual_rows])
-            expected = Lattice([[Fraction(x, d) for x in row] for row in h], n).dual()
+            expected = oracle_dual(Lattice([[Fraction(x, d) for x in row] for row in h], n))
             got = intersect(lats)
             assert got == expected and got.basis == expected.basis
             assert hash(got) == hash(expected)

@@ -262,9 +262,9 @@ class TestRestrictedMinima:
 
     def test_cover_decided_once_per_collection(self, monkeypatch):
         calls = []
-        real = minima.union_covers
+        real = minima._spans_cover
         monkeypatch.setattr(
-            minima, "union_covers", lambda *a: calls.append(a) or real(*a)
+            minima, "_spans_cover", lambda *a: calls.append(a) or real(*a)
         )
         fc = ForbiddenCollection(Z2, [Lattice([[2, 0], [0, 2]])])
         for k in (1, 2, 1):
@@ -277,6 +277,19 @@ class TestRestrictedMinima:
             with pytest.raises(EmptyAdmissibleSetError):
                 restricted_minima(BOX2, Z2, covering, 1)
         assert len(calls) == 2
+        # the same cover carried onto a rank-2 lattice in R^3 is decided in
+        # its coordinates too; without the cover the solve goes ahead
+        lift = lambda rows: Lattice([[a, b, a + b] for a, b in rows], 3)
+        plane = lift([[1, 0], [0, 1]])
+        cube = unit_cube(3)
+        members = [lift(m) for m in (
+            [[1, 0], [0, 2]], [[2, 0], [0, 1]], [[1, 1], [0, 2]], [[1, 0], [0, 3]])]
+        with pytest.raises(EmptyAdmissibleSetError):
+            restricted_minima(cube, plane, ForbiddenCollection(plane, members[:3]), 1)
+        assert len(calls) == 3
+        res = restricted_minima(cube, plane, ForbiddenCollection(plane, members[::3]), 1)
+        assert len(calls) == 4
+        assert res.values == (1,)  # (0, 1, 1): z2 = 1 is neither even nor 0 mod 3
 
     def test_forbidden_collection_validation(self):
         from latmin.errors import NotSublatticeError
@@ -731,7 +744,7 @@ class TestForbiddenSpans:
                         break
                 subs.append([combine(c, lat.basis) for c in coeffs])
             fc = ForbiddenCollection(lat, [Lattice(rows, lat.ambient_dim) for rows in subs])
-            spans = [Lattice(lat.coeff_matrix(sub), rank) for sub in fc.sublattices]
+            spans = [lat.in_coords(sub) for sub in fc.sublattices]
             for _ in range(30):
                 if rng.random() < 0.5:
                     z = [rng.randint(-40, 40) for _ in range(rank)]

@@ -1,6 +1,7 @@
 """Source-level rules that the package keeps."""
 
 import ast
+import importlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,23 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements in the package: {found}"
+
+
+def test_exports_resolve_once():
+    # every name in the package's __all__ and in each module's __all__ is
+    # defined there and listed once, so a deleted name leaves no stale export
+    modules = [latmin] + [
+        importlib.import_module(f"latmin.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    listed = [module for module in modules if hasattr(module, "__all__")]
+    assert latmin in listed and len(listed) > 1
+    for module in listed:
+        names = module.__all__
+        assert len(names) == len(set(names)), f"{module.__name__}: duplicate exports"
+        missing = [name for name in names if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}: exports without a definition: {missing}"
 
 
 def test_budget_is_passed_on():
@@ -70,8 +88,8 @@ def test_only_minima_calls_the_walk():
 
 def test_integer_lattices_make_no_fraction(monkeypatch):
     # integer rows stay integers: a lattice built from them, a forbidden
-    # collection over it, its coefficient matrices, its dual rows at full
-    # and lower rank, its dual and the walk set-up of a box over it
+    # collection over it, its sublattices in its coordinates, its dual rows
+    # at full and lower rank and the walk set-up of a box over it
     from latmin import _intmat, lattice, minima
     from latmin.body import Box
 
@@ -92,15 +110,13 @@ def test_integer_lattices_make_no_fraction(monkeypatch):
         lattice.Lattice([[2, 1, 0], [1, 0, 5]], 3),
     ]
     fc = minima.ForbiddenCollection(lat, subs)
-    coords = [lat.coeff_matrix(sub) for sub in subs]
+    coords = [lat.in_coords(sub) for sub in subs]
     duals = [lat.dual_in_span(), subs[2].dual_in_span()]
-    dual = lat.dual()
     setup = minima._walk_setup.__wrapped__(box, lat)  # bypass the memo
     assert made == []
     assert all(type(m) is int and m > 0 for _, m in duals)
-    assert dual.dual() == lat
     assert setup.supports and setup.weighted
     assert fc.classification == "mixed"
-    for z, sub in zip(coords, subs):  # reading the bases makes Fractions
-        assert [tuple(_intmat.vec_mat(c, lat.basis)) for c in z] == list(sub.basis)
+    for span, sub in zip(coords, subs):  # reading the bases makes Fractions
+        assert lattice.Lattice([_intmat.vec_mat(c, lat.basis) for c in span.basis], 3) == sub
     assert made
