@@ -71,9 +71,6 @@ class Enclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def __add__(self, other) -> "Enclosure":
         other = _as_enclosure(other)
         return Enclosure(self.lo + other.lo, self.hi + other.hi)

@@ -145,11 +145,6 @@ class Lattice:
     def member(self, x) -> bool:
         return self._coords(x, integral=True) is not None
 
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return other.ambient_dim == self.ambient_dim and all(
-            self.member(row) for row in other.basis
-        )
-
     def in_coords(self, sub: "Lattice") -> "Lattice":
         """A sublattice in this lattice's coordinates, as an integer lattice
         in Z^rank: with sub's basis H' / d', row i solves z . H = d H'_i / d'

@@ -13,18 +13,33 @@ so the minima never need the partner; counts, coset labels and the public
 point list restore it.  Gauges, their order and independence are decided on
 integers: with basis == H / d, a point is z H / d and its gauge
 max_j |W_j . z| / L for integer rows W and one integer L, the one gauge form
-the walk tests, and the walk returns the numerator with each point.  Only the reported witnesses and values become
-exact rationals.  Each successive minimum and each walk set-up is computed
-once per value of (body, lattice), in bounded memos.  Successive and
-restricted minima share one solve, ``_solve``: walk, read the points in
-``point_sort_key`` order one gauge level at a time, ordering only tied
-levels by the rest of the key, and take the first k independent
-(admissible) points, testing each only as the pass reaches it.  On a
-shortfall it walks again at twice the radius, clipped to a proved cap
-(Minkowski's bound or a basis gauge, or the bound evaluator whose
-hypotheses the forbidden collection meets), keeps what it chose and reads
-only the points beyond the failed radius; restricted minima without such a
-cap double until found.  The caller's budget bounds every walk, the bound
+the walk tests, and the walk returns the numerator with each point.  Only
+the reported witnesses and values become exact rationals.
+
+Each successive minimum and each walk set-up is computed once per value of
+(body, lattice), in bounded memos, and every collect walk goes through one
+read, ``_points``, which keeps the last walk's points sorted by gauge in a
+slot: a read of the same (body, lattice) at or below the held radius walks
+nothing.  So successive minima after a restricted solve of the same pair,
+and the rungs below a radius already walked, are read from the slot.  The
+slot holds one walk's list, the one the walk returned, and any other read
+empties it before walking, so no two walks' points are alive together and
+the largest set of points alive stays the largest single walk's; between
+reads it keeps that list, which ``_clear_caches`` drops with the memos.
+
+Successive and restricted minima share one solve, ``_solve``: read the
+points in ``point_sort_key`` order one gauge level at a time and take the
+first k independent (admissible) points, testing each only as the pass
+reaches it.  A level of ties is ordered lazily: after the gauge the key
+orders points by |z_0|, because the first column of z H that is not zero
+for every point is the pivot of H's first row, so the level is sorted by
+that int and only the runs of equal |z_0| the pass reaches are keyed, and
+the order is kept in the slot for the next solve.  On a shortfall the solve
+reads again at twice the radius, clipped to a proved cap (Minkowski's bound
+or a basis gauge, or the bound evaluator whose hypotheses the forbidden
+collection meets), keeps what it chose and reads only the points beyond the
+failed radius; restricted minima without such a cap double until found.
+The caller's budget bounds every read, held or walked, the bound
 evaluators' included.
 """
 
@@ -32,9 +47,10 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -250,20 +266,60 @@ def _canonical(z, cols):
     return tuple(map(abs, x)), tuple([v < 0 for v in x]), z, x
 
 
+class _Walked:
+    """The passing pairs (m, z) of one collect walk at radius p / q, z one
+    member of the pair +-z and m = q g for its gauge g / L, sorted by m, with
+    the walk set-up they came from.  ``keyed`` holds the start of each run
+    of tied points that ``_tie_level`` has put in key order."""
+
+    __slots__ = ("setup", "radius", "pairs", "keyed")
+
+    def __init__(self, setup, radius, pairs):
+        self.setup, self.radius, self.pairs, self.keyed = setup, radius, pairs, set()
+
+    def upto(self, radius) -> int:
+        """The number of pairs with gauge <= radius."""
+        cut = radius.numerator * self.setup.big // radius.denominator
+        return bisect_right(self.pairs, self.radius.denominator * cut, key=itemgetter(0))
+
+
+# The last collect walk.  It is keyed by its set-up, which ``_walk_setup``
+# hands out once per value of (body, lattice), so it is that value's walk.
+_slot = None
+
+
+def _points(body, lat, radius, budget):
+    """(walked, n): the walk held for (body, lattice), whose first n pairs
+    are those with gauge <= radius, or (None, 0) when there is nothing to
+    walk.  A read of the held (body, lattice) at or below the held radius
+    walks nothing; any other read empties the slot, then walks and fills
+    it, so at most one walk's points are alive at a time.  ``_walk_system``
+    runs on every read, so the budget decides as if every read walked."""
+    global _slot
+    walk = _walk_system(body, lat, radius, budget)
+    if walk is None:
+        return None, 0
+    setup, args = walk
+    if _slot is None or _slot.setup is not setup or _slot.radius < radius:
+        _slot = None
+        pairs = kernel.collect_passing(*args)
+        pairs.sort(key=itemgetter(0))
+        _slot = _Walked(setup, radius, pairs)
+    return _slot, _slot.upto(radius)
+
+
 def _sorted_candidates(body, lat, radius, budget):
     """(records, L): one (g, |x'|, signs of x', z, x') per pair +-z with
     gauge(z B) <= radius, for its canonical member z, in ``point_sort_key``
-    order, where g / L is the gauge; at radius p / q the walk returns
-    max_j |q W_j . z| = q g with each point.  Only ``enumerate_points``
-    reads every record; the solves read the walk's pairs lazily."""
-    walk = _walk_system(body, lat, radius, budget)
-    if walk is None:
+    order, where g / L is the gauge.  Only ``enumerate_points`` reads every
+    record; the solves read the walk's pairs lazily."""
+    walked, n = _points(body, lat, radius, budget)
+    if walked is None:
         return [], _walk_setup(body, lat).big
-    setup, args = walk
-    q, cols = radius.denominator, setup.cols
-    records = [(m // q, *_canonical(z, cols)) for m, z in kernel.collect_passing(*args)]
+    q, cols = walked.radius.denominator, walked.setup.cols
+    records = [(m // q, *_canonical(z, cols)) for m, z in islice(walked.pairs, n)]
     records.sort()
-    return records, setup.big
+    return records, walked.setup.big
 
 
 def _exact(x, g, d, big):
@@ -310,45 +366,87 @@ def _add_if_independent(echelon, z) -> bool:
     return True
 
 
+def _abs_head(pair):
+    return abs(pair[1][0])
+
+
+def _tie_level(walked, i, j):
+    """The points of the tied pairs i..j-1 of the walk in key order, ordered
+    as the pass reaches them and kept so for the next solve.  The first
+    column of x' = z H that is not zero for every point is the pivot p0 of
+    H's first row, and x'_p0 = z_0 H_0p0 with H_0p0 > 0, so after the gauge
+    the key orders points by |z_0|: the level is sorted by that int once,
+    and only the runs of equal |z_0| that the pass reaches are keyed by
+    ``_canonical`` (a keyed run holds canonical members)."""
+    pairs, keyed, cols = walked.pairs, walked.keyed, walked.setup.cols
+    if i not in keyed:  # the level's first run is keyed with its sort
+        pairs[i:j] = sorted(islice(pairs, i, j), key=_abs_head)
+    a = i
+    while a < j:
+        head, b = _abs_head(pairs[a]), a + 1
+        while b < j and _abs_head(pairs[b]) == head:
+            b += 1
+        if a not in keyed:
+            if b - a > 1:
+                recs = sorted(_canonical(z, cols) for _, z in islice(pairs, a, b))
+                pairs[a:b] = [(pairs[a][0], rec[2]) for rec in recs]
+            keyed.add(a)
+        for _, z in pairs[a:b]:
+            yield z
+        a = b
+
+
+def _take(walked, end, read, k, admissible, echelon, chosen, d) -> bool:
+    """Read the first end pairs of the walk past the radius ``read`` (all of
+    them when it is None) in ``point_sort_key`` order, one gauge level at a
+    time, and append each admissible point independent of the echelon to
+    chosen as (witness, value), until k are chosen; say whether they are.
+    A level of one point needs no key; a level of ties is ordered lazily by
+    ``_tie_level``, and that order stays with the walk."""
+    if walked is None:
+        return False
+    pairs, q = walked.pairs, walked.radius.denominator
+    big, cols = walked.setup.big, walked.setup.cols
+    i = 0 if read is None else walked.upto(read)
+    while i < end:
+        m, j = pairs[i][0], i + 1
+        if j < end and pairs[j][0] == m:
+            j = bisect_right(pairs, m, j, end, key=itemgetter(0))
+            level = _tie_level(walked, i, j)
+        else:
+            level = (pairs[i][1],)
+        for z in level:
+            if admissible is not None and not admissible(z):
+                continue
+            if _add_if_independent(echelon, z):
+                chosen.append(_exact(_canonical(z, cols)[3], m // q, d, big))
+                if len(chosen) == k:
+                    return True
+        i = j
+    return False
+
+
 def _solve(body, lat, k, budget, radius, cap, admissible=None):
     """(values, witnesses, radius): the first k independent (admissible)
     points in ``point_sort_key`` order and the radius of the walk that found
     them.  A failed walk is retried at twice its radius, clipped to the cap;
     a failed walk at the cap, a proved radius, is a ``CertificateError``.
 
-    Each walk's pairs are sorted by the gauge numerator the walk returns and
-    read one gauge level at a time.  A level of one point needs no key; a
-    level of ties is put in order by ``_canonical``.  Admissibility, then
-    independence, is tested point by point, so the pass stops at the k-th
-    witness.  The chosen witnesses and the echelon carry over to the next
-    rung, which drops the points at or below the failed radius unread."""
-    d = lat._denom
+    Every rung reads ``_points``, so a rung at or below the radius of the
+    walk held for (body, lattice), a successive minimum's or an earlier
+    solve's, walks nothing, and tie levels that solve ordered stay ordered.
+    Admissibility, then independence, is tested point by point (``_take``),
+    so the pass stops at the k-th witness.  The chosen witnesses and the
+    echelon carry over to the next rung, which starts past the points at or
+    below the failed radius.  Only ``_take`` refers to a rung's walk, so the
+    slot's is the only reference left when the next rung reads."""
     echelon, chosen = [], []
     read = None  # the last failed rung: every point at or below it was read
     while True:
-        walk = _walk_system(body, lat, radius, budget)
-        if walk is not None:
-            setup, args = walk
-            q, big, cols = radius.denominator, setup.big, setup.cols
-            pairs = kernel.collect_passing(*args)
-            if read is not None:  # the gauge m / (q L) is at most read
-                floor = read.numerator * q * big // read.denominator
-                pairs = [pair for pair in pairs if pair[0] > floor]
-            pairs.sort(key=itemgetter(0))
-            for m, level in groupby(pairs, itemgetter(0)):
-                level = [z for _, z in level]
-                if len(level) > 1:
-                    recs = [_canonical(z, cols) for z in level]
-                    recs.sort()
-                    level = [rec[2] for rec in recs]
-                for z in level:
-                    if admissible is not None and not admissible(z):
-                        continue
-                    if _add_if_independent(echelon, z):
-                        chosen.append(_exact(_canonical(z, cols)[3], m // q, d, big))
-                        if len(chosen) == k:
-                            witnesses, values = zip(*chosen)
-                            return values, witnesses, radius
+        if _take(*_points(body, lat, radius, budget), read, k, admissible,
+                 echelon, chosen, lat._denom):
+            witnesses, values = zip(*chosen)
+            return values, witnesses, radius
         if cap is not None and radius >= cap:
             raise CertificateError("certified radius failed to contain the minima")
         read = radius
@@ -384,6 +482,14 @@ def _successive_minima(body, lat, k, budget) -> MinimaResult:
         radius, kind = min(mink, radius), CERT_MINKOWSKI
     values, witnesses, _ = _solve(body, lat, k, budget, radius, radius)
     return MinimaResult(values, witnesses, radius, kind)
+
+
+def _clear_caches():
+    """Empty the memo of successive minima, the walk set-ups and the slot."""
+    global _slot
+    _successive_minima.cache_clear()
+    _walk_setup.cache_clear()
+    _slot = None
 
 
 def _certificate(body, lat, forbidden, k, budget):
@@ -468,9 +574,9 @@ def distinct_cosets_in_body(
     if span.rank != lat.rank:
         raise RankError("sublattice must have full rank in the lattice")
     labels = {(0,) * lat.rank}  # origin
-    walk = _walk_system(body, lat, _dilation(lam), budget)
-    if walk:
-        for _, z in kernel.collect_passing(*walk[1]):
+    walked, n = _points(body, lat, _dilation(lam), budget)
+    if walked is not None:
+        for _, z in islice(walked.pairs, n):
             labels.add(_coset_label(z, span))
             labels.add(_coset_label([-v for v in z], span))
     return len(labels)

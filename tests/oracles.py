@@ -114,6 +114,11 @@ def in_lattice(basis_rows, x):
     return all(c.denominator == 1 for c in z)
 
 
+def contains(basis_rows, sub_rows):
+    """Is every row of sub_rows an integer combination of basis_rows?"""
+    return all(in_lattice(basis_rows, list(row)) for row in sub_rows)
+
+
 def _dual_in_span(basis_rows):
     r = len(basis_rows)
     gram = [

@@ -247,7 +247,7 @@ class TestLowerRankAvoidance:
     def test_inner_exponent_one(self):
         # n - j = 1: no root needed, value stays rational
         bd = bounds.higher_minima_bound_lower_rank(BOX2, Z2, [Lattice([[1, 0]], 2)], 1)
-        assert bd.final.is_point()
+        assert bd.final.lo == bd.final.hi
 
     def test_higher_dominance_n3(self):
         rng = random.Random(73)
@@ -293,7 +293,7 @@ class TestFullRankAvoidance:
             fc = inst.forbidden_collection()
             exact = restricted_minima(inst.body, inst.lattice, fc, 1).values[0]
             bd = bounds.avoidance_bound_full_rank(inst.body, inst.lattice, inst.forbidden)
-            assert bd.final.is_point()
+            assert bd.final.lo == bd.final.hi
             assert exact < bd.final.lo
 
     def test_improved_never_worse_than_generic(self):

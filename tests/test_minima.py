@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -224,7 +225,7 @@ class TestRestrictedMinima:
             assert r1.values[0] >= unres.values[0]
             # enlarging the forbidden set never decreases the minima
             extra = generate(inst.seed + 1, 2, 1, "lower").forbidden[0]
-            if inst.lattice.contains_lattice(extra):
+            if oracles.contains(inst.lattice.basis, extra.basis):
                 fc2 = ForbiddenCollection(lat, list(inst.forbidden) + [extra])
                 r2 = restricted_minima(body, lat, fc2, 2)
                 assert all(b >= a for a, b in zip(r1.values, r2.values))
@@ -762,8 +763,7 @@ class TestForbiddenSpans:
 
 
 def clear_caches():
-    minima._successive_minima.cache_clear()
-    minima._walk_setup.cache_clear()
+    minima._clear_caches()
 
 
 class TestMemoSoundness:
@@ -836,18 +836,28 @@ class TestMemoSoundness:
 
     def test_lambda_one_walked_once_per_full_rank_pair(self, monkeypatch):
         # k > 1 at full rank takes lambda_1 from the k = 1 entry, so after a
-        # warm k = 1 call only the k = 2 radius is walked
-        body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
-        lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
-        clear_caches()
-        cold = successive_minima(body, lat, 2).to_dict()
-        clear_caches()
-        successive_minima(body, lat, 1)
-        walks = []
-        walk = kernel.collect_passing
-        monkeypatch.setattr(kernel, "collect_passing", lambda *a: walks.append(a) or walk(*a))
-        assert successive_minima(body, lat, 2).to_dict() == cold
-        assert len(walks) == 1
+        # warm k = 1 call only the k = 2 radius is walked, and not even that
+        # when it lies within the radius lambda_1 was walked at
+        for body, lat, expected in (
+            (Box([Fraction(3, 2), 1, Fraction(5, 4)]),
+             Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]]), 1),
+            (unit_cube(2), Z2, 0),
+        ):
+            clear_caches()
+            cold = successive_minima(body, lat, 2).to_dict()
+            clear_caches()
+            first = successive_minima(body, lat, 1)
+            walks = count_walks(monkeypatch)
+            hits = minima._successive_minima.cache_info().hits
+            assert successive_minima(body, lat, 2).to_dict() == cold
+            assert minima._successive_minima.cache_info().hits == hits + 1
+            assert len(walks) == expected
+            if expected:  # the walk's radius is lambda_2's, beyond lambda_1's
+                radius = Fraction(cold["certificate"]["radius"])
+                assert walks[0][1][0] == radius.numerator * minima._walk_setup(body, lat).big
+                assert radius > first.certificate_radius
+            else:
+                assert Fraction(cold["certificate"]["radius"]) <= first.certificate_radius
 
     def test_one_set_up_lookup_per_walk(self):
         # a walk hashes its body and lattice once, cold or warm, and also
@@ -938,19 +948,41 @@ def lazy_solve_cases():
     yield thin, Z2, None
 
 
+def count_walks(monkeypatch):
+    walks = []
+    walk = kernel.collect_passing
+    monkeypatch.setattr(kernel, "collect_passing", lambda *a: walks.append(a) or walk(*a))
+    return walks
+
+
 class TestLazySolve:
-    def test_matches_greedy_over_enumerated_points(self):
-        solves = 0
+    def test_matches_greedy_over_enumerated_points(self, monkeypatch):
+        walks = count_walks(monkeypatch)
+        solves = held = 0
         for body, lat, rows in lazy_solve_cases():
             fc = None if rows is None else ForbiddenCollection(
                 lat, [Lattice(r, lat.ambient_dim) for r in rows])
             for k in range(1, lat.rank + 1):
                 if fc is None:
-                    runs = [successive_minima(body, lat, k)]
+                    # the second call bypasses the memo, so it solves again
+                    calls = [functools.partial(successive_minima, body, lat, k),
+                             functools.partial(minima._successive_minima.__wrapped__,
+                                               body, lat, k, minima.DEFAULT_BUDGET)]
                 else:
-                    runs = [restricted_minima(body, lat, fc, k, method=method)
-                            for method in ("auto", "doubling")]
-                for res in runs:
+                    calls = [functools.partial(restricted_minima, body, lat, fc, k, method=method)
+                             for method in ("auto", "doubling")]
+                    calls += calls
+                for i, call in enumerate(calls):
+                    warm = i >= len(calls) // 2
+                    if warm:
+                        # the same solve again, the slot holding a walk of
+                        # this (body, lattice) at 4 lambda_k, or the larger
+                        # one held already with the tie levels it ordered
+                        minima._points(body, lat, 4 * lam_k, minima.DEFAULT_BUDGET)
+                        before = len(walks)
+                    res = call()
+                    lam_k = res.values[-1]
+                    held += warm and len(walks) == before
                     # any radius from lambda_k on has the same first k
                     # points; twice lambda_k keeps the p = 73 lists short
                     assert res.values[-1] <= res.certificate_radius
@@ -958,7 +990,8 @@ class TestLazySolve:
                     expected = greedy_reference(body, lat, radius, k, rows or ())
                     assert (res.values, res.witnesses) == expected
                     solves += 1
-        assert solves > 150
+        # every warm solve read the held walk and walked nothing
+        assert solves > 300 and 2 * held == solves
 
     def test_admissibility_tested_lazily(self, monkeypatch):
         # restricted lambda_1 of the p = 73 rectangle: the rungs below it
@@ -988,3 +1021,52 @@ class TestLazySolve:
         for method in ("auto", "doubling"):
             restricted_minima(fx["body"], fx["lattice"], fc, 2, method=method)
         successive_minima(fx["body"], fx["lattice"], 2)
+
+
+class TestHeldWalk:
+    """The walk of the last collect read, kept for the next read of the same
+    (body, lattice) at or below its radius; the p = 73 rectangle's minima
+    lie on one gauge level of 5,329 tied points."""
+
+    def rectangle(self):
+        fx = rectangle_fixture(73)
+        return fx["body"], fx["lattice"], ForbiddenCollection(fx["lattice"], fx["subs"])
+
+    def test_successive_after_restricted_walks_nothing(self, monkeypatch):
+        body, lat, fc = self.rectangle()
+        clear_caches()
+        restricted = restricted_minima(body, lat, fc, 1)
+        walks = count_walks(monkeypatch)
+        successive = successive_minima(body, lat, 2)
+        assert walks == []
+        assert successive.values == (1, Fraction(73 * 73, 2))
+        assert successive.certificate_radius <= restricted.certificate_radius
+
+    def test_tie_level_keyed_once(self, monkeypatch):
+        # the level is sorted by |z_0| and only the runs the passes reach
+        # are keyed; the parent keyed all 5,329 points in each solve
+        body, lat, fc = self.rectangle()
+        clear_caches()
+        keyed = []
+        canonical = minima._canonical
+        monkeypatch.setattr(minima, "_canonical",
+                            lambda z, cols: keyed.append(z) or canonical(z, cols))
+        restricted_minima(body, lat, fc, 1)
+        successive_minima(body, lat, 2)
+        assert 0 < len(keyed) < 100
+
+    def test_budget_checked_on_a_held_walk(self):
+        body, lat, fc = self.rectangle()
+        for call in (lambda: successive_minima(body, lat, 2, budget=2),
+                     lambda: restricted_minima(body, lat, fc, 1, budget=2)):
+            clear_caches()
+            with pytest.raises(BudgetExceededError) as cold:
+                call()
+            clear_caches()
+            held, n = minima._points(body, lat, Fraction(2 * 73 * 73), minima.DEFAULT_BUDGET)
+            assert n == len(held.pairs) > 0
+            with pytest.raises(BudgetExceededError) as warm:
+                call()
+            assert str(warm.value) == str(cold.value)
+            assert str(cold.value).startswith("enumeration box has ")
+            assert minima._slot is held

@@ -86,6 +86,21 @@ def test_only_minima_calls_the_walk():
     assert callers == {"minima.py"}
 
 
+def test_one_collect_call_site():
+    # every collect walk goes through minima._points, which holds the last
+    # walk's points for the next read of the same (body, lattice)
+    sites = [
+        f"{path.name}:{fn.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "collect_passing"
+    ]
+    assert sites == ["minima.py:_points"]
+
+
 def test_integer_lattices_make_no_fraction(monkeypatch):
     # integer rows stay integers: a lattice built from them, a forbidden
     # collection over it, its sublattices in its coordinates, its dual rows
