@@ -167,3 +167,22 @@ def clear_denominators(rows):
     with rows == R / l; no Fraction is made."""
     l = lcm_denominators(rows)
     return [[x.numerator * (l // x.denominator) for x in row] for row in rows], l
+
+
+def complement(rows, n: int) -> list[list[int]]:
+    """Integer rows spanning, over Q, the vectors of Q^n orthogonal to each
+    of the integer rows: with ``_reduce`` taking the rows to p times their
+    reduced echelon form a, one row per non-pivot column f, with p at f and
+    -a_i[f] at the pivot column of row i.  No rows give the identity."""
+    a = [list(row) for row in rows]
+    pivots, _ = _reduce(a, n)
+    p = a[0][pivots[0]] if pivots else 1
+    out = []
+    for f in range(n):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = p
+            for row, c in zip(a, pivots):
+                v[c] = -row[f]
+            out.append(v)
+    return out

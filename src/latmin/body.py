@@ -70,7 +70,7 @@ class ConvexBody:
 class Box(ConvexBody):
     """[-a_1, a_1] x ... x [-a_n, a_n] with positive rational half-widths."""
 
-    __slots__ = ("halfwidths", "dim", "_hash")
+    __slots__ = ("halfwidths", "dim", "_volume", "_hash")
 
     def __init__(self, halfwidths):
         hw = tuple(Fraction(a) for a in halfwidths)
@@ -78,6 +78,7 @@ class Box(ConvexBody):
             raise ValueError("half-widths must be positive")
         self.halfwidths = hw
         self.dim = len(hw)
+        self._volume = None
         self._hash = hash(("box", hw))
 
     def gauge(self, x) -> Fraction:
@@ -89,10 +90,13 @@ class Box(ConvexBody):
         return sum(a * abs(ui) for ui, a in zip(u, self.halfwidths))
 
     def volume(self) -> Fraction:
-        v = Fraction(1)
-        for a in self.halfwidths:
-            v *= 2 * a
-        return v
+        """prod 2 a_i, computed on first read and kept."""
+        if self._volume is None:
+            v = Fraction(1)
+            for a in self.halfwidths:
+                v *= 2 * a
+            self._volume = v
+        return self._volume
 
     def scale(self, mu) -> "Box":
         mu = Fraction(mu)

@@ -542,7 +542,7 @@ def check_instance(
     )
     chk.check(
         "witnesses-admissible",
-        all(fc.admissible_coords([int(c) for c in lat.coeffs_of(w)]) for w in res.witnesses),
+        not any(sub.member(w) for w in res.witnesses for sub in inst.forbidden),
     )
 
     unres = successive_minima(body, lat, n, budget)

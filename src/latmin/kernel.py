@@ -1,14 +1,18 @@
-"""The constraint walk over half of a symmetric box.
+"""The constraint walk over half of a symmetric box, or over a one-sided box.
 
-The box lo <= z <= hi must be symmetric about 0 (lo = -hi), and the system
-|(G z)_j| <= t_j is symmetric too, so z passes exactly when -z does.  In
-odometer order (axis 0 fastest) the index of -z mirrors the index of z around
-the index of 0, so the walk starts at 0 and visits only the points after it:
-exactly one member of each pair +-z, the one whose last nonzero coordinate is
-positive.  Arithmetic is plain Python int, so there is no overflow ceiling.
+A box lo <= z <= hi symmetric about 0 (lo = -hi) holds, with each z, its
+negation, and the system |(G z)_j| <= t_j is symmetric too, so z passes
+exactly when -z does.  In odometer order (axis 0 fastest) the index of -z
+mirrors the index of z around the index of 0, so the walk starts at 0 and
+visits only the points after it: exactly one member of each pair +-z, the
+one whose last nonzero coordinate is positive.  A box one-sided on some
+axis (lo_i >= 1) holds no pair +-z and no 0, so the walk visits all of it.
+Arithmetic is plain Python int, so there is no overflow ceiling.
 """
 
 from __future__ import annotations
+
+from ._intmat import dot
 
 
 def backend_name() -> str:
@@ -23,16 +27,18 @@ def backend_name() -> str:
 
 def count_passing(g, t, lo, hi) -> int:
     """Number of nonzero z in the box with |(G z)_j| <= t_j for all j: twice
-    the number the walk finds in its half."""
+    the number the walk finds in the half of a symmetric box, the number it
+    finds in a one-sided box."""
     total = 0
     for _ in _walk(g, t, lo, hi):
         total += 1
-    return 2 * total
+    return total if any(l >= 1 for l in lo) else 2 * total
 
 
 def collect_passing(g, t, lo, hi) -> list:
-    """(max_j |(G z)_j|, z) for one member z of each passing pair +-z, the
-    one after 0 in odometer order (axis 0 fastest), in that order.  The
+    """(max_j |(G z)_j|, z) for each passing z the walk visits, in odometer
+    order (axis 0 fastest): in a symmetric box one member of each passing
+    pair +-z, the one after 0, and in a one-sided box every passing z.  The
     maximum is read off the walk's running sums y = G z."""
     return [(max(map(abs, y)), tuple(z)) for z, y in _walk(g, t, lo, hi)]
 
@@ -48,18 +54,24 @@ def box_size(lo, hi) -> int:
 
 
 def _walk(g, t, lo, hi):
-    """Yield (z, y) with y = G z for each passing z after 0; the pair and
-    both lists are reused, so copy what is kept.  Raises ``ValueError`` on
-    a nonempty box that is not symmetric about 0."""
+    """Yield (z, y) with y = G z for each passing z of the walk; the pair and
+    both lists are reused, so copy what is kept.  Raises ``ValueError`` on a
+    nonempty box that is neither symmetric about 0 nor one-sided."""
     r = len(lo)
     m = len(t)
     if r == 0 or any(l > h for l, h in zip(lo, hi)):
         return
-    if any(l != -h for l, h in zip(lo, hi)):
-        raise ValueError(f"walk box must be symmetric about 0; got lo={lo}, hi={hi}")
+    if any(l >= 1 for l in lo):
+        # the walk's first step takes z from just before lo to lo
+        z = [lo[0] - 1, *lo[1:]]
+    elif all(l == -h for l, h in zip(lo, hi)):
+        z = [0] * r
+    else:
+        raise ValueError(
+            f"walk box must be symmetric about 0 or one-sided; got lo={lo}, hi={hi}"
+        )
     gcols = [[g[j][i] for j in range(m)] for i in range(r)]
-    z = [0] * r
-    y = [0] * m
+    y = [dot(row, z) for row in g]
     pair = (z, y)
     while True:
         axis = 0

@@ -143,6 +143,9 @@ class Lattice:
         return self._coords(x, integral=False)
 
     def member(self, x) -> bool:
+        """Whether the rational vector x is a point of the lattice; the
+        campaign's ``witnesses-admissible`` check tests witnesses with it,
+        apart from the forbidden collections' own membership vectors."""
         return self._coords(x, integral=True) is not None
 
     def in_coords(self, sub: "Lattice") -> "Lattice":
@@ -318,6 +321,34 @@ def _coset_label(z, span: Lattice) -> tuple:
         if q:
             w = [a - q * b for a, b in zip(w, row)]
     return tuple(w)
+
+
+def _membership(span: Lattice):
+    """(zero, mod, m) with z in Z^r a point of the integer span iff z . c = 0
+    for each row c of zero and z . a = 0 mod m for each row a of mod.  The
+    rows of zero span the vectors orthogonal to the span
+    (``_intmat.complement``), so they decide the rational span; there
+    z = c H with c = z_P H_P^-1 read off the pivot columns P of the Hermite
+    form, and c is integral iff z_P adj(H_P) is 0 mod m = det H_P, the
+    product of the pivots.  H_P is upper triangular, so its adjugate
+    X = m H_P^-1 comes from back substitution, whose divisions are exact as
+    X is integral; column j of X, mod m and spread over the pivot columns,
+    is a row of mod, and a zero row is dropped."""
+    h, pivots, r = span._hermite, span._pivots, span.ambient_dim
+    hp = [[row[p] for p in pivots] for row in h]
+    s = len(hp)
+    m = math.prod(hp[i][i] for i in range(s))
+    mod = []
+    for j in range(s):
+        x = [0] * s
+        for i in reversed(range(s)):
+            x[i] = ((m if i == j else 0) - dot(hp[i][i + 1:], x[i + 1:])) // hp[i][i]
+        a = [0] * r
+        for p, v in zip(pivots, x):
+            a[p] = v % m
+        if any(a):
+            mod.append(a)
+    return im.complement(h, r), mod, m
 
 
 def union_covers(

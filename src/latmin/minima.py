@@ -2,30 +2,37 @@
 minima, and restricted successive minima.
 
 Enumeration walks half of an axis-aligned integer box in lattice
-coordinates, symmetric about 0; the per-coordinate bounds come from the
-support function of the body at the dual rows of the lattice span, integers
-over one denominator.  The body is o-symmetric, so the walk finds one member
-of each pair +-z, and this module, its one caller, keeps the canonical one:
+coordinates, symmetric about 0, or the one-sided slabs of the shell between
+two such boxes; the per-coordinate bounds come from the support function of
+the body at the dual rows of the lattice span, integers over one
+denominator.  The body is o-symmetric, so the walk finds one member of each
+pair +-z, and this module, its one caller, keeps the canonical one:
 first nonzero coordinate positive, in z and so in z H, as H is echelon with
 positive pivots.  It is first in ``point_sort_key`` order, and its partner
 has the same gauge, is dependent on it and is admissible exactly when it is,
 so the minima never need the partner; counts, coset labels and the public
-point list restore it.  Gauges, their order and independence are decided on
-integers: with basis == H / d, a point is z H / d and its gauge
-max_j |W_j . z| / L for integer rows W and one integer L, the one gauge form
-the walk tests, and the walk returns the numerator with each point.  Only
-the reported witnesses and values become exact rationals.
+point list restore it.  Gauges, their order, admissibility and independence
+are decided on integers: with basis == H / d, a point is z H / d and its
+gauge max_j |W_j . z| / L for integer rows W and one integer L, the one
+gauge form the walk tests, and the walk returns the numerator with each
+point, the same whatever the radius.  A forbidden member's points are those
+orthogonal to its complement rows whose pivot coordinates times its pivot
+adjugate vanish mod the pivot product (``lattice._membership``), and a
+point is independent of those chosen iff it is not orthogonal to their
+complement.  Only the reported witnesses and values become exact rationals.
 
 Each successive minimum and each walk set-up is computed once per value of
 (body, lattice), in bounded memos, and every collect walk goes through one
-read, ``_points``, which keeps the last walk's points sorted by gauge in a
-slot: a read of the same (body, lattice) at or below the held radius walks
-nothing.  So successive minima after a restricted solve of the same pair,
-and the rungs below a radius already walked, are read from the slot.  The
-slot holds one walk's list, the one the walk returned, and any other read
-empties it before walking, so no two walks' points are alive together and
-the largest set of points alive stays the largest single walk's; between
-reads it keeps that list, which ``_clear_caches`` drops with the memos.
+read, ``_points``, which keeps the walked points of the last (body,
+lattice) sorted by gauge in a slot: a read of that pair at or below the
+held radius walks nothing.  So successive minima after a restricted solve
+of the same pair, and the rungs below a radius already walked, are read
+from the slot.  A read beyond the held radius whose gauge bound the held
+points reach walks only the shell between the held box and its own, as
+one-sided slabs, and merges what passes; any other read empties the slot
+before walking its whole box, so no two walks' points are alive together.
+Between reads the slot keeps its list, which ``_clear_caches`` drops with
+the memos.
 
 Successive and restricted minima share one solve, ``_solve``: read the
 points in ``point_sort_key`` order one gauge level at a time and take the
@@ -38,9 +45,11 @@ the order is kept in the slot for the next solve.  On a shortfall the solve
 reads again at twice the radius, clipped to a proved cap (Minkowski's bound
 or a basis gauge, or the bound evaluator whose hypotheses the forbidden
 collection meets), keeps what it chose and reads only the points beyond the
-failed radius; restricted minima without such a cap double until found.
-The caller's budget bounds every read, held or walked, the bound
-evaluators' included.
+failed radius.  A capped solve collects every rung up to its cap, so each
+rung walks only the shell it adds and no capped solve visits a box point
+twice; restricted minima without such a cap double until found, walking
+each rung's whole box.  The caller's budget bounds every read, held or
+walked, as if it walked its whole box, the bound evaluators' included.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import _intmat as im
@@ -67,7 +76,7 @@ from .errors import (
     UnsupportedBodyError,
 )
 from .exactarith import format_rational, nth_root_enclosure
-from .lattice import Lattice, _coset_label, _spans_cover
+from .lattice import Lattice, _coset_label, _membership, _spans_cover
 
 DEFAULT_BUDGET = 10**7
 
@@ -113,6 +122,8 @@ class ForbiddenCollection:
         # the members in the ambient lattice's coordinates, integer lattices
         # in Z^rank; in_coords raises NotSublatticeError off the lattice
         self._spans = [ambient.in_coords(sub) for sub in subs]
+        # per member, the integer vectors that test its points (``_membership``)
+        self._tests = [_membership(span) for span in self._spans]
         ranks = {sub.rank for sub in subs}
         if ranks == {ambient.rank}:
             self.classification = "all-full-rank"
@@ -130,8 +141,19 @@ class ForbiddenCollection:
         return bool(full) and _spans_cover(full)
 
     def admissible_coords(self, z) -> bool:
-        """Whether the integer lattice coordinates z lie in no forbidden span."""
-        return all(span._solve(z, integral=True) is None for span in self._spans)
+        """Whether the integer lattice coordinates z lie in no forbidden span:
+        a few integer dot products per member, read off ``_membership``."""
+        for zero, mod, m in self._tests:
+            for c in zero:
+                if sum(map(mul, c, z)):
+                    break
+            else:
+                for a in mod:
+                    if sum(map(mul, a, z)) % m:
+                        break
+                else:
+                    return False
+        return True
 
     def to_dict(self) -> dict:
         return {
@@ -218,12 +240,11 @@ def _dilation(lam) -> Fraction:
 
 
 def _walk_system(body, lat, radius, budget):
-    """(setup, (g, t, lo, hi)): the walk set-up of (body, lattice) and kernel
-    arguments whose passing z are one of each pair +-z of nonzero lattice
-    coordinates with gauge(z B) <= radius, or None when there are none.  With
-    radius p/q, g = q W and t_j = p L, and the box is the symmetric
-    |z_i| <= floor(radius h_K(d_i)); the budget bounds its full size.
-    As W_j = E_j (L / S_j), |W_j . z| q <= p L holds iff |E_j . z| q <= p S_j."""
+    """(setup, hi): the walk set-up of (body, lattice) and the symmetric box
+    |z_i| <= hi_i = floor(radius h_K(d_i)) that holds every lattice
+    coordinate z with gauge(z B) <= radius, or None when no nonzero z has
+    that gauge for want of rank or radius; the budget bounds the box's full
+    size."""
     _check_dims(body, lat)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -232,14 +253,33 @@ def _walk_system(body, lat, radius, budget):
     setup = _walk_setup(body, lat)
     p, q = radius.numerator, radius.denominator
     hi = [p * num // (q * den) for num, den in setup.supports]
-    lo = [-m for m in hi]
-    size = kernel.box_size(lo, hi)
+    size = kernel.box_size([-m for m in hi], hi)
     if size > budget:
         raise BudgetExceededError(
             f"enumeration box has {size} points, budget is {budget}"
         )
-    g = [[q * c for c in row] for row in setup.weighted]
-    return setup, (g, [p * setup.big] * len(g), lo, hi)
+    return setup, hi
+
+
+def _top(radius, big) -> int:
+    """floor(radius L): a gauge g / L with integer g is <= radius iff g is
+    <= this.  So the walk's test |W_j . z| <= floor(p L / q) for radius p/q
+    is q |W_j . z| <= p L, and as W_j = E_j (L / S_j), q |E_j . z| <= p S_j."""
+    return radius.numerator * big // radius.denominator
+
+
+def _shell(a, b):
+    """Boxes holding one member of each pair +-z of the symmetric box
+    |z_i| <= b_i that lies outside the box |z_i| <= a_i, for a <= b: for each
+    axis i with a_i < b_i, the slab a_i < z_i <= b_i, |z_j| <= b_j for j < i
+    and |z_j| <= a_j for j > i.  It takes the pairs whose last coordinate
+    outside the small box is z_i, in their member with z_i > 0, so every
+    slab is one-sided and no point lies in two."""
+    return [
+        ([-v for v in b[:i]] + [a[i] + 1] + [-v for v in a[i + 1:]], b[:i + 1] + a[i + 1:])
+        for i in range(len(a))
+        if a[i] < b[i]
+    ]
 
 
 def point_sort_key(vector, gauge):
@@ -267,45 +307,62 @@ def _canonical(z, cols):
 
 
 class _Walked:
-    """The passing pairs (m, z) of one collect walk at radius p / q, z one
-    member of the pair +-z and m = q g for its gauge g / L, sorted by m, with
-    the walk set-up they came from.  ``keyed`` holds the start of each run
-    of tied points that ``_tie_level`` has put in key order."""
+    """The pairs (g, z) held for one (body, lattice), sorted by g, with the
+    walk set-up they came from: z is one member of a pair +-z of lattice
+    coordinates and g / L its gauge, so pairs of any two walks compare.
+    They hold every pair in the box ``hi`` of ``radius`` with g <= ``top``,
+    so every pair with gauge <= radius, and none outside that box.
+    ``keyed`` holds the start of each run of tied points that ``_tie_level``
+    has put in key order; runs are read at or below the radius only."""
 
-    __slots__ = ("setup", "radius", "pairs", "keyed")
+    __slots__ = ("setup", "radius", "hi", "top", "pairs", "keyed")
 
-    def __init__(self, setup, radius, pairs):
-        self.setup, self.radius, self.pairs, self.keyed = setup, radius, pairs, set()
+    def __init__(self, setup):
+        self.setup, self.pairs, self.keyed = setup, [], set()
 
     def upto(self, radius) -> int:
         """The number of pairs with gauge <= radius."""
-        cut = radius.numerator * self.setup.big // radius.denominator
-        return bisect_right(self.pairs, self.radius.denominator * cut, key=itemgetter(0))
+        return bisect_right(self.pairs, _top(radius, self.setup.big), key=itemgetter(0))
 
 
-# The last collect walk.  It is keyed by its set-up, which ``_walk_setup``
-# hands out once per value of (body, lattice), so it is that value's walk.
+# The walk held for the last (body, lattice) read.  It is keyed by its
+# set-up, which ``_walk_setup`` hands out once per value of the pair.
 _slot = None
 
 
-def _points(body, lat, radius, budget):
+def _points(body, lat, radius, budget, cap=None):
     """(walked, n): the walk held for (body, lattice), whose first n pairs
     are those with gauge <= radius, or (None, 0) when there is nothing to
-    walk.  A read of the held (body, lattice) at or below the held radius
-    walks nothing; any other read empties the slot, then walks and fills
-    it, so at most one walk's points are alive at a time.  ``_walk_system``
-    runs on every read, so the budget decides as if every read walked."""
+    walk.  A read at or below the held radius walks nothing.  A read beyond
+    it collects the pairs of its box with gauge <= cap, the radius when
+    there is no cap.  If the held pairs reach that gauge, it walks only the
+    shell between the held box and its own (``_shell``) and merges what
+    passes into them; the new pairs lie beyond the held radius, so the
+    merge moves no pair at or below it and no keyed run.  Otherwise it
+    empties the slot and walks its whole box, so at most one walk's points
+    are alive at a time.  ``_walk_system`` runs on every read, so the budget
+    decides as if every read walked its whole box."""
     global _slot
     walk = _walk_system(body, lat, radius, budget)
     if walk is None:
         return None, 0
-    setup, args = walk
-    if _slot is None or _slot.setup is not setup or _slot.radius < radius:
-        _slot = None
-        pairs = kernel.collect_passing(*args)
-        pairs.sort(key=itemgetter(0))
-        _slot = _Walked(setup, radius, pairs)
-    return _slot, _slot.upto(radius)
+    setup, hi = walk
+    held = _slot
+    if held is None or held.setup is not setup or held.radius < radius:
+        top = _top(radius if cap is None else cap, setup.big)
+        if held is not None and held.setup is setup and held.top >= top:
+            boxes = _shell(held.hi, hi)
+        else:
+            _slot = None
+            held = _Walked(setup)
+            boxes = [([-v for v in hi], hi)]
+        t = [top] * len(setup.weighted)
+        for lo, up in boxes:
+            held.pairs += kernel.collect_passing(setup.weighted, t, lo, up)
+        held.pairs.sort(key=itemgetter(0))
+        held.radius, held.hi, held.top = radius, hi, top
+        _slot = held
+    return held, held.upto(radius)
 
 
 def _sorted_candidates(body, lat, radius, budget):
@@ -316,8 +373,8 @@ def _sorted_candidates(body, lat, radius, budget):
     walked, n = _points(body, lat, radius, budget)
     if walked is None:
         return [], _walk_setup(body, lat).big
-    q, cols = walked.radius.denominator, walked.setup.cols
-    records = [(m // q, *_canonical(z, cols)) for m, z in islice(walked.pairs, n)]
+    cols = walked.setup.cols
+    records = [(g, *_canonical(z, cols)) for g, z in islice(walked.pairs, n)]
     records.sort()
     return records, walked.setup.big
 
@@ -346,24 +403,6 @@ def enumerate_points(
 # ---------------------------------------------------------------------------
 # successive minima
 # ---------------------------------------------------------------------------
-
-
-def _add_if_independent(echelon, z) -> bool:
-    """Add z to the integer echelon rows, kept as (pivot, row) in pivot
-    order, if it is independent of them, and say whether it was.  Rows clear
-    their pivots from z by cross-multiplication; the rest is made primitive."""
-    v = list(z)
-    for p, row in echelon:
-        if v[p]:
-            a, b = row[p], v[p]
-            v = [a * x - b * y for x, y in zip(v, row)]
-    if not any(v):
-        return False
-    g = math.gcd(*v)
-    v = [x // g for x in v]
-    echelon.append((next(j for j, x in enumerate(v) if x), v))
-    echelon.sort()
-    return True
 
 
 def _abs_head(pair):
@@ -396,17 +435,19 @@ def _tie_level(walked, i, j):
         a = b
 
 
-def _take(walked, end, read, k, admissible, echelon, chosen, d) -> bool:
+def _take(walked, end, read, k, admissible, chosen, comp, d) -> bool:
     """Read the first end pairs of the walk past the radius ``read`` (all of
     them when it is None) in ``point_sort_key`` order, one gauge level at a
-    time, and append each admissible point independent of the echelon to
-    chosen as (witness, value), until k are chosen; say whether they are.
-    A level of one point needs no key; a level of ties is ordered lazily by
-    ``_tie_level``, and that order stays with the walk."""
+    time, and append each admissible point independent of those chosen to
+    chosen as (z, witness, value), until k are chosen; say whether they are.
+    A point is independent iff some row of comp, integer rows spanning the
+    vectors orthogonal to every chosen z, is not orthogonal to it; comp is
+    recomputed in place only when a point is chosen.  A level of one point
+    needs no key; a level of ties is ordered lazily by ``_tie_level``, and
+    that order stays with the walk."""
     if walked is None:
         return False
-    pairs, q = walked.pairs, walked.radius.denominator
-    big, cols = walked.setup.big, walked.setup.cols
+    pairs, big, cols = walked.pairs, walked.setup.big, walked.setup.cols
     i = 0 if read is None else walked.upto(read)
     while i < end:
         m, j = pairs[i][0], i + 1
@@ -418,34 +459,42 @@ def _take(walked, end, read, k, admissible, echelon, chosen, d) -> bool:
         for z in level:
             if admissible is not None and not admissible(z):
                 continue
-            if _add_if_independent(echelon, z):
-                chosen.append(_exact(_canonical(z, cols)[3], m // q, d, big))
-                if len(chosen) == k:
-                    return True
+            for c in comp:
+                if sum(map(mul, c, z)):
+                    break
+            else:
+                continue  # z is orthogonal to the complement: dependent
+            chosen.append((z, *_exact(_canonical(z, cols)[3], m, d, big)))
+            if len(chosen) == k:
+                return True
+            comp[:] = im.complement([c[0] for c in chosen], len(z))
         i = j
     return False
 
 
 def _solve(body, lat, k, budget, radius, cap, admissible=None):
     """(values, witnesses, radius): the first k independent (admissible)
-    points in ``point_sort_key`` order and the radius of the walk that found
-    them.  A failed walk is retried at twice its radius, clipped to the cap;
-    a failed walk at the cap, a proved radius, is a ``CertificateError``.
+    points in ``point_sort_key`` order and the radius of the rung that found
+    them.  A failed rung is retried at twice its radius, clipped to the cap;
+    a failed rung at the cap, a proved radius, is a ``CertificateError``.
 
     Every rung reads ``_points``, so a rung at or below the radius of the
     walk held for (body, lattice), a successive minimum's or an earlier
     solve's, walks nothing, and tie levels that solve ordered stay ordered.
+    A capped solve collects every rung at its cap, so a later rung walks
+    only the shell its box adds to the held one, and no capped solve visits
+    a box point twice; without a cap each rung walks its whole box.
     Admissibility, then independence, is tested point by point (``_take``),
-    so the pass stops at the k-th witness.  The chosen witnesses and the
-    echelon carry over to the next rung, which starts past the points at or
-    below the failed radius.  Only ``_take`` refers to a rung's walk, so the
-    slot's is the only reference left when the next rung reads."""
-    echelon, chosen = [], []
+    so the pass stops at the k-th witness.  The chosen points carry over to
+    the next rung, which starts past the points at or below the failed
+    radius.  Only ``_take`` refers to a rung's walk, so the slot's is the
+    only reference left when the next rung reads."""
+    chosen, comp = [], im.identity(lat.rank)  # nothing chosen: all independent
     read = None  # the last failed rung: every point at or below it was read
     while True:
-        if _take(*_points(body, lat, radius, budget), read, k, admissible,
-                 echelon, chosen, lat._denom):
-            witnesses, values = zip(*chosen)
+        if _take(*_points(body, lat, radius, budget, cap), read, k, admissible,
+                 chosen, comp, lat._denom):
+            _, witnesses, values = zip(*chosen)
             return values, witnesses, radius
         if cap is not None and radius >= cap:
             raise CertificateError("certified radius failed to contain the minima")
@@ -558,8 +607,13 @@ def count_points(
     body: ConvexBody, lat: Lattice, lam, budget: int = DEFAULT_BUDGET
 ) -> int:
     """|lam K  intersect  lattice|, origin included."""
-    walk = _walk_system(body, lat, _dilation(lam), budget)
-    return (kernel.count_passing(*walk[1]) if walk else 0) + 1
+    lam = _dilation(lam)
+    walk = _walk_system(body, lat, lam, budget)
+    if walk is None:
+        return 1
+    setup, hi = walk
+    t = [_top(lam, setup.big)] * len(setup.weighted)
+    return kernel.count_passing(setup.weighted, t, [-v for v in hi], hi) + 1
 
 
 def distinct_cosets_in_body(

@@ -78,6 +78,11 @@ class TestVolume:
     def test_rectangle(self):
         assert RECT.volume() == Fraction(8, 25)
 
+    def test_box_volume_kept(self):
+        # computed on first read, then the same object
+        box = Box([Fraction(3, 2), 1, Fraction(5, 4)])
+        assert box.volume() == Fraction(15) and box.volume() is box.volume()
+
     def test_cross_polytope(self):
         assert cross_polytope(2).volume() == 2
         assert cross_polytope(3).volume() == Fraction(4, 3)

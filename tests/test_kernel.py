@@ -82,6 +82,22 @@ class TestPurePython:
             pairs += len(got)
         assert pairs > 1000
 
+    def test_one_sided_boxes_against_brute_force(self):
+        # a box with lo_i >= 1 on some axis holds no pair +-z, and the walk
+        # visits all of it; such boxes are the slabs of a shell of two boxes
+        rng = random.Random(97)
+        passing = 0
+        for _ in range(300):
+            g, t, lo, hi = random_system(rng, symmetric=rng.random() < 0.5)
+            i = rng.randrange(len(lo))
+            lo[i] = rng.randint(1, 3)
+            hi[i] = lo[i] + rng.randint(-1, 3)  # sometimes empty
+            expected = brute_passing(g, t, lo, hi)
+            assert kernel.collect_passing(g, t, lo, hi) == [(gauge(g, z), z) for z in expected]
+            assert kernel.count_passing(g, t, lo, hi) == len(expected)
+            passing += len(expected)
+        assert passing > 1000
+
     def test_asymmetric_box_rejected(self):
         rng = random.Random(98)
         checked = 0

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 import json
@@ -13,6 +14,7 @@ import pytest
 
 import oracles
 from latmin import bounds, cli, kernel, minima
+from latmin._intmat import complement, dot
 from latmin.body import Box, SymmetricPolytope, cross_polytope, unit_cube
 from latmin.bounds import vdc_lower
 from latmin.errors import (
@@ -630,11 +632,13 @@ class TestSkewedRationalInputs:
         assert len(counts) > 15 and max(counts) > 10
 
     def test_integer_independence_matches_rank(self):
+        # the greedy pass's test: z is independent of the chosen rows iff
+        # some row of their integer complement is not orthogonal to it
         rng = random.Random(311)
         dependent = 0
         for _ in range(300):
             n = rng.randint(1, 6)
-            echelon, chosen = [], []
+            chosen = []
             for _ in range(rng.randint(1, n + 2)):
                 if chosen and rng.random() < 0.4:
                     z = combine([rng.randint(-10**6, 10**6) for _ in chosen], chosen)
@@ -645,7 +649,9 @@ class TestSkewedRationalInputs:
                 if not any(z):
                     continue
                 expect = oracles.frac_rank(chosen + [z]) == len(chosen) + 1
-                assert minima._add_if_independent(echelon, tuple(z)) == expect
+                comp = complement(chosen, n)
+                assert len(comp) == n - len(chosen)
+                assert any(map(dot, comp, itertools.repeat(z))) == expect
                 if expect:
                     chosen.append(z)
                 else:
@@ -731,8 +737,11 @@ class TestHalfWalk:
 class TestForbiddenSpans:
     def test_admissible_coords_match_member_and_oracle(self):
         # forbidden sublattices of full and lower rank, given by skewed
-        # integer combinations of a skewed ambient basis
+        # integer combinations of a skewed ambient basis, and a full-rank
+        # one of index up to 10^4: a triangular coefficient matrix with that
+        # determinant, sheared by unimodular row operations
         hits = misses = 0
+        indices = []
         for rng, _, short, lat in skewed_cases(313, 40):
             rank = lat.rank
             subs = []
@@ -744,6 +753,18 @@ class TestForbiddenSpans:
                     if oracles.frac_rank(coeffs) == sub_rank:
                         break
                 subs.append([combine(c, lat.basis) for c in coeffs])
+            while True:
+                diag = [rng.randint(1, 60) for _ in range(rank)]
+                if 10 < math.prod(diag) <= 10**4:
+                    break
+            coeffs = [[diag[i] if i == j else rng.randint(0, 40) * (j > i) for j in range(rank)]
+                      for i in range(rank)]
+            for _ in range(4):
+                i, j, c = rng.randrange(rank), rng.randrange(rank), rng.randint(-3, 3)
+                if i != j:
+                    coeffs[i] = [a + c * b for a, b in zip(coeffs[i], coeffs[j])]
+            subs.append([combine(c, lat.basis) for c in coeffs])
+            indices.append(abs(oracles.det(coeffs)))
             fc = ForbiddenCollection(lat, [Lattice(rows, lat.ambient_dim) for rows in subs])
             spans = [lat.in_coords(sub) for sub in fc.sublattices]
             for _ in range(30):
@@ -760,6 +781,7 @@ class TestForbiddenSpans:
                 assert expect == (not any(span.member(z) for span in spans))
                 hits, misses = hits + expect, misses + (not expect)
         assert hits > 300 and misses > 150
+        assert max(indices) > 5000 and all(i <= 10**4 for i in indices)
 
 
 def clear_caches():
@@ -854,7 +876,8 @@ class TestMemoSoundness:
             assert len(walks) == expected
             if expected:  # the walk's radius is lambda_2's, beyond lambda_1's
                 radius = Fraction(cold["certificate"]["radius"])
-                assert walks[0][1][0] == radius.numerator * minima._walk_setup(body, lat).big
+                big = minima._walk_setup(body, lat).big
+                assert walks[0][1] == [radius.numerator * big // radius.denominator] * 3
                 assert radius > first.certificate_radius
             else:
                 assert Fraction(cold["certificate"]["radius"]) <= first.certificate_radius
@@ -1070,3 +1093,149 @@ class TestHeldWalk:
             assert str(warm.value) == str(cold.value)
             assert str(cold.value).startswith("enumeration box has ")
             assert minima._slot is held
+
+
+# ---------------------------------------------------------------------------
+# capped solves: every rung collects at the cap, and a rung beyond the held
+# walk walks only the shell its box adds
+# ---------------------------------------------------------------------------
+
+
+def canonical_pairs(pairs, cols):
+    """(gauge numerator, canonical member) of each pair, sorted."""
+    return sorted((g, minima._canonical(z, cols)[2]) for g, z in pairs)
+
+
+def fresh_walk(body, lat, radius):
+    """One collect walk of the whole symmetric box at the radius."""
+    setup = minima._walk_setup(body, lat)
+    hi = minima._walk_system(body, lat, radius, minima.DEFAULT_BUDGET)[1]
+    t = [minima._top(radius, setup.big)] * len(setup.weighted)
+    return kernel.collect_passing(setup.weighted, t, [-v for v in hi], hi)
+
+
+def key_tie_levels(held, n):
+    """Put every tie level among the first n pairs in key order, as the
+    greedy pass does when it reaches them, and return how many there are."""
+    levels, i = 0, 0
+    while i < n:
+        j = bisect.bisect_right(held.pairs, held.pairs[i][0], i, n, key=lambda p: p[0])
+        if j - i > 1:
+            list(minima._tie_level(held, i, j))
+            levels += 1
+        i = j
+    return levels
+
+
+def keyed_runs_in_key_order(held):
+    """Whether each run that ``keyed`` marks holds canonical members in key
+    order: the pairs from its start that share its gauge and |z_0|."""
+    pairs, cols = held.pairs, held.setup.cols
+    for a in held.keyed:
+        b = a + 1
+        while (b < len(pairs) and pairs[b][0] == pairs[a][0]
+               and abs(pairs[b][1][0]) == abs(pairs[a][1][0])):
+            b += 1
+        keys = [minima._canonical(z, cols) for _, z in pairs[a:b]]
+        if b - a > 1 and (keys != sorted(keys) or any(k[2] != z for k, (_, z) in zip(keys, pairs[a:b]))):
+            return False
+    return True
+
+
+class TestShellRungs:
+    def test_extensions_match_a_fresh_walk(self, monkeypatch):
+        # rungs doubling up to a cap, with uncapped reads in between that
+        # extend the slot under a lower gauge bound; after each read the
+        # slot's pairs up to the held radius are those of one fresh walk,
+        # and the tie levels put in key order before it stay so
+        walks = count_walks(monkeypatch)
+        levels = 0
+        rng = random.Random(401)
+        extended = 0
+        kinds = set()
+        for body, lat, _ in lazy_solve_cases():
+            lam = successive_minima(body, lat, lat.rank).values
+            cap = 2 * lam[-1]
+            minima._slot = None
+            radius = lam[0] / 2
+            while True:
+                reads = [(radius, cap)]
+                if rng.random() < 0.3:
+                    reads.append((min(radius * Fraction(5, 4), cap), None))
+                for r, c in reads:
+                    before = len(walks)
+                    held, n = minima._points(body, lat, r, minima.DEFAULT_BUDGET, c)
+                    new = walks[before:]
+                    if any(max(lo) >= 1 for _, _, lo, _ in new):
+                        extended += 1
+                        kinds.add((type(body), lat.rank, lat.ambient_dim))
+                    cols = held.setup.cols
+                    assert held.radius >= r and n == held.upto(r)
+                    assert [g for g, _ in held.pairs] == sorted(g for g, _ in held.pairs)
+                    top = minima._top(held.radius, held.setup.big)
+                    got = [pair for pair in held.pairs if pair[0] <= top]
+                    assert canonical_pairs(got, cols) == canonical_pairs(
+                        fresh_walk(body, lat, held.radius), cols)
+                    # nothing outside the held box, and no pair twice
+                    assert all(abs(v) <= h for _, z in held.pairs for v, h in zip(z, held.hi))
+                    assert len(canonical_pairs(held.pairs, cols)) == len(
+                        {minima._canonical(z, cols)[2] for _, z in held.pairs})
+                    assert keyed_runs_in_key_order(held)
+                    levels += key_tie_levels(held, n)
+                if radius >= cap:
+                    break
+                radius = min(2 * radius, cap)
+        assert extended > 100 and levels > 100
+        assert {(Box, 2, 2), (SymmetricPolytope, 2, 2), (Box, 2, 3), (Box, 1, 3),
+                (SymmetricPolytope, 2, 3), (SymmetricPolytope, 1, 3)} <= kinds
+
+    def test_capped_solve_holds_no_more_than_the_cap_walk(self, monkeypatch):
+        held = []
+        points = minima._points
+
+        def recorded(*args):
+            out = points(*args)
+            held.append(len(minima._slot.pairs) if minima._slot else 0)
+            return out
+
+        monkeypatch.setattr(minima, "_points", recorded)
+        solves = 0
+        for body, lat, rows in lazy_solve_cases():
+            if rows is None:
+                continue
+            fc = ForbiddenCollection(lat, [Lattice(r, lat.ambient_dim) for r in rows])
+            if fc.classification == "mixed" or lat.rank != lat.ambient_dim:
+                continue
+            for k in range(1, lat.rank + 1):
+                _, cap = minima._certificate(body, lat, fc, k, minima.DEFAULT_BUDGET)
+                lam1 = successive_minima(body, lat, 1).values[0]
+                minima._slot = None
+                held.clear()
+                minima._solve(body, lat, k, minima.DEFAULT_BUDGET, min(lam1, cap), cap,
+                              fc.admissible_coords)
+                assert held and max(held) <= len(fresh_walk(body, lat, cap))
+                solves += 1
+        assert solves > 30
+
+    def test_rectangle_solves_visit_each_box_point_once(self, monkeypatch):
+        # restricted lambda_1, then lambda_2, on the p = 73 rectangle: the
+        # final rung's half box holds 8,323 points, and the Minkowski walk
+        # of lambda_1 and the first rung's few more; re-walking every rung
+        # visited 12,419
+        visited = []
+        walk = kernel.collect_passing
+
+        def counted(g, t, lo, hi):
+            size = kernel.box_size(lo, hi)
+            visited.append(size if max(lo) >= 1 else size // 2)
+            return walk(g, t, lo, hi)
+
+        fx = rectangle_fixture(73)
+        body, lat = fx["body"], fx["lattice"]
+        clear_caches()
+        monkeypatch.setattr(kernel, "collect_passing", counted)
+        restricted = restricted_minima(body, lat, ForbiddenCollection(lat, fx["subs"]), 1)
+        successive = successive_minima(body, lat, 2)
+        assert restricted.values == (Fraction(73 * 73, 2),)
+        assert successive.values == (1, Fraction(73 * 73, 2))
+        assert sum(visited) <= 8400

@@ -135,3 +135,32 @@ def test_integer_lattices_make_no_fraction(monkeypatch):
     for span, sub in zip(coords, subs):  # reading the bases makes Fractions
         assert lattice.Lattice([_intmat.vec_mat(c, lat.basis) for c in span.basis], 3) == sub
     assert made
+
+
+def test_greedy_pass_calls_no_lattice_method():
+    # the greedy pass tests admissibility and independence with integer
+    # vectors computed once per collection and once per chosen point, so
+    # neither test calls into a Lattice
+    def parse(name):
+        return ast.parse((PACKAGE / name).read_text(), filename=name)
+
+    lattice_class = next(node for node in ast.walk(parse("lattice.py"))
+                         if isinstance(node, ast.ClassDef) and node.name == "Lattice")
+    methods = {node.name for node in lattice_class.body if isinstance(node, ast.FunctionDef)}
+    assert {"_solve", "member", "in_coords"} <= methods
+    minima = parse("minima.py")
+    collection = next(node for node in ast.walk(minima)
+                      if isinstance(node, ast.ClassDef) and node.name == "ForbiddenCollection")
+    functions = [node for node in minima.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_take"]
+    functions += [node for node in collection.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "admissible_coords"]
+    assert len(functions) == 2
+    called = [
+        f"{fn.name}:{node.lineno} -> {node.func.attr}"
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in methods
+    ]
+    assert called == []
