@@ -14,12 +14,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputError
+
 Rational = Fraction
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse the wire form "p/q" (or "p" when the denominator is 1)."""
-    return Fraction(s.strip())
+    """Parse the wire form "p/q" (or "p" when the denominator is 1); a zero
+    denominator is an ``InputError``."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError as exc:
+        raise InputError(f"rational {s!r} has a zero denominator") from exc
 
 
 def format_rational(x: Fraction) -> str:

@@ -8,6 +8,18 @@ visits only the points after it: exactly one member of each pair +-z, the
 one whose last nonzero coordinate is positive.  A box one-sided on some
 axis (lo_i >= 1) holds no pair +-z and no 0, so the walk visits all of it.
 Arithmetic is plain Python int, so there is no overflow ceiling.
+
+Counting has its own loop, ``count_passing``, which visits the same points
+and materialises none of them.  It walks the box strip by strip, a strip
+being a run along axis 0 with the other coordinates fixed.  At a strip's
+start it takes each row's sum over the fixed coordinates once; a row whose
+axis-0 coefficient is 0 is constant along the strip and is tested once per
+strip, and only the other rows are tested at each point.  ``_walk`` serves
+the collect path alone, so neither loop branches on its caller at each
+passing point.  A strip's passing points are the intersection of one
+interval per row, so the count could be read in closed form without
+visiting them; that waits for a benchmark whose input space a count that
+fast cannot exhaust.
 """
 
 from __future__ import annotations
@@ -27,12 +39,65 @@ def backend_name() -> str:
 
 def count_passing(g, t, lo, hi) -> int:
     """Number of nonzero z in the box with |(G z)_j| <= t_j for all j: twice
-    the number the walk finds in the half of a symmetric box, the number it
-    finds in a one-sided box."""
+    the number in the half of a symmetric box after 0, every one in a
+    one-sided box.  Raises ``ValueError`` on a nonempty box that is neither."""
+    r = len(lo)
+    if r == 0 or any(l > h for l, h in zip(lo, hi)):
+        return 0
+    if any(l >= 1 for l in lo):
+        return _count_strips(g, t, lo, hi, lo[0], list(lo[1:]))
+    if not all(l == -h for l, h in zip(lo, hi)):
+        raise ValueError(
+            f"walk box must be symmetric about 0 or one-sided; got lo={lo}, hi={hi}"
+        )
+    # the half after 0: the strip through 0 from z_0 = 1, then every strip
+    # after it, whose last nonzero outer coordinate is positive
+    return 2 * _count_strips(g, t, lo, hi, 1, [0] * (r - 1))
+
+
+def _count_strips(g, t, lo, hi, first, outer):
+    """Passing points of the strips from ``outer`` (coordinates 1..r-1) to
+    the end of the box in odometer order: the first strip from z_0 = first,
+    every later one from lo[0], each to hi[0]."""
+    lo0, hi0 = lo[0], hi[0]
+    m = len(t)
+    fixed = [j for j in range(m) if not g[j][0]]
+    vary = [j for j in range(m) if g[j][0]]
+    ocols = [[g[j][i] for j in range(m)] for i in range(1, len(lo))]
+    u = [dot(row[1:], outer) for row in g]
+    s = len(outer)
     total = 0
-    for _ in _walk(g, t, lo, hi):
-        total += 1
-    return total if any(l >= 1 for l in lo) else 2 * total
+    start = first
+    while True:
+        for j in fixed:
+            if u[j] > t[j] or -u[j] > t[j]:
+                break
+        else:
+            rows = [(u[j], g[j][0], t[j]) for j in vary]
+            for z0 in range(start, hi0 + 1):
+                for uj, cj, tj in rows:
+                    v = uj + cj * z0
+                    if v > tj or -v > tj:
+                        break
+                else:
+                    total += 1
+        start = lo0
+        axis = 0
+        while axis < s:
+            if outer[axis] < hi[axis + 1]:
+                outer[axis] += 1
+                col = ocols[axis]
+                for j in range(m):
+                    u[j] += col[j]
+                break
+            step = lo[axis + 1] - hi[axis + 1]
+            outer[axis] = lo[axis + 1]
+            col = ocols[axis]
+            for j in range(m):
+                u[j] += step * col[j]
+            axis += 1
+        if axis == s:
+            return total
 
 
 def collect_passing(g, t, lo, hi) -> list:

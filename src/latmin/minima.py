@@ -606,7 +606,10 @@ def restricted_minima(
 def count_points(
     body: ConvexBody, lat: Lattice, lam, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """|lam K  intersect  lattice|, origin included."""
+    """|lam K  intersect  lattice|, origin included.
+
+    The count visits the walk box strip by strip in ``kernel.count_passing``
+    and keeps no point: no candidate list, no gauge and no slot entry."""
     lam = _dilation(lam)
     walk = _walk_system(body, lat, lam, budget)
     if walk is None:

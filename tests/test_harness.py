@@ -227,12 +227,32 @@ class TestCLI:
                     "body": {"type": "box", "halfwidths": ["1", "1", "1"]},
                 },
             ),
+            (["minima", "--box", "1/0,1", "--diag", "1,1"], None),
+            (["minima", "--box", "0/0,1", "--diag", "1,1"], None),
+            (["minima", "--box", "1,1", "--diag", "1/0,1"], None),
+            (["minima", "--box", "1,1", "--diag", "0/0,1"], None),
+            (
+                ["minima", "--instance", "{file}"],
+                {
+                    "instance_id": "x", "kind": "none", "lattice": Z2_WIRE,
+                    "body": {"type": "box", "halfwidths": ["1/0", "1"]},
+                },
+            ),
+            (
+                ["minima", "--instance", "{file}"],
+                {
+                    "instance_id": "x", "kind": "none", "body": BOX_WIRE,
+                    "lattice": {"ambient_dim": 2, "basis": [["1/0", "0"], ["0", "1"]]},
+                },
+            ),
         ],
         ids=[
             "precision-bits-negative", "precision-bits-zero", "budget-negative",
             "instance-missing-keys",
             "forbidden-without-basis", "instance-is-a-list", "matrix-empty",
             "matrix-ragged", "unknown-kind", "bounds-dimension-mismatch",
+            "box-zero-denominator", "box-zero-over-zero", "diag-zero-denominator",
+            "diag-zero-over-zero", "halfwidth-zero-denominator", "basis-zero-denominator",
         ],
     )
     def test_input_faults_exit_3_without_traceback(self, argv, instance, tmp_path):

@@ -114,6 +114,71 @@ class TestPurePython:
         assert kernel.backend_name() == "pure-python"
 
 
+def strip_system(rng):
+    """A system for the count's strip loop: r and m in 1..4, entries often 0
+    or negative, and about half the rows 0 on axis 0, so constant along
+    each strip; the box's half-widths are returned as hi."""
+    r = rng.randint(1, 4)
+    m = rng.randint(1, 4)
+    g = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(r)] for _ in range(m)]
+    for row in g:
+        if rng.random() < 0.5:
+            row[0] = 0
+    t = [rng.randint(0, 30) for _ in range(m)]
+    hi = [rng.randint(0, 4) for _ in range(r)]
+    return g, t, hi
+
+
+class TestCountPassing:
+    # count_passing has its own strip loop; these compare it with brute force
+    # and with the collect walk on the same boxes
+
+    def test_symmetric_boxes(self):
+        rng = random.Random(2020)
+        shapes, cut_by_constant_row = set(), 0
+        for _ in range(400):
+            g, t, hi = strip_system(rng)
+            lo = [-h for h in hi]
+            expected = len(brute_passing(g, t, lo, hi))
+            assert kernel.count_passing(g, t, lo, hi) == expected
+            assert expected == 2 * len(kernel.collect_passing(g, t, lo, hi))
+            shapes.add((len(hi), len(t)))
+            varying = [j for j in range(len(t)) if g[j][0]]
+            loose = brute_passing([g[j] for j in varying], [t[j] for j in varying], lo, hi)
+            cut_by_constant_row += expected < len(loose)
+        assert shapes == {(r, m) for r in range(1, 5) for m in range(1, 5)}
+        assert cut_by_constant_row > 50
+
+    @pytest.mark.parametrize("axis", ["first", "outer"])
+    def test_one_sided_boxes(self, axis):
+        # one-sided on axis 0 (every strip starts at lo_0 >= 1) or on an outer
+        # axis (strips start at lo_0, which may be negative)
+        rng = random.Random(2021 if axis == "first" else 2022)
+        passing = 0
+        for _ in range(300):
+            g, t, hi = strip_system(rng)
+            if axis == "outer" and len(hi) == 1:
+                continue
+            lo = [rng.randint(-4, 0) for _ in hi]
+            i = 0 if axis == "first" else rng.randrange(1, len(hi))
+            lo[i] = rng.randint(1, 3)
+            hi[i] = lo[i] + rng.randint(0, 3)
+            expected = len(brute_passing(g, t, lo, hi))
+            assert kernel.count_passing(g, t, lo, hi) == expected
+            passing += expected
+        assert passing > 1000
+
+    def test_empty_boxes(self):
+        rng = random.Random(2023)
+        for _ in range(100):
+            g, t, hi = strip_system(rng)
+            lo = [-h for h in hi]
+            i = rng.randrange(len(hi))
+            lo[i], hi[i] = rng.choice([(1, 0), (3, 1), (0, -1), (2, -2)])
+            assert kernel.count_passing(g, t, lo, hi) == 0
+            assert kernel.collect_passing(g, t, lo, hi) == []
+
+
 class TestBoxSize:
     def test_sizes(self):
         assert kernel.box_size([-2, -1], [2, 1]) == 15
