@@ -3,14 +3,13 @@
 Two variants: axis-aligned boxes (the workhorse) and symmetric polytopes
 K = {x : |<c_j, x>| <= 1} carrying an explicit vertex list and exact
 volume.  Gauge, support function and volume are exact rationals.  Vertex
-enumeration and triangulation volume are provided up to dimension 3; in
-higher dimensions the caller supplies vertices and volume and the
-facet/vertex consistency checks still run.
+enumeration and the volume as a sum of cones over the facets are provided
+up to dimension 3; in higher dimensions the caller supplies vertices and
+volume and the facet/vertex consistency checks still run.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from fractions import Fraction
 from . import _intmat as im
 from ._intmat import dot
 from .errors import UnsupportedBodyError
-from .exactarith import format_rational, parse_rational
+from .exactarith import format_rational, parse_array, parse_rational
 
 
 @dataclass(frozen=True)
@@ -57,11 +56,11 @@ class ConvexBody:
     @staticmethod
     def from_dict(d: dict) -> "ConvexBody":
         if d["type"] == "box":
-            return Box([parse_rational(x) for x in d["halfwidths"]])
+            return Box(parse_array(d["halfwidths"]))
         if d["type"] == "polytope":
             return SymmetricPolytope(
-                facets=[[parse_rational(x) for x in row] for row in d["facets"]],
-                vertices=[[parse_rational(x) for x in row] for row in d["vertices"]],
+                facets=parse_array(d["facets"], parse_array),
+                vertices=parse_array(d["vertices"], parse_array),
                 volume=parse_rational(d["volume"]),
             )
         raise ValueError(f"unknown body type {d['type']!r}")
@@ -128,9 +127,10 @@ class SymmetricPolytope(ConvexBody):
     """K = {x : |<c_j, x>| <= 1} with explicit vertices and exact volume.
 
     The vertex list is closed under negation automatically.  Construction
-    verifies that every vertex satisfies all facet constraints, is tight on
-    at least dim of them, and (for dim <= 3) that the stored volume equals
-    the central-fan triangulation volume of the vertex set.
+    verifies that every vertex satisfies all facet constraints and is an
+    extreme point, its tight facet normals having rank dim, and (for
+    dim <= 3) that the stored volume equals the sum of the cones from the
+    origin over the facets.
     """
 
     __slots__ = ("facets", "vertices", "dim", "_volume", "_hash")
@@ -156,18 +156,18 @@ class SymmetricPolytope(ConvexBody):
         verts |= {tuple(-x for x in v) for v in verts}
         self.vertices = tuple(sorted(verts))
         self._check_vertices()
-        tri = _triangulation_volume(self) if n <= 3 else None
+        cones = _cone_volume(self) if n <= 3 else None
         if volume is None:
-            if tri is None:
+            if cones is None:
                 raise UnsupportedBodyError(
                     "volume must be supplied for dimension > 3"
                 )
-            self._volume = tri
+            self._volume = cones
         else:
             self._volume = Fraction(volume)
-            if tri is not None and tri != self._volume:
+            if cones is not None and cones != self._volume:
                 raise ValueError(
-                    f"stored volume {self._volume} != triangulation volume {tri}"
+                    f"stored volume {self._volume} != facet-cone volume {cones}"
                 )
             if self._volume <= 0:
                 raise ValueError("volume must be positive")
@@ -177,15 +177,16 @@ class SymmetricPolytope(ConvexBody):
         if not self.vertices:
             raise ValueError("empty vertex list")
         for v in self.vertices:
-            tight = 0
+            tight = []
             for c in self.facets:
                 val = abs(dot(c, v))
                 if val > 1:
                     raise ValueError(f"vertex {v} violates a facet constraint")
                 if val == 1:
-                    tight += 1
-            if tight < self.dim:
-                raise ValueError(f"vertex {v} is tight on fewer than dim facets")
+                    tight.append(list(c))
+            if im.frac_rank(tight) < self.dim:
+                raise ValueError(f"vertex {v} is not an extreme point: its tight "
+                                 "facet normals have rank below dim")
 
     def gauge(self, x) -> Fraction:
         x = _rationals(x, self.dim)
@@ -299,85 +300,27 @@ def _enumerate_vertices(facets):
     return verts
 
 
-def _triangulation_volume(poly: SymmetricPolytope) -> Fraction:
+def _cone_volume(poly: SymmetricPolytope) -> Fraction:
+    """vol K as the sum of the cones conv(0, F) over its facets F (Lasserre,
+    JOTA 39, 1983), for dimension n <= 3.  The facet on an oriented normal c
+    is the set of vertices tight on c, skipped when it holds fewer than n of
+    them.  The vertices are extreme points (``_check_vertices``), so below
+    dimension 3 a facet holds n of them and its cone is |det F| / n!.  In
+    dimension 3 a pair vw of a facet is an edge when some other oriented
+    normal is tight at both, and each edge adds |det(p, v, w)| / 6 for p the
+    centroid of the facet's vertices, which lies inside the facet."""
     n = poly.dim
-    if n == 1:
-        return 2 * max(abs(v[0]) for v in poly.vertices)
-    if n == 2:
-        ordered = _sort_cyclic_2d(poly.vertices)
-        area = Fraction(0)
-        for i in range(len(ordered)):
-            a, b = ordered[i], ordered[(i + 1) % len(ordered)]
-            area += a[0] * b[1] - a[1] * b[0]
-        return abs(area) / 2
-    if n == 3:
-        total = Fraction(0)
-        oriented = {tuple(c) for c in poly.facets}
-        oriented |= {tuple(-x for x in c) for c in poly.facets}
-        for c in sorted(oriented):
-            face = [v for v in poly.vertices if dot(c, v) == 1]
-            if len(face) < 3:
-                continue
-            ordered = _sort_cyclic_face(face, c)
-            v0 = ordered[0]
-            for i in range(1, len(ordered) - 1):
-                det = im.frac_det([list(v0), list(ordered[i]), list(ordered[i + 1])])
-                total += abs(det)
-        return total / 6
-    raise UnsupportedBodyError("triangulation volume implemented up to dimension 3")
-
-
-def _sort_cyclic_2d(points):
-    """Counter-clockwise order around the origin via exact sign tests."""
-
-    def half(p):  # upper half-plane first, split at the positive x-axis
-        if p[1] > 0 or (p[1] == 0 and p[0] > 0):
-            return 0
-        return 1
-
-    def cmp(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(cmp))
-
-
-def _sort_cyclic_face(face, normal):
-    """Cyclic order of coplanar points around their centroid, about `normal`."""
-    k = len(face)
-    centroid = tuple(sum(v[i] for v in face) / k for i in range(3))
-    ref = tuple(face[0][i] - centroid[i] for i in range(3))
-
-    def triple(u, v, w):
-        return im.frac_det([list(u), list(v), list(w)])
-
-    def half(p):
-        a = tuple(p[i] - centroid[i] for i in range(3))
-        s = triple(normal, ref, a)
-        if s > 0:
-            return 0
-        if s < 0:
-            return 1
-        return 0 if dot(ref, a) > 0 else 1
-
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        a = tuple(p[i] - centroid[i] for i in range(3))
-        b = tuple(q[i] - centroid[i] for i in range(3))
-        s = triple(normal, a, b)
-        if s > 0:
-            return -1
-        if s < 0:
-            return 1
-        return 0
-
-    return sorted(face, key=functools.cmp_to_key(cmp))
+    normals = {*poly.facets, *(tuple(-x for x in c) for c in poly.facets)}
+    faces = {c: {v for v in poly.vertices if dot(c, v) == 1} for c in normals}
+    total = Fraction(0)
+    for c, face in faces.items():
+        if len(face) < n:
+            continue
+        if n < 3:
+            total += abs(im.frac_det([list(v) for v in face])) / math.factorial(n)
+            continue
+        p = [sum(col) / len(face) for col in zip(*face)]
+        for v, w in itertools.combinations(face, 2):
+            if any(d != c and v in f and w in f for d, f in faces.items()):
+                total += abs(im.frac_det([p, list(v), list(w)])) / 6
+    return total

@@ -258,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dims", default="2", help="comma-separated dimensions")
     sp.add_argument("--kinds", default="lower,full")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mu-trials", type=int, default=5)
-    sp.add_argument("--torus-trials", type=int, default=0)
+    sp.add_argument("--mu-trials", type=_int_at_least(0), default=5)
+    sp.add_argument("--torus-trials", type=_int_at_least(0), default=0)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--csv", help="also write the CSV comparison table here")
     sp.add_argument("--timestamp", action="store_true")

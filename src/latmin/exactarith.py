@@ -21,11 +21,22 @@ Rational = Fraction
 
 def parse_rational(s: str) -> Fraction:
     """Parse the wire form "p/q" (or "p" when the denominator is 1); a zero
-    denominator is an ``InputError``."""
+    denominator, or anything but a string, is an ``InputError``."""
+    if not isinstance(s, str):
+        raise InputError(f"rational {s!r} is not a string")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError as exc:
         raise InputError(f"rational {s!r} has a zero denominator") from exc
+
+
+def parse_array(value, parse=parse_rational) -> list:
+    """The items of a wire-format JSON array, each read by ``parse``;
+    anything but an array is an ``InputError``, so a string is never read
+    as its characters."""
+    if not isinstance(value, list):
+        raise InputError(f"expected a JSON array, got {value!r}")
+    return [parse(x) for x in value]
 
 
 def format_rational(x: Fraction) -> str:
@@ -121,10 +132,6 @@ class Enclosure:
         for _ in range(k):
             result = result * self
         return result
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
 
     def to_dict(self) -> dict:
         return {"lo": format_rational(self.lo), "hi": format_rational(self.hi)}

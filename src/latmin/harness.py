@@ -17,7 +17,7 @@ from . import _intmat as im
 from . import bounds
 from .body import Box, ConvexBody, unit_cube
 from .errors import InputError
-from .exactarith import format_rational
+from .exactarith import format_rational, parse_array
 from .lattice import Lattice, intersect, m_value, saturate_rows, union_covers
 from .minima import (
     DEFAULT_BUDGET,
@@ -31,6 +31,13 @@ from .minima import (
 )
 
 SCHEMA_VERSION = 1
+
+# The generator's lattice diagonal entries lie in 1.._MAX_DIAG, its full-rank
+# members have prime index drawn from _PRIMES, and a full-rank collection
+# that covers the lattice is redrawn at most _RETRIES times.
+_MAX_DIAG = 2
+_PRIMES = (2, 3)
+_RETRIES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +77,7 @@ class Instance:
             kind=d["kind"],
             body=ConvexBody.from_dict(d["body"]),
             lattice=Lattice.from_dict(d["lattice"]),
-            forbidden=tuple(Lattice.from_dict(s) for s in d.get("forbidden", [])),
+            forbidden=tuple(parse_array(d.get("forbidden", []), Lattice.from_dict)),
             seed=d.get("seed", 0),
             params=d.get("params", {}),
         )
@@ -92,10 +99,10 @@ def _random_unimodular(rng, n, ops):
     return v
 
 
-def _random_lattice(rng, n, max_diag=2, ops=2) -> tuple[Lattice, list]:
-    diag = [rng.randint(1, max_diag) for _ in range(n)]
+def _random_lattice(rng, n) -> tuple[Lattice, list]:
+    diag = [rng.randint(1, _MAX_DIAG) for _ in range(n)]
     d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    v = _random_unimodular(rng, n, ops)
+    v = _random_unimodular(rng, n, ops=2)
     return Lattice(im.mat_mul(d, v), n), diag
 
 
@@ -135,15 +142,7 @@ def _coeffs_to_sub(coeffs, lat: Lattice) -> Lattice:
     return Lattice._over(rows, lat._denom, lat.ambient_dim)
 
 
-def generate(
-    seed: int,
-    n: int,
-    s: int,
-    kind: str,
-    max_diag: int = 2,
-    primes=(2, 3),
-    retries: int = 64,
-) -> Instance:
+def generate(seed: int, n: int, s: int, kind: str) -> Instance:
     """Deterministic random instance: box body, sheared-diagonal lattice,
     and s forbidden sublattices of the requested kind.
 
@@ -158,20 +157,20 @@ def generate(
         raise InputError("need s >= 1 (s >= 2 for mixed)")
     rng = random.Random((seed, n, s, kind).__repr__())
     body = Box(_random_halfwidths(rng, n))
-    lat, diag = _random_lattice(rng, n, max_diag=max_diag)
-    for _ in range(retries):
+    lat, diag = _random_lattice(rng, n)
+    for _ in range(_RETRIES):
         subs = []
         if kind == "lower":
             coeff_sets = [_random_lower_coeffs(rng, n) for _ in range(s)]
             subs = [_coeffs_to_sub(c, lat) for c in coeff_sets]
         elif kind == "full":
-            coeff_sets = [_random_full_coeffs(rng, n, rng.choice(primes)) for _ in range(s)]
+            coeff_sets = [_random_full_coeffs(rng, n, rng.choice(_PRIMES)) for _ in range(s)]
             subs = [_coeffs_to_sub(c, lat) for c in coeff_sets]
         else:
             n_low = rng.randint(1, s - 1)
             coeff_sets = [_random_lower_coeffs(rng, n) for _ in range(n_low)]
             coeff_sets += [
-                _random_full_coeffs(rng, n, rng.choice(primes)) for _ in range(s - n_low)
+                _random_full_coeffs(rng, n, rng.choice(_PRIMES)) for _ in range(s - n_low)
             ]
             subs = [_coeffs_to_sub(c, lat) for c in coeff_sets]
         full_members = [sub for sub in subs if sub.rank == n]
@@ -187,8 +186,8 @@ def generate(
             params={
                 "n": n,
                 "s": s,
-                "max_diag": max_diag,
-                "primes": list(primes),
+                "max_diag": _MAX_DIAG,
+                "primes": list(_PRIMES),
                 "diag": diag,
             },
         )

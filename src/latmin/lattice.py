@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import _intmat as im
 from ._intmat import dot, hnf
 from .errors import CertificateError, IndexOverflowError, InputError, NotSublatticeError, RankError
-from .exactarith import format_rational, parse_rational
+from .exactarith import format_rational, parse_array
 
 __all__ = [
     "DEFAULT_INDEX_CAP",
@@ -112,41 +112,30 @@ class Lattice:
         pivots = math.prod(row[i] for i, row in enumerate(self._hermite))  # triangular H
         return Fraction(pivots, self._denom**self.rank)
 
-    def _coords(self, x, integral: bool):
-        """z with z . basis = x, or None: ``_solve`` of d x."""
-        if len(x) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        w = [self._denom * (v if isinstance(v, int) else Fraction(v)) for v in x]
-        return self._solve(w, integral)
-
-    def _solve(self, w, integral: bool):
-        """z with z . H = w, or None: solved pivot by pivot.
-
-        With ``integral`` each pivot is a divmod and a remainder means None,
-        so integer w never becomes a Fraction; otherwise z is rational.
-        """
+    def _solve(self, w):
+        """Integer z with z . H = w, or None: solved pivot by pivot, each
+        pivot a divmod whose remainder means None, so integer w never
+        becomes a Fraction."""
         z = []
         for row, p in zip(self._hermite, self._pivots):
-            if integral:
-                c, rem = divmod(w[p], row[p])
-                if rem:
-                    return None
-            else:
-                c = Fraction(w[p], row[p])
+            c, rem = divmod(w[p], row[p])
+            if rem:
+                return None
             if c:
                 w = [a - c * b for a, b in zip(w, row)]
             z.append(c)
         return None if any(w) else z
 
-    def coeffs_of(self, x):
-        """Coordinates z with z . basis = x, or None if x is off the span."""
-        return self._coords(x, integral=False)
-
     def member(self, x) -> bool:
-        """Whether the rational vector x is a point of the lattice; the
-        campaign's ``witnesses-admissible`` check tests witnesses with it,
-        apart from the forbidden collections' own membership vectors."""
-        return self._coords(x, integral=True) is not None
+        """Whether the rational vector x is a point of the lattice, that is
+        whether d x solves in integers; the campaign's
+        ``witnesses-admissible`` check tests witnesses with it, apart from
+        the forbidden collections' own membership vectors."""
+        if len(x) != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        d = self._denom
+        w = [d * (v if isinstance(v, int) else Fraction(v)) for v in x]
+        return self._solve(w) is not None
 
     def in_coords(self, sub: "Lattice") -> "Lattice":
         """A sublattice in this lattice's coordinates, as an integer lattice
@@ -162,7 +151,7 @@ class Lattice:
                 if any(v % d_sub for v in w):
                     raise NotSublatticeError("not a sublattice")
                 w = [v // d_sub for v in w]
-            z = self._solve(w, integral=True)
+            z = self._solve(w)
             if z is None:
                 raise NotSublatticeError("not a sublattice")
             rows.append(z)
@@ -209,10 +198,7 @@ class Lattice:
 
     @staticmethod
     def from_dict(d: dict) -> "Lattice":
-        return Lattice(
-            [[parse_rational(x) for x in row] for row in d["basis"]],
-            d["ambient_dim"],
-        )
+        return Lattice(parse_array(d["basis"], parse_array), d["ambient_dim"])
 
     def __eq__(self, other):
         return (
@@ -291,17 +277,10 @@ def intersect(lattices, within: Lattice | None = None) -> Lattice:
     return result
 
 
-def m_value(lat: Lattice, sublattices, capped: bool = False) -> Fraction:
-    """sum_i det(L_bar)/det(L_i) - s + 1 for L_bar the intersection.
-
-    With ``capped`` the value is clamped at det(L_bar)/det(lat), the total
-    number of cosets.
-    """
+def m_value(lat: Lattice, sublattices) -> Fraction:
+    """sum_i det(L_bar)/det(L_i) - s + 1 for L_bar the intersection."""
     subs = list(sublattices)
-    inter = intersect(subs)
-    m, _ = _m_sum(inter, subs)
-    if capped:
-        m = min(m, Fraction(inter.index_in(lat)))
+    m, _ = _m_sum(intersect(subs), subs)
     return m
 
 
@@ -373,7 +352,7 @@ def _spans_cover(spans, index_cap: int = DEFAULT_INDEX_CAP) -> bool:
     if index > index_cap:
         raise IndexOverflowError(f"index {index} exceeds cap {index_cap}")
     return all(
-        any(s._solve(z, integral=True) is not None for s in spans)
+        any(s._solve(z) is not None for s in spans)
         for z in itertools.product(*(range(h) for h in diag))
     )
 

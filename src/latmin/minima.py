@@ -8,8 +8,9 @@ the body at the dual rows of the lattice span, integers over one
 denominator.  The body is o-symmetric, so the walk finds one member of each
 pair +-z, and this module, its one caller, keeps the canonical one:
 first nonzero coordinate positive, in z and so in z H, as H is echelon with
-positive pivots.  It is first in ``point_sort_key`` order, and its partner
-has the same gauge, is dependent on it and is admissible exactly when it is,
+positive pivots.  It is first in the point order (gauge, then |x|
+componentwise, then signs, nonnegative first), and its partner has the
+same gauge, is dependent on it and is admissible exactly when it is,
 so the minima never need the partner; counts, coset labels and the public
 point list restore it.  Gauges, their order, admissibility and independence
 are decided on integers: with basis == H / d, a point is z H / d and its
@@ -35,7 +36,7 @@ Between reads the slot keeps its list, which ``_clear_caches`` drops with
 the memos.
 
 Successive and restricted minima share one solve, ``_solve``: read the
-points in ``point_sort_key`` order one gauge level at a time and take the
+points in the point order one gauge level at a time and take the
 first k independent (admissible) points, testing each only as the pass
 reaches it.  A level of ties is ordered lazily: after the gauge the key
 orders points by |z_0|, because the first column of z H that is not zero
@@ -154,12 +155,6 @@ class ForbiddenCollection:
                 else:
                     return False
         return True
-
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "sublattices": [sub.to_dict() for sub in self.sublattices],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +277,11 @@ def _shell(a, b):
     ]
 
 
-def point_sort_key(vector, gauge):
-    """Deterministic extraction order: gauge, then componentwise absolute
-    values, then a sign pattern preferring nonnegative entries."""
-    return (
-        gauge,
-        tuple(abs(x) for x in vector),
-        tuple(0 if x >= 0 else 1 for x in vector),
-    )
-
-
 def _canonical(z, cols):
     """(|x'|, signs of x', z, x') for the canonical member z of the pair +-z,
     first nonzero coordinate positive, where x' = z H is the point times d:
-    after the gauge, the rest of ``point_sort_key``.  With d > 0 it is that
-    key's order, and (|x'|, signs) determines the point, so ties cannot occur."""
+    after the gauge, the rest of the point order's key.  With d > 0 it is
+    that order, and (|x'|, signs) determines the point, so ties cannot occur."""
     for v in z:
         if v:
             break
@@ -365,20 +350,6 @@ def _points(body, lat, radius, budget, cap=None):
     return held, held.upto(radius)
 
 
-def _sorted_candidates(body, lat, radius, budget):
-    """(records, L): one (g, |x'|, signs of x', z, x') per pair +-z with
-    gauge(z B) <= radius, for its canonical member z, in ``point_sort_key``
-    order, where g / L is the gauge.  Only ``enumerate_points`` reads every
-    record; the solves read the walk's pairs lazily."""
-    walked, n = _points(body, lat, radius, budget)
-    if walked is None:
-        return [], _walk_setup(body, lat).big
-    cols = walked.setup.cols
-    records = [(g, *_canonical(z, cols)) for g, z in islice(walked.pairs, n)]
-    records.sort()
-    return records, walked.setup.big
-
-
 def _exact(x, g, d, big):
     """The point x' / d and the gauge g / L as exact rationals."""
     return tuple(Fraction(v, d) for v in x), Fraction(g, big)
@@ -389,15 +360,22 @@ def enumerate_points(
 ):
     """Exactly the nonzero lattice points with gauge <= radius, with gauges.
 
-    Sorted by ``point_sort_key``; the zero vector is never included.
+    Sorted in the point order; the zero vector is never included.  The walk
+    holds one member of each pair +-z, so each record (g, |x'|, signs of x',
+    z, x') is made for the canonical member and for its partner, and only
+    this list sorts every point; the solves read the walk's pairs lazily.
     """
-    records, big = _sorted_candidates(body, lat, Fraction(radius), budget)
-    mirrored = [
-        (g, ax, tuple([v > 0 for v in x]), tuple([-v for v in z]), tuple([-v for v in x]))
-        for g, ax, _, z, x in records
-    ]
-    d = lat._denom
-    return [_exact(rec[4], rec[0], d, big) for rec in sorted(records + mirrored)]
+    walked, n = _points(body, lat, Fraction(radius), budget)
+    if walked is None:
+        return []
+    cols, big, d = walked.setup.cols, walked.setup.big, lat._denom
+    records = []
+    for g, z in islice(walked.pairs, n):
+        ax, signs, z, x = _canonical(z, cols)
+        records += [(g, ax, signs, z, x),
+                    (g, ax, tuple([v > 0 for v in x]), tuple([-v for v in z]),
+                     tuple([-v for v in x]))]
+    return [_exact(rec[4], rec[0], d, big) for rec in sorted(records)]
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +415,9 @@ def _tie_level(walked, i, j):
 
 def _take(walked, end, read, k, admissible, chosen, comp, d) -> bool:
     """Read the first end pairs of the walk past the radius ``read`` (all of
-    them when it is None) in ``point_sort_key`` order, one gauge level at a
-    time, and append each admissible point independent of those chosen to
-    chosen as (z, witness, value), until k are chosen; say whether they are.
+    them when it is None) in the point order, one gauge level at a time,
+    and append each admissible point independent of those chosen to chosen
+    as (z, witness, value), until k are chosen; say whether they are.
     A point is independent iff some row of comp, integer rows spanning the
     vectors orthogonal to every chosen z, is not orthogonal to it; comp is
     recomputed in place only when a point is chosen.  A level of one point
@@ -474,7 +452,7 @@ def _take(walked, end, read, k, admissible, chosen, comp, d) -> bool:
 
 def _solve(body, lat, k, budget, radius, cap, admissible=None):
     """(values, witnesses, radius): the first k independent (admissible)
-    points in ``point_sort_key`` order and the radius of the rung that found
+    points in the point order and the radius of the rung that found
     them.  A failed rung is retried at twice its radius, clipped to the cap;
     a failed rung at the cap, a proved radius, is a ``CertificateError``.
 

@@ -182,6 +182,17 @@ def brute_minima(body_dict, basis_rows, forbidden_bases, k):
         radius *= 2
 
 
+def point_sort_key(vector, gauge):
+    """The order the engine lists points in and takes minima in: gauge, then
+    componentwise absolute values, then a sign pattern preferring
+    nonnegative entries."""
+    return (
+        gauge,
+        tuple(abs(x) for x in vector),
+        tuple(0 if x >= 0 else 1 for x in vector),
+    )
+
+
 def brute_count(body_dict, basis_rows, lam):
     return len(points_within(body_dict, basis_rows, lam)) + 1
 

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from latmin.body import (
     Box,
     ConvexBody,
@@ -146,6 +148,67 @@ class TestPolytopeConstruction:
         assert again == cp
         box = Box([1, Fraction(2, 25)])
         assert ConvexBody.from_dict(box.to_dict()) == box
+
+
+HALF = Fraction(1, 2)
+E1, E2, E3 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
+# (facets, volume): the cube with square faces, a hexagonal prism, whose
+# hexagons have diagonals off their centre, the cuboctahedron, and the cube
+# with a redundant normal tight along one edge
+SOLIDS = {
+    "cube": ([E1, E2, E3], 8),
+    "hexagonal-prism": ([E1, E2, [1, 1, 0], E3], 6),
+    "cuboctahedron": (
+        [E1, E2, E3] + [[HALF, s * HALF, t * HALF] for s in (1, -1) for t in (1, -1)],
+        Fraction(20, 3),
+    ),
+    "cube-with-edge-normal": ([E1, E2, E3, [HALF, HALF, 0]], 8),
+}
+
+
+class TestFacetConeVolume:
+    @pytest.mark.parametrize("name", sorted(SOLIDS))
+    def test_linear_image_scales_volume_by_det(self, name):
+        # A P = {A x : x in P} has the facets c A^-1 and the volume
+        # |det A| vol P, enumerated and supplied alike
+        facets, volume = SOLIDS[name]
+        solid = SymmetricPolytope(facets)
+        assert solid.volume() == volume
+        rng = random.Random(name)
+        seen = 0
+        while seen < 12:
+            a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+                 for _ in range(3)]
+            det = oracles.det(a)
+            if det == 0:
+                continue
+            inv = oracles.inv(a)
+            image = [[sum(c[i] * inv[i][j] for i in range(3)) for j in range(3)]
+                     for c in facets]
+            got = SymmetricPolytope(image)
+            assert got.volume() == abs(det) * volume
+            moved = {tuple(sum(a[i][j] * v[j] for j in range(3)) for i in range(3))
+                     for v in solid.vertices}
+            assert set(got.vertices) == moved
+            again = SymmetricPolytope(image, vertices=moved, volume=abs(det) * volume)
+            assert again.volume() == got.volume()
+            seen += 1
+
+    @pytest.mark.parametrize(
+        "facets, vertices, volume",
+        [
+            # (1, 0) is the midpoint of the edge from (1, -1) to (1, 1), tight
+            # on the normal (1, 0) twice
+            ([[1, 0], [0, 1], [1, 0]], [[1, 1], [1, -1], [1, 0]], 4),
+            # (1, 1, 0) is the midpoint of a cube edge, tight on e1 and e2 twice
+            ([E1, E2, E3, E1, E2], [[1, s, t] for s in (1, -1) for t in (1, -1)]
+             + [[-1, s, t] for s in (1, -1) for t in (1, -1)] + [[1, 1, 0]], 8),
+        ],
+        ids=["square", "cube"],
+    )
+    def test_edge_midpoint_is_not_a_vertex(self, facets, vertices, volume):
+        with pytest.raises(ValueError, match="extreme"):
+            SymmetricPolytope(facets, vertices=vertices, volume=volume)
 
 
 class TestCoordinateSection:

@@ -245,6 +245,29 @@ class TestCLI:
                     "lattice": {"ambient_dim": 2, "basis": [["1/0", "0"], ["0", "1"]]},
                 },
             ),
+            (
+                ["minima", "--instance", "{file}"],
+                {
+                    "instance_id": "x", "kind": "none", "lattice": Z2_WIRE,
+                    "body": {"type": "box", "halfwidths": "12"},
+                },
+            ),
+            (
+                ["minima", "--instance", "{file}"],
+                {
+                    "instance_id": "x", "kind": "none", "body": BOX_WIRE,
+                    "lattice": {"ambient_dim": 2, "basis": ["10", "03"]},
+                },
+            ),
+            (
+                ["minima", "--instance", "{file}"],
+                {
+                    "instance_id": "x", "kind": "none", "lattice": Z2_WIRE,
+                    "body": {"type": "box", "halfwidths": [1, 2]},
+                },
+            ),
+            (["verify", "--trials", "1", "--mu-trials", "-3"], None),
+            (["verify", "--trials", "1", "--torus-trials", "-2"], None),
         ],
         ids=[
             "precision-bits-negative", "precision-bits-zero", "budget-negative",
@@ -253,6 +276,8 @@ class TestCLI:
             "matrix-ragged", "unknown-kind", "bounds-dimension-mismatch",
             "box-zero-denominator", "box-zero-over-zero", "diag-zero-denominator",
             "diag-zero-over-zero", "halfwidth-zero-denominator", "basis-zero-denominator",
+            "halfwidths-a-string", "basis-rows-strings", "halfwidths-json-numbers",
+            "mu-trials-negative", "torus-trials-negative",
         ],
     )
     def test_input_faults_exit_3_without_traceback(self, argv, instance, tmp_path):

@@ -34,7 +34,6 @@ from latmin.minima import (
     covering_radius_diagonal,
     distinct_cosets_in_body,
     enumerate_points,
-    point_sort_key,
     restricted_minima,
     successive_minima,
     torus_packing_volume,
@@ -550,7 +549,7 @@ class TestSkewedRationalInputs:
                 radius /= 2
             got = enumerate_points(body, lat, radius)
             expected = oracles.points_within(bd, short, radius)
-            expected.sort(key=lambda p: point_sort_key(*p))
+            expected.sort(key=lambda p: oracles.point_sort_key(*p))
             assert got == expected
             points += len(got)
         assert points > 300
@@ -672,7 +671,7 @@ class TestHalfWalk:
             while oracle_box(bd, short, radius) > ORACLE_BOX_CAP:
                 radius /= 2
             expected = oracles.points_within(bd, short, radius)
-            expected.sort(key=lambda p: point_sort_key(*p))
+            expected.sort(key=lambda p: oracles.point_sort_key(*p))
             assert enumerate_points(body, lat, radius) == expected
             assert count_points(body, lat, radius) == len(expected) + 1
             while True:
@@ -715,23 +714,27 @@ class TestHalfWalk:
                     assert (first_nonzero(z) > 0) == (first_nonzero(x) > 0)
 
     def test_candidates_are_canonical_members(self):
-        # each record holds the member of its pair that point_sort_key puts
-        # first, and together with the partners they are every point
+        # the walk holds one member of each pair, and its canonical member
+        # is the one the point order puts first; together with the
+        # partners they are every point
         for _, body, short, lat in skewed_cases(347, 30):
             bd = body.to_dict()
             radius = max(oracles.gauge(bd, row) for row in short)
             while oracle_box(bd, short, radius) > ORACLE_BOX_CAP:
                 radius /= 2
-            records, _ = minima._sorted_candidates(body, lat, radius, minima.DEFAULT_BUDGET)
-            got = [tuple(Fraction(v, lat._denom) for v in rec[4]) for rec in records]
+            walked, n = minima._points(body, lat, radius, minima.DEFAULT_BUDGET)
+            records = [] if walked is None else [
+                minima._canonical(z, walked.setup.cols) for _, z in walked.pairs[:n]]
+            got = [tuple(Fraction(v, lat._denom) for v in rec[3]) for rec in records]
             first = {}
             for x, g in oracles.points_within(bd, short, radius):
                 key = max(x, tuple(-v for v in x))
-                if key not in first or point_sort_key(x, g) < point_sort_key(*first[key]):
+                if key not in first or (oracles.point_sort_key(x, g)
+                                        < oracles.point_sort_key(*first[key])):
                     first[key] = (x, g)
             assert sorted(got) == sorted(x for x, _ in first.values())
             for rec in records:
-                assert next(v for v in rec[3] if v) > 0
+                assert next(v for v in rec[2] if v) > 0
 
 
 class TestForbiddenSpans:
@@ -767,13 +770,14 @@ class TestForbiddenSpans:
             indices.append(abs(oracles.det(coeffs)))
             fc = ForbiddenCollection(lat, [Lattice(rows, lat.ambient_dim) for rows in subs])
             spans = [lat.in_coords(sub) for sub in fc.sublattices]
+            lat_columns = [list(col) for col in zip(*lat.basis)]
             for _ in range(30):
                 if rng.random() < 0.5:
                     z = [rng.randint(-40, 40) for _ in range(rank)]
                 else:  # a point of one forbidden sublattice, maybe moved off it
                     rows = rng.choice(subs)
                     x = combine([rng.randint(-3, 3) for _ in rows], rows)
-                    z = [int(c) for c in lat.coeffs_of(x)]
+                    z = [int(c) for c in oracles.solve(lat_columns, x)]
                     z[rng.randrange(rank)] += rng.choice((0, 0, 1, -2))
                 x = combine(z, lat.basis)
                 expect = not any(oracles.in_lattice(rows, x) for rows in subs)
@@ -883,8 +887,8 @@ class TestMemoSoundness:
                 assert Fraction(cold["certificate"]["radius"]) <= first.certificate_radius
 
     def test_one_set_up_lookup_per_walk(self):
-        # a walk hashes its body and lattice once, cold or warm, and also
-        # when there is nothing to walk
+        # a walk hashes its body and lattice once, cold or warm, and a read
+        # with nothing to walk hashes nothing
         body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
         lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
 
@@ -895,8 +899,8 @@ class TestMemoSoundness:
         clear_caches()
         for radius in (Fraction(5, 2), Fraction(7, 3), Fraction(0)):
             before = lookups()
-            minima._sorted_candidates(body, lat, radius, minima.DEFAULT_BUDGET)
-            assert lookups() == before + 1
+            enumerate_points(body, lat, radius)
+            assert lookups() == before + (radius > 0)
         before = lookups()
         count_points(body, lat, 3)
         assert lookups() == before + 1
@@ -1037,7 +1041,7 @@ class TestLazySolve:
         def refuse(*args):
             raise AssertionError("a solve sorted every candidate")
 
-        monkeypatch.setattr(minima, "_sorted_candidates", refuse)
+        monkeypatch.setattr(minima, "enumerate_points", refuse)
         clear_caches()
         fx = rectangle_fixture(11)
         fc = ForbiddenCollection(fx["lattice"], fx["subs"])

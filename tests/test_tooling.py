@@ -164,3 +164,50 @@ def test_greedy_pass_calls_no_lattice_method():
         and node.func.attr in methods
     ]
     assert called == []
+
+
+# names with no reference in the package, each kept for its own reason
+UNREFERENCED = {
+    "body.ConvexBody.support": "h_K, the oracle the walk's set-up supports are tested against",
+    "body.Box.support": "h_K of a box, the same oracle",
+    "body.SymmetricPolytope.support": "h_K of a polytope, the same oracle",
+    "bounds.gaudron_bound": "a library evaluator from the comparison literature",
+    "bounds.torus_volume_lower_bound": "a library evaluator from the paper",
+    "kernel.backend_name": "perfbench/run.py prints it",
+    "cli._Parser.error": "an argparse hook",
+    "minima._clear_caches": "tests reset the memos and the held walk with it",
+}
+
+
+def test_every_definition_has_a_caller():
+    # every module-level function or class, and every method that is not a
+    # dunder, is referenced in the package (a Name or an Attribute), is
+    # exported by an __all__, or is kept above with its reason
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used, exported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported |= {elt.value for elt in node.value.elts}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}.{node.name}.{fn.name}", fn.name)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                ]
+    assert {qualified for qualified, _ in defined} >= set(UNREFERENCED)
+    uncalled = [qualified for qualified, name in defined
+                if name not in used | exported and qualified not in UNREFERENCED]
+    assert uncalled == [], f"definitions that nothing in the package references: {uncalled}"
