@@ -141,23 +141,6 @@ def frac_det(m) -> Fraction:
     return Fraction(delta if len(pivots) == n else 0, scale**n)
 
 
-def frac_solve(a, b):
-    """One solution y of A y = b over the rationals, or None if inconsistent.
-
-    A is m x n (rows), b has length m.  Free variables are set to 0.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug, _ = clear_denominators([list(a[i]) + [b[i]] for i in range(m)])
-    pivots, _ = _reduce(aug, n)
-    if any(aug[i][n] for i in range(len(pivots), m)):
-        return None
-    y = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        y[col] = Fraction(aug[r][n], aug[r][col])
-    return y
-
-
 def lcm_denominators(rows) -> int:
     return math.lcm(*(x.denominator for row in rows for x in row))
 

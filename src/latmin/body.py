@@ -3,9 +3,10 @@
 Two variants: axis-aligned boxes (the workhorse) and symmetric polytopes
 K = {x : |<c_j, x>| <= 1} carrying an explicit vertex list and exact
 volume.  Gauge, support function and volume are exact rationals.  Vertex
-enumeration and the volume as a sum of cones over the facets are provided
-up to dimension 3; in higher dimensions the caller supplies vertices and
-volume and the facet/vertex consistency checks still run.
+enumeration, which a supplied vertex list must match, and the volume as a
+sum of cones over the facets are provided up to dimension 3; in higher
+dimensions the caller supplies vertices and volume and the facet/vertex
+consistency checks still run.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class SymmetricPolytope(ConvexBody):
     The vertex list is closed under negation automatically.  Construction
     verifies that every vertex satisfies all facet constraints and is an
     extreme point, its tight facet normals having rank dim, and (for
-    dim <= 3) that the stored volume equals the sum of the cones from the
-    origin over the facets.
+    dim <= 3) that the list holds every vertex of the facets and the stored
+    volume equals the sum of the cones from the origin over the facets.
     """
 
     __slots__ = ("facets", "vertices", "dim", "_volume", "_hash")
@@ -146,16 +147,19 @@ class SymmetricPolytope(ConvexBody):
             raise ValueError("facet normals do not bound a compact set")
         self.dim = n
         self.facets = facets
+        full = _enumerate_vertices(facets) if n <= 3 else None
         if vertices is None:
-            if n > 3:
+            if full is None:
                 raise UnsupportedBodyError(
                     "vertex enumeration implemented only up to dimension 3"
                 )
-            vertices = _enumerate_vertices(facets)
+            vertices = full
         verts = {tuple(Fraction(x) for x in v) for v in vertices}
         verts |= {tuple(-x for x in v) for v in verts}
         self.vertices = tuple(sorted(verts))
         self._check_vertices()
+        if full is not None and verts != full:
+            raise ValueError("the vertex list is not the full vertex set of the facets")
         cones = _cone_volume(self) if n <= 3 else None
         if volume is None:
             if cones is None:
@@ -283,18 +287,22 @@ def _rationals(x, dim):
 
 
 def _enumerate_vertices(facets):
-    """Vertices of {|<c_j,x>| <= 1} by intersecting facet hyperplanes (n <= 3)."""
+    """Vertices of {|<c_j,x>| <= 1} by intersecting facet hyperplanes (n <= 3),
+    decided on integers: with each normal c = C / q for an integer row C, a
+    vertex solves C x = q on n oriented normals of rank n, which one
+    fraction-free elimination gives as y / p with integer y, and it is kept
+    when |C_j . y| <= q_j |p| for every normal."""
     n = len(facets[0])
+    normals = [(row, q) for (row,), q in (im.clear_denominators([c]) for c in facets)]
+    oriented = normals + [([-x for x in row], q) for row, q in normals]
     verts = set()
-    oriented = [list(c) for c in facets] + [[-x for x in c] for c in facets]
     for combo in itertools.combinations(oriented, n):
-        if im.frac_rank([list(c) for c in combo]) < n:
+        a = [row + [q] for row, q in combo]
+        if len(im._reduce(a, n)[0]) < n:
             continue
-        sol = im.frac_solve([list(c) for c in combo], [Fraction(1)] * n)
-        if sol is None:
-            continue
-        if all(abs(dot(c, sol)) <= 1 for c in facets):
-            verts.add(tuple(sol))
+        p, y = a[0][0], [row[n] for row in a]  # a is p [I | x] for the vertex x
+        if all(abs(dot(row, y)) <= q * abs(p) for row, q in normals):
+            verts.add(tuple(Fraction(v, p) for v in y))
     if not verts:
         raise ValueError("no vertices found; facets do not bound a polytope")
     return verts

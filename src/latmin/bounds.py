@@ -13,6 +13,7 @@ and ball-volume comparison bounds are informational only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .exactarith import (
     sqrt_enclosure,
 )
 from .lattice import Lattice, _kernel_and_gram_det, _m_sum, intersect, minors_vector
-from .minima import DEFAULT_BUDGET, _check_dims, _dilation, successive_minima
+from .minima import _CACHE_SIZE, DEFAULT_BUDGET, _check_dims, _dilation, successive_minima
 
 BOUND_MINKOWSKI = "minkowski-first"
 BOUND_SIEGEL = "siegel"
@@ -268,16 +269,21 @@ def gaudron_bound(
 # ---------------------------------------------------------------------------
 
 
-def _lower_rank_terms(body, lat, sublattices, budget):
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _lower_rank_terms(body, lat, subs, budget):
     """(lambda_1, forbidden lambda_1s, det, vol, beta, rho) shared by the
-    lower-rank bounds; rejects forbidden sublattices of full rank."""
+    lower-rank bounds; rejects forbidden sublattices of full rank.
+
+    Memoised by the value of (body, lattice, sublattices, budget), with the
+    sublattices a tuple, so the certificate of a restricted solve and the
+    evaluators called after it share one set of terms; the forbidden
+    lambda_1s are a tuple, which each breakdown copies into a list."""
     n = lat.ambient_dim
-    subs = list(sublattices)
     for sub in subs:
         if sub.rank >= n:
             raise RankError("forbidden sublattices must have lower rank")
     lam1 = _lambda1(body, lat, budget)
-    sub_lam1 = [_lambda1(body, sub, budget) for sub in subs]
+    sub_lam1 = tuple(_lambda1(body, sub, budget) for sub in subs)
     det, vol = lat.det(), body.volume()
     inv_sum = sum((Fraction(1) / v for v in sub_lam1), Fraction(0))
     beta = Fraction(6) ** (n - 1) * det / (lam1 ** (n - 1) * vol) * inv_sum
@@ -299,7 +305,9 @@ def avoidance_bound_lower_rank(
     recorded for the gauge-normalized body, together with the scale.
     """
     n = _full_rank_dim(lat)
-    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(body, lat, sublattices, budget)
+    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(
+        body, lat, tuple(sublattices), budget
+    )
     gamma_bar = beta + nth_root_enclosure(rho, n, policy)
     final = lam1 * gamma_bar
     return BoundBreakdown(
@@ -310,7 +318,7 @@ def avoidance_bound_lower_rank(
             "rho": rho,
             "gamma_bar": gamma_bar,
             "scale_lambda1": lam1,
-            "lambda1_forbidden": sub_lam1,
+            "lambda1_forbidden": list(sub_lam1),
         },
     )
 
@@ -331,7 +339,9 @@ def higher_minima_bound_lower_rank(
     n = _full_rank_dim(lat)
     if not 1 <= j <= n - 1:
         raise InputError(f"j must lie in [1, n-1]; got {j}")
-    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(body, lat, sublattices, budget)
+    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(
+        body, lat, tuple(sublattices), budget
+    )
     alpha = Fraction(3) ** j * Fraction(2) ** (n - 1) * det / (lam1**n * vol)
     inner = alpha + pow_enclosure(Enclosure.point(rho), n - j, n, policy)
     root = nth_root_of_enclosure(inner, n - j, policy)
@@ -345,7 +355,7 @@ def higher_minima_bound_lower_rank(
             "rho": rho,
             "j": j,
             "scale_lambda1": lam1,
-            "lambda1_forbidden": sub_lam1,
+            "lambda1_forbidden": list(sub_lam1),
         },
     )
 
@@ -355,10 +365,17 @@ def higher_minima_bound_lower_rank(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _full_rank_terms(body, lat, subs, budget):
     """(L_bar, m, index ratios, lambda_1(K, L_bar), main term) shared by the
     full-rank bounds: L_bar is the intersection of the sublattices and the
-    main term 2^n det/(lambda_1(K, L_bar)^(n-1) vol) m."""
+    main term 2^n det/(lambda_1(K, L_bar)^(n-1) vol) m.
+
+    Memoised by the value of (body, lattice, sublattices, budget), with the
+    sublattices a tuple, so the certificate of a restricted solve and the
+    plain, improved and higher-minima evaluators share one L_bar, one m and
+    one lambda_1(K, L_bar); the index ratios are a tuple, which each
+    breakdown copies into a list."""
     n = lat.ambient_dim
     inter = intersect(subs, within=lat)
     msum, ratios = _m_sum(inter, subs)
@@ -390,11 +407,11 @@ def avoidance_bound_full_rank(
     for sub in subs:
         if sub.rank != n:
             raise RankError("forbidden sublattices must have full rank")
-    inter, msum, ratios, lam1_bar, main = _full_rank_terms(body, lat, subs, budget)
+    inter, msum, ratios, lam1_bar, main = _full_rank_terms(body, lat, tuple(subs), budget)
     inters = {
         "m": msum,
         "det_intersection": inter.det(),
-        "index_ratios": ratios,
+        "index_ratios": list(ratios),
         "lambda1_intersection": lam1_bar,
         "main_term": main,
     }
@@ -437,8 +454,7 @@ def higher_minima_bound_full_rank(
     n = _full_rank_dim(lat)
     if not 1 <= i <= n:
         raise InputError(f"i must lie in [1, n]; got {i}")
-    subs = list(sublattices)
-    inter, msum, _, lam1_bar, main = _full_rank_terms(body, lat, subs, budget)
+    inter, msum, _, lam1_bar, main = _full_rank_terms(body, lat, tuple(sublattices), budget)
     bar = successive_minima(body, inter, i, budget=budget)
     extra = bar.values[i - 1] if i >= 2 else Fraction(0)
     final = main + lam1_bar + extra

@@ -285,8 +285,9 @@ def m_value(lat: Lattice, sublattices) -> Fraction:
 
 
 def _m_sum(inter: Lattice, sublattices):
-    """(m, indices): the indices [L_i : inter] and m = sum of them - s + 1."""
-    indices = [inter.index_in(sub) for sub in sublattices]
+    """(m, indices): the indices [L_i : inter], a tuple, and
+    m = sum of them - s + 1."""
+    indices = tuple(inter.index_in(sub) for sub in sublattices)
     return Fraction(1 - len(indices)) + sum(indices), indices
 
 

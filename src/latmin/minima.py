@@ -23,17 +23,19 @@ point is independent of those chosen iff it is not orthogonal to their
 complement.  Only the reported witnesses and values become exact rationals.
 
 Each successive minimum and each walk set-up is computed once per value of
-(body, lattice), in bounded memos, and every collect walk goes through one
-read, ``_points``, which keeps the walked points of the last (body,
-lattice) sorted by gauge in a slot: a read of that pair at or below the
-held radius walks nothing.  So successive minima after a restricted solve
-of the same pair, and the rungs below a radius already walked, are read
-from the slot.  A read beyond the held radius whose gauge bound the held
-points reach walks only the shell between the held box and its own, as
-one-sided slabs, and merges what passes; any other read empties the slot
-before walking its whole box, so no two walks' points are alive together.
-Between reads the slot keeps its list, which ``_clear_caches`` drops with
-the memos.
+(body, lattice), and each restricted minimum once per value of (body,
+lattice, forbidden collection, k, method), in bounded memos whose keys
+hold the budget too; the certificate bounds share their terms through the
+memos of ``bounds``.  Every collect walk goes through one read,
+``_points``, which keeps the walked points of the last (body, lattice)
+sorted by gauge in a slot: a read of that pair at or below the held radius
+walks nothing.  So successive minima after a restricted solve of the same
+pair, and the rungs below a radius already walked, are read from the slot.
+A read beyond the held radius whose gauge bound the held points reach
+walks only the shell between the held box and its own, as one-sided slabs,
+and merges what passes; any other read empties the slot before walking its
+whole box, so no two walks' points are alive together.  Between reads the
+slot keeps its list, which ``_clear_caches`` drops with every memo.
 
 Successive and restricted minima share one solve, ``_solve``: read the
 points in the point order one gauge level at a time and take the
@@ -132,6 +134,19 @@ class ForbiddenCollection:
             self.classification = "all-lower-rank"
         else:
             self.classification = "mixed"
+        self._hash = hash((ambient, self.sublattices))
+
+    # everything the collection derives comes from (ambient, sublattices),
+    # so equal pairs share the memo of restricted minima; order is kept
+    def __eq__(self, other):
+        return (
+            isinstance(other, ForbiddenCollection)
+            and self.ambient == other.ambient
+            and self.sublattices == other.sublattices
+        )
+
+    def __hash__(self):
+        return self._hash
 
     @functools.cached_property
     def covers_lattice(self) -> bool:
@@ -161,9 +176,11 @@ class ForbiddenCollection:
 # enumeration core
 # ---------------------------------------------------------------------------
 
-# Entries kept by the memo of successive minima and by the walk set-ups.
-# Both are keyed by value: lattices hash by their Hermite form and bodies by
-# their half-widths or facets and vertices, and what is kept is immutable.
+# Entries kept by each memo: successive and restricted minima, the walk
+# set-ups and the bound terms of ``bounds``.  All are keyed by value:
+# lattices hash by their Hermite form, bodies by their half-widths or facets
+# and vertices, forbidden collections by (ambient, sublattices), and what is
+# kept is immutable.
 _CACHE_SIZE = 32
 
 
@@ -420,9 +437,9 @@ def _take(walked, end, read, k, admissible, chosen, comp, d) -> bool:
     as (z, witness, value), until k are chosen; say whether they are.
     A point is independent iff some row of comp, integer rows spanning the
     vectors orthogonal to every chosen z, is not orthogonal to it; comp is
-    recomputed in place only when a point is chosen.  A level of one point
-    needs no key; a level of ties is ordered lazily by ``_tie_level``, and
-    that order stays with the walk."""
+    updated in place (``_cut``) only when a point is chosen.  A level of one
+    point needs no key; a level of ties is ordered lazily by ``_tie_level``,
+    and that order stays with the walk."""
     if walked is None:
         return False
     pairs, big, cols = walked.pairs, walked.setup.big, walked.setup.cols
@@ -445,9 +462,30 @@ def _take(walked, end, read, k, admissible, chosen, comp, d) -> bool:
             chosen.append((z, *_exact(_canonical(z, cols)[3], m, d, big)))
             if len(chosen) == k:
                 return True
-            comp[:] = im.complement([c[0] for c in chosen], len(z))
+            _cut(comp, z)
         i = j
     return False
+
+
+def _cut(comp, z):
+    """Update comp, independent integer rows spanning the vectors orthogonal
+    to the points chosen so far, in place to span those orthogonal to z as
+    well, for z not orthogonal to all of them: with c the first row whose
+    s = c . z is not 0, every later row r with t = r . z not 0 becomes
+    s r - t c over the gcd of its entries, and c is dropped.  The rows
+    before c are orthogonal to z already."""
+    for a, c in enumerate(comp):
+        s = sum(map(mul, c, z))
+        if s:
+            break
+    del comp[a]
+    for b in range(a, len(comp)):
+        row = comp[b]
+        t = sum(map(mul, row, z))
+        if t:
+            row = [s * x - t * y for x, y in zip(row, c)]
+            g = math.gcd(*row)
+            comp[b] = [x // g for x in row]
 
 
 def _solve(body, lat, k, budget, radius, cap, admissible=None):
@@ -512,10 +550,13 @@ def _successive_minima(body, lat, k, budget) -> MinimaResult:
 
 
 def _clear_caches():
-    """Empty the memo of successive minima, the walk set-ups and the slot."""
+    """Empty every memo, the bound terms' in ``bounds`` too, and the slot."""
+    from . import bounds  # deferred: bounds uses this module's minima
+
     global _slot
-    _successive_minima.cache_clear()
-    _walk_setup.cache_clear()
+    for memo in (_successive_minima, _restricted_minima, _walk_setup,
+                 bounds._full_rank_terms, bounds._lower_rank_terms):
+        memo.cache_clear()
     _slot = None
 
 
@@ -555,6 +596,10 @@ def restricted_minima(
     otherwise geometric doubling.  Enumeration starts at lambda_1 and
     doubles under the certified cap, so typical instances stop far below
     it; the budget bounds the evaluators' walks as well as these.
+
+    Memoised by the value of (body, lattice, forbidden, k, budget, method)
+    once the checks below pass; the budget is part of the key, so a smaller
+    one still raises ``BudgetExceededError``.
     """
     if forbidden.ambient != lat:
         raise ValueError("forbidden collection belongs to a different lattice")
@@ -566,6 +611,11 @@ def restricted_minima(
         raise EmptyAdmissibleSetError(
             "the forbidden sublattices cover the whole lattice"
         )
+    return _restricted_minima(body, lat, forbidden, k, budget, method)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _restricted_minima(body, lat, forbidden, k, budget, method) -> MinimaResult:
     kind, cap = CERT_DOUBLING, None
     if method == "auto":
         kind, cap = _certificate(body, lat, forbidden, k, budget)

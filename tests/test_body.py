@@ -130,6 +130,20 @@ class TestPolytopeConstruction:
         with pytest.raises(ValueError):
             SymmetricPolytope([[1, 0]], vertices=[[1, 0]], volume=1)
 
+    @pytest.mark.parametrize(
+        "facets, vertices",
+        [
+            # the hexagon without (1, -1): it read volume 1 and support 1 at (1, -1)
+            ([[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]]),
+            # the square without (1, -1): its minima divided by a zero volume
+            ([[1, 0], [0, 1]], [[1, 1]]),
+        ],
+        ids=["hexagon", "square"],
+    )
+    def test_partial_vertex_list_rejected(self, facets, vertices):
+        with pytest.raises(ValueError, match="full vertex set"):
+            SymmetricPolytope(facets, vertices=vertices)
+
     def test_vertices_auto_symmetrized(self):
         cp = SymmetricPolytope(
             [list(s) for s in [(1, 1), (1, -1)]],

@@ -89,13 +89,6 @@ class TestFractionOps:
         assert im.frac_rank([[1, 0], [0, 1]]) == 2
         assert im.frac_rank([[0, 0]]) == 0
 
-    def test_solve_consistent(self):
-        y = im.frac_solve([[2, 0], [0, 4]], [1, 2])
-        assert y == [Fraction(1, 2), Fraction(1, 2)]
-
-    def test_solve_inconsistent(self):
-        assert im.frac_solve([[1, 1], [2, 2]], [1, 3]) is None
-
     def test_mat_mul_shape_mismatch(self):
         with pytest.raises(ValueError):
             im.mat_mul([[1, 2]], [[1, 2]])
@@ -106,8 +99,8 @@ class TestFractionOps:
 
 
 class TestEliminationAgainstOracle:
-    """The one fraction-free elimination, behind frac_rank, frac_solve,
-    frac_det and Lattice.dual_in_span, checked against the independent
+    """The one fraction-free elimination, behind frac_rank, frac_det and
+    Lattice.dual_in_span, checked against the independent
     oracles on random rectangular and rank-deficient rational matrices and
     on large-entry and rank-deficient rectangular integer matrices."""
 
@@ -123,29 +116,6 @@ class TestEliminationAgainstOracle:
             deficient += trial >= 300 and rank < min(len(a), len(a[0]))
             assert im.frac_rank(a) == rank
         assert deficient >= 100
-
-    def test_solve(self):
-        rng = random.Random(2025)
-        solved = unsolvable = 0
-        for trial in range(500):
-            if trial < 300:
-                a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            else:
-                a = int_matrix(rng, deficient=trial % 2)
-            m, n = len(a), len(a[0])
-            if rng.random() < 0.5:  # consistent by construction
-                y0 = [rand_rational(rng) for _ in range(n)]
-                b = [sum((a[i][j] * y0[j] for j in range(n)), Fraction(0)) for i in range(m)]
-            else:
-                b = [rand_rational(rng) for _ in range(m)]
-            y = im.frac_solve(a, b)
-            assert (y is None) == (oracles.solve(a, b) is None)
-            if y is None:
-                unsolvable += 1
-            else:
-                solved += 1
-                assert [sum(a[i][j] * y[j] for j in range(n)) for i in range(m)] == b
-        assert solved > 50 and unsolvable > 50
 
     def test_det(self):
         # integer, rational and singular matrices (rand_matrix is often rank

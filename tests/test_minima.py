@@ -657,6 +657,34 @@ class TestSkewedRationalInputs:
                     dependent += 1
         assert dependent > 100
 
+    def test_cut_rows_span_the_complement(self):
+        # the greedy pass updates its complement rows in place for each
+        # chosen point; they span what ``complement`` of the chosen points
+        # spans, stay orthogonal to them and primitive
+        rng = random.Random(313)
+        cuts = {3: 0, 4: 0}
+        for _ in range(200):
+            n = rng.choice((3, 4))
+            comp, chosen = [[int(i == j) for j in range(n)] for i in range(n)], []
+            while len(chosen) < n:
+                if chosen and rng.random() < 0.3:  # often a near-dependent point
+                    z = combine([rng.randint(-50, 50) for _ in chosen], chosen)
+                    z[rng.randrange(n)] += rng.choice((0, 1, -3))
+                else:
+                    z = [rng.randint(-20, 20) * rng.randint(0, 1) for _ in range(n)]
+                if not any(map(dot, comp, itertools.repeat(z))):
+                    continue  # dependent, or zero
+                minima._cut(comp, z)
+                chosen.append(z)
+                ref = complement(chosen, n)
+                assert len(comp) == len(ref) == n - len(chosen)
+                if comp:
+                    assert oracles.frac_rank(comp) == oracles.frac_rank(comp + ref) == len(ref)
+                assert all(dot(c, x) == 0 for c in comp for x in chosen)
+                assert all(math.gcd(*c) == 1 for c in comp)
+                cuts[n] += 1
+        assert min(cuts.values()) > 200
+
 
 class TestHalfWalk:
     # the walk visits one member of each pair +-z; the minima keep the
@@ -795,15 +823,18 @@ def clear_caches():
 class TestMemoSoundness:
     def test_smaller_budget_still_raises(self):
         plane = Lattice([[1, 2, 0], [0, 3, 5]], 3)
-        for body, lat, k in ((RECT, Z2, 2), (unit_cube(3), plane, 1)):
+        line = ForbiddenCollection(Z2, [Lattice([[1, 0]], 2)])
+        for call in (functools.partial(successive_minima, RECT, Z2, 2),
+                     functools.partial(successive_minima, unit_cube(3), plane, 1),
+                     functools.partial(restricted_minima, RECT, Z2, line, 2)):
             clear_caches()
             with pytest.raises(BudgetExceededError) as cold:
-                successive_minima(body, lat, k, budget=2)
+                call(budget=2)
             clear_caches()
-            warm = successive_minima(body, lat, k)
-            assert successive_minima(body, lat, k) == warm
+            warm = call()
+            assert call() == warm
             with pytest.raises(BudgetExceededError) as again:
-                successive_minima(body, lat, k, budget=2)
+                call(budget=2)
             assert str(again.value) == str(cold.value)
             assert str(cold.value).startswith("enumeration box has ")
 
@@ -819,6 +850,30 @@ class TestMemoSoundness:
         second = successive_minima(spelled, other, 3)
         assert second.to_dict() == first.to_dict()
         assert minima._successive_minima.cache_info().hits == info.hits + 1
+        # forbidden collections over equal lattices, spelled apart, share
+        # one restricted entry, and the evaluators one set of bound terms
+        subs = [Lattice([[4, 2, 0], [0, 3, 1], [1, 0, 4]]),
+                Lattice([[2, 1, 0], [0, 9, 3], [1, 0, 4]])]
+        respelled = [Lattice([[4, 2, 0], [4, 5, 1], [1, 0, 4]]),
+                     Lattice([[2, 1, 0], [0, 9, 3], [3, 1, 4]])]
+        fc, other_fc = ForbiddenCollection(lat, subs), ForbiddenCollection(other, respelled)
+        assert other_fc == fc and hash(other_fc) == hash(fc)
+        first = restricted_minima(body, lat, fc, 2)
+        info = minima._restricted_minima.cache_info()
+        assert restricted_minima(spelled, other, other_fc, 2).to_dict() == first.to_dict()
+        assert minima._restricted_minima.cache_info().hits == info.hits + 1
+        lower = [Lattice([[2, 1, 0]], 3), Lattice([[0, 3, 1], [1, 0, 4]], 3)]
+        for evaluate, given in (
+            (bounds.avoidance_bound_full_rank, subs),
+            (functools.partial(bounds.avoidance_bound_full_rank, improved=True), subs),
+            (functools.partial(bounds.higher_minima_bound_full_rank, i=2), subs),
+            (bounds.avoidance_bound_lower_rank, lower),
+            (functools.partial(bounds.higher_minima_bound_lower_rank, j=1), lower),
+        ):
+            assert (evaluate(body, lat, list(given)).to_dict()
+                    == evaluate(spelled, other, tuple(given)).to_dict())
+        assert bounds._full_rank_terms.cache_info().currsize == 1
+        assert bounds._lower_rank_terms.cache_info().currsize == 1
         hexagon = SymmetricPolytope([[Fraction(1, 2), 0], [0, Fraction(1, 3)],
                                      [Fraction(1, 2), Fraction(-1, 3)]])
         spelled = SymmetricPolytope([["2/4", "0/7"], [0, Fraction(3, 9)], ["0.5", "-2/6"]])
@@ -859,6 +914,30 @@ class TestMemoSoundness:
         warm = solve_all(False)
         assert minima._successive_minima.cache_info().hits > before
         assert len(cold) > 80 and warm == cold
+
+        # a breakdown's lists are its own: mutating them changes no memo entry
+        body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
+        lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        full = [Lattice([[4, 2, 0], [0, 3, 1], [1, 0, 4]]),
+                Lattice([[2, 1, 0], [0, 9, 3], [1, 0, 4]])]
+        lower = [Lattice([[2, 1, 0]], 3), Lattice([[0, 3, 1], [1, 0, 4]], 3)]
+        evaluators = (
+            lambda: bounds.avoidance_bound_full_rank(body, lat, full),
+            lambda: bounds.avoidance_bound_lower_rank(body, lat, lower),
+            lambda: bounds.higher_minima_bound_lower_rank(body, lat, lower, 1),
+        )
+        clear_caches()
+        cold = [evaluate().to_dict() for evaluate in evaluators]
+        mutated = 0
+        for evaluate in evaluators:
+            inters = evaluate().intermediates
+            for key in ("lambda1_forbidden", "index_ratios"):
+                if key in inters:
+                    inters[key][0] = Fraction(-1)
+                    inters[key].append(Fraction(-2))
+                    mutated += 1
+        assert mutated == 3
+        assert [evaluate().to_dict() for evaluate in evaluators] == cold
 
     def test_lambda_one_walked_once_per_full_rank_pair(self, monkeypatch):
         # k > 1 at full rank takes lambda_1 from the k = 1 entry, so after a
@@ -996,9 +1075,12 @@ class TestLazySolve:
                              functools.partial(minima._successive_minima.__wrapped__,
                                                body, lat, k, minima.DEFAULT_BUDGET)]
                 else:
+                    # the second pair bypasses the memo, so it solves again
                     calls = [functools.partial(restricted_minima, body, lat, fc, k, method=method)
                              for method in ("auto", "doubling")]
-                    calls += calls
+                    calls += [functools.partial(minima._restricted_minima.__wrapped__, body, lat,
+                                                fc, k, minima.DEFAULT_BUDGET, method)
+                              for method in ("auto", "doubling")]
                 for i, call in enumerate(calls):
                     warm = i >= len(calls) // 2
                     if warm:

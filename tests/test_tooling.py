@@ -137,6 +137,31 @@ def test_integer_lattices_make_no_fraction(monkeypatch):
     assert made
 
 
+def test_clear_caches_empties_every_memo():
+    # a solve and the bound evaluators fill every lru_cache in the package,
+    # and minima._clear_caches empties each, so no memo added later can carry
+    # results from one test into the next
+    from latmin import bounds, minima
+    from latmin.body import Box
+    from latmin.lattice import Lattice
+
+    modules = [importlib.import_module(f"latmin.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    memos = {f"{module.__name__}.{attr}": obj
+             for module in modules for attr, obj in vars(module).items()
+             if hasattr(obj, "cache_info")}
+    body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
+    lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+    full = [Lattice([[4, 2, 0], [0, 3, 1], [1, 0, 4]])]
+    minima.restricted_minima(body, lat, minima.ForbiddenCollection(lat, full), 2)
+    bounds.avoidance_bound_lower_rank(body, lat, [Lattice([[2, 1, 0]], 3)])
+    assert len(memos) >= 5
+    assert [name for name, memo in memos.items() if memo.cache_info().currsize == 0] == []
+    minima._clear_caches()
+    assert [name for name, memo in memos.items() if memo.cache_info().currsize] == []
+    assert minima._slot is None
+
+
 def test_greedy_pass_calls_no_lattice_method():
     # the greedy pass tests admissibility and independence with integer
     # vectors computed once per collection and once per chosen point, so
