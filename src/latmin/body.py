@@ -76,6 +76,10 @@ class Box(ConvexBody):
         hw = tuple(Fraction(a) for a in halfwidths)
         if not hw or any(a <= 0 for a in hw):
             raise ValueError("half-widths must be positive")
+        self._set(hw)
+
+    def _set(self, hw):
+        """Set from a tuple of positive Fraction half-widths."""
         self.halfwidths = hw
         self.dim = len(hw)
         self._volume = None
@@ -102,7 +106,9 @@ class Box(ConvexBody):
         mu = Fraction(mu)
         if mu <= 0:
             raise ValueError("scale must be positive")
-        return Box([mu * a for a in self.halfwidths])
+        box = Box.__new__(Box)  # mu a > 0 for each a > 0: nothing to check
+        box._set(tuple([mu * a for a in self.halfwidths]))
+        return box
 
     def is_unit_cube(self) -> bool:
         return all(a == 1 for a in self.halfwidths)
@@ -209,11 +215,16 @@ class SymmetricPolytope(ConvexBody):
         mu = Fraction(mu)
         if mu <= 0:
             raise ValueError("scale must be positive")
-        return SymmetricPolytope(
-            facets=[[x / mu for x in c] for c in self.facets],
-            vertices=[[mu * x for x in v] for v in self.vertices],
-            volume=self._volume * mu**self.dim,
-        )
+        # the image of a checked polytope needs no check: its facets are
+        # c / mu, its vertices mu v, in the same order as mu > 0, and its
+        # volume mu^n vol
+        poly = SymmetricPolytope.__new__(SymmetricPolytope)
+        poly.dim = self.dim
+        poly.facets = tuple([tuple([x / mu for x in c]) for c in self.facets])
+        poly.vertices = tuple([tuple([mu * x for x in v]) for v in self.vertices])
+        poly._volume = self._volume * mu**self.dim
+        poly._hash = hash(("polytope", poly.facets, poly.vertices))
+        return poly
 
     def to_dict(self) -> dict:
         return {
@@ -291,18 +302,24 @@ def _enumerate_vertices(facets):
     decided on integers: with each normal c = C / q for an integer row C, a
     vertex solves C x = q on n oriented normals of rank n, which one
     fraction-free elimination gives as y / p with integer y, and it is kept
-    when |C_j . y| <= q_j |p| for every normal."""
+    when |C_j . y| <= q_j |p| for every normal, as is -y / p, which solves
+    the opposite orientations.  Normals of rank n are n distinct lines +-C,
+    so each line is tried once, and in the first normal's orientation
+    +C only."""
     n = len(facets[0])
     normals = [(row, q) for (row,), q in (im.clear_denominators([c]) for c in facets)]
-    oriented = normals + [([-x for x in row], q) for row, q in normals]
+    lines = {(tuple(row) if next(filter(None, row)) > 0 else tuple([-x for x in row]), q)
+             for row, q in normals if any(row)}
     verts = set()
-    for combo in itertools.combinations(oriented, n):
-        a = [row + [q] for row, q in combo]
-        if len(im._reduce(a, n)[0]) < n:
-            continue
-        p, y = a[0][0], [row[n] for row in a]  # a is p [I | x] for the vertex x
-        if all(abs(dot(row, y)) <= q * abs(p) for row, q in normals):
-            verts.add(tuple(Fraction(v, p) for v in y))
+    for combo in itertools.combinations(lines, n):
+        for signs in itertools.product((1, -1), repeat=n - 1):
+            a = [[s * x for x in row] + [q] for s, (row, q) in zip((1, *signs), combo)]
+            if len(im._reduce(a, n)[0]) < n:
+                continue
+            p, y = a[0][0], [row[n] for row in a]  # a is p [I | x] for the vertex x
+            if all(abs(dot(row, y)) <= q * abs(p) for row, q in normals):
+                verts.add(tuple(Fraction(v, p) for v in y))
+                verts.add(tuple(Fraction(-v, p) for v in y))
     if not verts:
         raise ValueError("no vertices found; facets do not bound a polytope")
     return verts

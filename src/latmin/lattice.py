@@ -43,7 +43,7 @@ class Lattice:
     """Free Z-module of rank r <= n given by r independent rational rows."""
 
     __slots__ = ("ambient_dim", "rank", "_basis", "_hermite", "_denom", "_pivots",
-                 "_det_squared", "_dual_rows")
+                 "_det_squared", "_dual_rows", "_hash")
 
     def __init__(self, basis, ambient_dim: int | None = None):
         rows, d = _integer_rows(basis)
@@ -64,6 +64,9 @@ class Lattice:
         self._pivots = tuple(next(j for j, x in enumerate(row) if x) for row in h)
         self._det_squared = None
         self._dual_rows = None
+        # (H, d) determines basis == H / d and is unique per lattice, so
+        # this agrees with comparing bases, without hashing Fractions
+        self._hash = hash((ambient_dim, d, self._hermite))
 
     @property
     def basis(self) -> tuple:
@@ -209,9 +212,7 @@ class Lattice:
         )
 
     def __hash__(self):
-        # (H, d) determines basis == H / d and is unique per lattice, so
-        # this agrees with comparing bases, without hashing Fractions
-        return hash((self.ambient_dim, self._denom, self._hermite))
+        return self._hash
 
     def __repr__(self):
         rows = ", ".join(

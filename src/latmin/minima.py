@@ -35,7 +35,10 @@ A read beyond the held radius whose gauge bound the held points reach
 walks only the shell between the held box and its own, as one-sided slabs,
 and merges what passes; any other read empties the slot before walking its
 whole box, so no two walks' points are alive together.  Between reads the
-slot keeps its list, which ``_clear_caches`` drops with every memo.
+slot keeps its list, which ``_clear_caches`` drops with every memo.  A
+count of the held pair at or below the held radius is read off the slot
+too, as after a solve of the pair; any other count runs the count loop of
+``kernel`` and leaves the slot as it was.
 
 Successive and restricted minima share one solve, ``_solve``: read the
 points in the point order one gauge level at a time and take the
@@ -46,9 +49,11 @@ for every point is the pivot of H's first row, so the level is sorted by
 that int and only the runs of equal |z_0| the pass reaches are keyed, and
 the order is kept in the slot for the next solve.  On a shortfall the solve
 reads again at twice the radius, clipped to a proved cap (Minkowski's bound
-or a basis gauge, or the bound evaluator whose hypotheses the forbidden
-collection meets), keeps what it chose and reads only the points beyond the
-failed radius.  A capped solve collects every rung up to its cap, so each
+or a basis gauge, whichever is smaller, where the n-th root in
+Minkowski's bound on lambda_1 is taken only when an integer test finds the
+shortest basis gauge above it; or the bound evaluator whose hypotheses the
+forbidden collection meets), keeps what it chose and reads only the points
+beyond the failed radius.  A capped solve collects every rung up to its cap, so each
 rung walks only the shell it adds and no capped solve visits a box point
 twice; restricted minima without such a cap double until found, walking
 each rung's whole box.  The caller's budget bounds every read, held or
@@ -369,6 +374,8 @@ def _points(body, lat, radius, budget, cap=None):
 
 def _exact(x, g, d, big):
     """The point x' / d and the gauge g / L as exact rationals."""
+    if d == 1:
+        return tuple(map(Fraction, x)), Fraction(g, big)
     return tuple(Fraction(v, d) for v in x), Fraction(g, big)
 
 
@@ -459,7 +466,10 @@ def _take(walked, end, read, k, admissible, chosen, comp, d) -> bool:
                     break
             else:
                 continue  # z is orthogonal to the complement: dependent
-            chosen.append((z, *_exact(_canonical(z, cols)[3], m, d, big)))
+            x = [dot(z, col) for col in cols]
+            if next(filter(None, z)) < 0:  # the witness is the canonical member
+                x = [-v for v in x]
+            chosen.append((z, *_exact(x, m, d, big)))
             if len(chosen) == k:
                 return True
             _cut(comp, z)
@@ -535,16 +545,21 @@ def successive_minima(
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _successive_minima(body, lat, k, budget) -> MinimaResult:
     setup = _walk_setup(body, lat)
-    radius = Fraction(setup.basis_gauges[k - 1], setup.big)  # the k-th smallest
+    gauge = setup.basis_gauges[k - 1]  # the k-th smallest, times L
+    radius = Fraction(gauge, setup.big)
     kind = CERT_DOUBLING
     if lat.rank == lat.ambient_dim:
-        n = lat.ambient_dim
-        ratio = (2**n) * lat.det() / body.volume()
-        if k == 1:
-            mink = nth_root_enclosure(ratio, n).hi
-        else:
+        n, det, vol = lat.ambient_dim, lat.det(), body.volume()
+        if k > 1:
+            ratio = 2**n * det / vol
             mink = ratio / _successive_minima(body, lat, 1, budget).values[0] ** (n - 1)
-        radius, kind = min(mink, radius), CERT_MINKOWSKI
+            radius = min(mink, radius)
+        elif gauge**n * det.denominator * vol.numerator > (
+                (2 * setup.big) ** n * det.numerator * vol.denominator):
+            # (gauge / L)^n > 2^n det / vol: the root of Minkowski's bound may
+            # lie below the basis gauge; otherwise its upper end does not
+            radius = min(nth_root_enclosure(2**n * det / vol, n).hi, radius)
+        kind = CERT_MINKOWSKI
     values, witnesses, _ = _solve(body, lat, k, budget, radius, radius)
     return MinimaResult(values, witnesses, radius, kind)
 
@@ -636,13 +651,21 @@ def count_points(
 ) -> int:
     """|lam K  intersect  lattice|, origin included.
 
-    The count visits the walk box strip by strip in ``kernel.count_passing``
-    and keeps no point: no candidate list, no gauge and no slot entry."""
+    When the slot holds the walk of (body, lattice) at a radius >= lam, as
+    after a solve of the pair, the count is read off it: twice the pairs
+    with gauge <= lam, plus the origin.  Otherwise it visits the walk box
+    strip by strip in ``kernel.count_passing`` and keeps no point: no
+    candidate list, no gauge, and the slot is left as it was.  Either way
+    ``_walk_system`` runs first, so the budget decides as if the whole box
+    were walked."""
     lam = _dilation(lam)
     walk = _walk_system(body, lat, lam, budget)
     if walk is None:
         return 1
     setup, hi = walk
+    held = _slot
+    if held is not None and held.setup is setup and held.radius >= lam:
+        return 2 * held.upto(lam) + 1
     t = [_top(lam, setup.big)] * len(setup.weighted)
     return kernel.count_passing(setup.weighted, t, [-v for v in hi], hi) + 1
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from latmin import body as body_module
 from latmin.body import (
     Box,
     ConvexBody,
@@ -223,6 +224,49 @@ class TestFacetConeVolume:
     def test_edge_midpoint_is_not_a_vertex(self, facets, vertices, volume):
         with pytest.raises(ValueError, match="extreme"):
             SymmetricPolytope(facets, vertices=vertices, volume=volume)
+
+
+class TestScale:
+    # the image is mapped from the checked polytope, not constructed again
+    @pytest.mark.parametrize("name", ["cross-polytope", "hexagon", "hexagonal-prism"])
+    @pytest.mark.parametrize("mu", [Fraction(3, 2), Fraction(2, 7), 5])
+    def test_polytope_scale_equals_fresh_construction(self, name, mu):
+        facets = {
+            "cross-polytope": [list(c) for c in cross_polytope(3).facets],
+            "hexagon": [[1, 0], [0, 1], [1, 1]],
+            "hexagonal-prism": SOLIDS["hexagonal-prism"][0],
+        }[name]
+        got = SymmetricPolytope(facets).scale(mu)
+        fresh = SymmetricPolytope([[Fraction(x) / mu for x in c] for c in facets])
+        assert got == fresh and hash(got) == hash(fresh)
+        assert got.facets == fresh.facets and got.vertices == fresh.vertices
+        assert got.volume() == fresh.volume()
+        assert got.dim == fresh.dim
+
+    def test_box_scale_equals_fresh_construction(self):
+        mu = Fraction(5, 3)
+        box = Box([Fraction(3, 2), 1, Fraction(5, 4)])
+        got, fresh = box.scale(mu), Box([mu * a for a in box.halfwidths])
+        assert got == fresh and hash(got) == hash(fresh) and got.dim == 3
+        assert got.volume() == fresh.volume() == mu**3 * box.volume()
+
+    def test_scale_rejects_nonpositive(self):
+        for body in (RECT, cross_polytope(2)):
+            for mu in (0, -1):
+                with pytest.raises(ValueError, match="scale must be positive"):
+                    body.scale(mu)
+
+    def test_vertex_enumeration_skips_opposite_normals(self, monkeypatch):
+        # the 3-D cross-polytope's 8 facet normals lie on 4 lines +-C, so
+        # C(4, 3) line triples in 4 orientations each are eliminated; all
+        # 3-subsets of the 16 oriented normals were 560
+        facets = cross_polytope(3).facets
+        reduced = []
+        reduce = body_module.im._reduce
+        monkeypatch.setattr(body_module.im, "_reduce",
+                            lambda a, n: reduced.append(a) or reduce(a, n))
+        assert len(body_module._enumerate_vertices(facets)) == 6
+        assert len(reduced) == 16
 
 
 class TestCoordinateSection:

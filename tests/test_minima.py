@@ -25,7 +25,7 @@ from latmin.errors import (
     RankError,
     UnsupportedBodyError,
 )
-from latmin.exactarith import Enclosure
+from latmin.exactarith import Enclosure, nth_root_enclosure
 from latmin.harness import generate, rectangle_fixture
 from latmin.lattice import Lattice, kernel_lattice
 from latmin.minima import (
@@ -402,15 +402,19 @@ class TestDimensionMismatch:
 class TestCertificateCheck:
     """A proved radius that fails to contain the minima raises, never
     returns, also under python -O.  The memos are cleared first, so the
-    patched radius is the one walked."""
+    patched radius is the one walked.  The Minkowski radius is patched on
+    the unit square over rows (1, 5), (0, 11): its shortest basis gauge 5
+    lies above the root of 2^n det / vol = 11, so the root is taken, and
+    lambda_1 = 2, at (2, -1)."""
 
     HALF = Enclosure.point(Fraction(1, 2))
+    SKEW = "Lattice([[1, 5], [0, 11]])"
     FULL = "ForbiddenCollection(Z2, [Lattice([[2, 0], [0, 2]])])"
     PATCHES = {
-        # a Minkowski radius below lambda_1 = 1
+        # a Minkowski radius below lambda_1 = 2
         "successive": (
             "minima.nth_root_enclosure = lambda *a: HALF",
-            "successive_minima(BOX2, Z2, 1)",
+            f"successive_minima(BOX2, {SKEW}, 1)",
         ),
         # a Theorem 1.2 radius below the restricted minimum 1
         "restricted": (
@@ -421,10 +425,14 @@ class TestCertificateCheck:
     }
 
     def test_minkowski_radius_below_lambda1(self, monkeypatch):
+        lat = Lattice([[1, 5], [0, 11]])
+        clear_caches()
+        res = successive_minima(BOX2, lat, 1)
+        assert res.values == (2,) and res.certificate_radius < 5
         clear_caches()
         monkeypatch.setattr(minima, "nth_root_enclosure", lambda *a: self.HALF)
         with pytest.raises(CertificateError, match="certified radius failed"):
-            successive_minima(BOX2, Z2, 1)
+            successive_minima(BOX2, lat, 1)
 
     def test_bound_below_restricted_minimum(self, monkeypatch):
         clear_caches()
@@ -684,6 +692,63 @@ class TestSkewedRationalInputs:
                 assert all(math.gcd(*c) == 1 for c in comp)
                 cuts[n] += 1
         assert min(cuts.values()) > 200
+
+
+def full_rank_cases():
+    """(body, lattice) at full rank: the skewed inputs, boxes and polytopes
+    alike, and generated campaign instances in dimensions 2 and 3."""
+    for _, body, _, lat in skewed_cases(337, 60):
+        if lat.rank == lat.ambient_dim:
+            yield body, lat
+    rng = random.Random(339)
+    for _ in range(30):
+        inst = generate(rng.randint(0, 10**6), rng.randint(2, 3), 1,
+                        rng.choice(("lower", "full")))
+        yield inst.body, inst.lattice
+
+
+def minkowski_radius(body, lat):
+    """(radius, rooted): the certified radius of lambda_1 at full rank,
+    min(the upper end of the root of 2^n det / vol, the shortest basis
+    gauge), and whether that gauge's n-th power exceeds 2^n det / vol,
+    which is when the root is taken."""
+    n = lat.ambient_dim
+    ratio = 2**n * lat.det() / body.volume()
+    gauge = min(body.gauge(b) for b in lat.basis)
+    return min(nth_root_enclosure(ratio, n).hi, gauge), gauge**n > ratio
+
+
+class TestMinkowskiRadius:
+    def test_radius_is_the_smaller_of_root_and_basis_gauge(self):
+        # the root is skipped when the basis gauge is at most Minkowski's
+        # bound, and the radius is the same as if it were taken
+        branches = set()
+        for body, lat in full_rank_cases():
+            clear_caches()
+            radius, rooted = minkowski_radius(body, lat)
+            res = successive_minima(body, lat, 1)
+            assert res.certificate_radius == radius
+            assert res.certificate_kind == minima.CERT_MINKOWSKI
+            assert res.values[0] <= radius
+            branches.add((type(body), rooted))
+        assert branches == {(Box, False), (Box, True),
+                            (SymmetricPolytope, False), (SymmetricPolytope, True)}
+
+    def test_root_taken_only_when_the_gauge_test_fails(self, monkeypatch):
+        calls = []
+        root = minima.nth_root_enclosure
+        monkeypatch.setattr(minima, "nth_root_enclosure",
+                            lambda *a: calls.append(a) or root(*a))
+        rooted = 0
+        for body, lat in full_rank_cases():
+            clear_caches()
+            expected = minkowski_radius(body, lat)[1]
+            before = len(calls)
+            successive_minima(body, lat, 1)
+            successive_minima(body, lat, lat.rank)  # reads the k = 1 entry
+            assert len(calls) - before == expected
+            rooted += expected
+        assert rooted > 5
 
 
 class TestHalfWalk:
@@ -1179,6 +1244,71 @@ class TestHeldWalk:
             assert str(warm.value) == str(cold.value)
             assert str(cold.value).startswith("enumeration box has ")
             assert minima._slot is held
+
+
+class TestHeldCounts:
+    """A count of (body, lattice) at or below the radius of the walk the
+    slot holds for the pair is read off that walk."""
+
+    def solved(self):
+        """(body, lattice, held radius, dilates at or below it) after a
+        solve of all minima of each pair, which leaves its walk held."""
+        for body, lat, _ in lazy_solve_cases():
+            clear_caches()
+            res = successive_minima(body, lat, lat.rank)
+            held = minima._slot
+            assert held.setup is minima._walk_setup(body, lat)
+            radius = held.radius
+            lams = {*res.values, radius, radius / 3, res.values[0] / 2, Fraction(0)}
+            yield body, lat, radius, sorted(lam for lam in lams if lam <= radius)
+
+    def test_held_counts_match_fresh_counts(self, monkeypatch):
+        strips = []
+        count = kernel.count_passing
+        monkeypatch.setattr(kernel, "count_passing",
+                            lambda *a: strips.append(a) or count(*a))
+        checked = 0
+        for body, lat, radius, lams in self.solved():
+            got = [count_points(body, lat, lam) for lam in lams]
+            assert strips == []
+            lams.append(2 * radius)  # beyond the held walk: counted afresh
+            got.append(count_points(body, lat, lams[-1]))
+            assert len(strips) == 1
+            clear_caches()
+            assert got == [count_points(body, lat, lam) for lam in lams]
+            assert minima._slot is None  # a fresh count holds nothing
+            strips.clear()
+            checked += len(lams)
+        assert checked > 200
+
+    def test_smaller_budget_raises_on_a_held_walk(self):
+        # the budget decides as if the whole box were walked, held or not
+        checked = 0
+        for body, lat, radius, _ in self.solved():
+            held = minima._slot
+            hi = minima._walk_system(body, lat, radius, minima.DEFAULT_BUDGET)[1]
+            size = kernel.box_size([-v for v in hi], hi)
+            expected = count_points(body, lat, radius)
+            with pytest.raises(BudgetExceededError, match=f"box has {size} points"):
+                count_points(body, lat, radius, budget=size - 1)
+            assert count_points(body, lat, radius, budget=size) == expected
+            assert minima._slot is held
+            checked += 1
+        assert checked > 50
+
+    def test_held_count_looks_up_once_and_walks_nothing(self, monkeypatch):
+        body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
+        lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        clear_caches()
+        radius = successive_minima(body, lat, 3).certificate_radius
+        assert minima._slot.radius >= radius
+        strips = []
+        monkeypatch.setattr(kernel, "count_passing", lambda *a: strips.append(a))
+        info = minima._walk_setup.cache_info()
+        count_points(body, lat, radius)
+        after = minima._walk_setup.cache_info()
+        assert (after.hits + after.misses) - (info.hits + info.misses) == 1
+        assert strips == []
 
 
 # ---------------------------------------------------------------------------
