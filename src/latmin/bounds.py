@@ -54,11 +54,6 @@ BOUND_AVOID_FULL_IMPROVED = "avoidance-full-rank-improved"
 BOUND_HIGHER_LOWER = "higher-lower-rank"
 BOUND_HIGHER_FULL = "higher-full-rank"
 BOUND_HIGHER_SINGLE = "higher-single-full"
-BOUND_COVERING = "covering-radius-avoidance"
-BOUND_TORUS_LOWER = "torus-volume-lower"
-BOUND_VDC = "vdc-lower"
-BOUND_BHW = "bhw-upper"
-BOUND_HENZE = "henze-upper"
 
 
 @dataclass(frozen=True)

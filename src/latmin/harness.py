@@ -159,20 +159,11 @@ def generate(seed: int, n: int, s: int, kind: str) -> Instance:
     body = Box(_random_halfwidths(rng, n))
     lat, diag = _random_lattice(rng, n)
     for _ in range(_RETRIES):
-        subs = []
-        if kind == "lower":
-            coeff_sets = [_random_lower_coeffs(rng, n) for _ in range(s)]
-            subs = [_coeffs_to_sub(c, lat) for c in coeff_sets]
-        elif kind == "full":
-            coeff_sets = [_random_full_coeffs(rng, n, rng.choice(_PRIMES)) for _ in range(s)]
-            subs = [_coeffs_to_sub(c, lat) for c in coeff_sets]
-        else:
-            n_low = rng.randint(1, s - 1)
-            coeff_sets = [_random_lower_coeffs(rng, n) for _ in range(n_low)]
-            coeff_sets += [
-                _random_full_coeffs(rng, n, rng.choice(_PRIMES)) for _ in range(s - n_low)
-            ]
-            subs = [_coeffs_to_sub(c, lat) for c in coeff_sets]
+        # n_low lower-rank members, then s - n_low full-rank ones
+        n_low = s if kind == "lower" else 0 if kind == "full" else rng.randint(1, s - 1)
+        coeff_sets = [_random_lower_coeffs(rng, n) for _ in range(n_low)]
+        coeff_sets += [_random_full_coeffs(rng, n, rng.choice(_PRIMES)) for _ in range(s - n_low)]
+        subs = [_coeffs_to_sub(c, lat) for c in coeff_sets]
         full_members = [sub for sub in subs if sub.rank == n]
         if full_members and union_covers(lat, full_members):
             continue

@@ -332,15 +332,13 @@ def _membership(span: Lattice):
     return im.complement(h, r), mod, m
 
 
-def union_covers(
-    lat: Lattice, sublattices, index_cap: int = DEFAULT_INDEX_CAP
-) -> bool:
+def union_covers(lat: Lattice, sublattices) -> bool:
     """Exact test of whether the union of full-rank sublattices is the
     lattice, decided in its coordinates, so lat may have any rank."""
-    return _spans_cover([lat.in_coords(sub) for sub in sublattices], index_cap)
+    return _spans_cover([lat.in_coords(sub) for sub in sublattices])
 
 
-def _spans_cover(spans, index_cap: int = DEFAULT_INDEX_CAP) -> bool:
+def _spans_cover(spans) -> bool:
     """Whether full-rank integer spans in Z^r cover Z^r.
 
     Every coset of their intersection lies inside some span or meets none of
@@ -351,8 +349,8 @@ def _spans_cover(spans, index_cap: int = DEFAULT_INDEX_CAP) -> bool:
     """
     diag = [row[i] for i, row in enumerate(intersect(spans)._hermite)]
     index = math.prod(diag)
-    if index > index_cap:
-        raise IndexOverflowError(f"index {index} exceeds cap {index_cap}")
+    if index > DEFAULT_INDEX_CAP:
+        raise IndexOverflowError(f"index {index} exceeds cap {DEFAULT_INDEX_CAP}")
     return all(
         any(s._solve(z) is not None for s in spans)
         for z in itertools.product(*(range(h) for h in diag))

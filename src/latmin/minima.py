@@ -1,18 +1,22 @@
 """Exact enumeration of lattice points in dilates of a body, successive
 minima, and restricted successive minima.
 
-Enumeration walks half of an axis-aligned integer box in lattice
-coordinates, symmetric about 0, or the one-sided slabs of the shell between
-two such boxes; the per-coordinate bounds come from the support function of
-the body at the dual rows of the lattice span, integers over one
-denominator.  The body is o-symmetric, so the walk finds one member of each
-pair +-z, and this module, its one caller, keeps the canonical one:
-first nonzero coordinate positive, in z and so in z H, as H is echelon with
-positive pivots.  It is first in the point order (gauge, then |x|
-componentwise, then signs, nonnegative first), and its partner has the
-same gauge, is dependent on it and is admissible exactly when it is,
-so the minima never need the partner; counts, coset labels and the public
-point list restore it.  Gauges, their order, admissibility and independence
+Enumeration walks the shell between two axis-aligned integer boxes in
+lattice coordinates, both symmetric about 0: the box already walked, or
+the origin alone, and the box of the radius.  The shell is cut into
+one-sided slabs (``_shell``), plain boxes that ``kernel`` walks in full;
+the slabs of the shell around the origin are the half of the box after 0
+in odometer order.  The per-coordinate bounds come from the support
+function of the body at the dual rows of the lattice span, integers over
+one denominator.  The body is o-symmetric, so its lattice points come in
+pairs +-z, and a slab holds at most one member of each pair.  This
+module, the kernel's one caller, is the one that knows it, and keeps the
+canonical member: first nonzero coordinate positive, in z and so in z H,
+as H is echelon with positive pivots.  It is first in the point order
+(gauge, then |x| componentwise, then signs, nonnegative first), and its
+partner has the same gauge, is dependent on it and is admissible exactly
+when it is, so the minima never need the partner; counts, coset labels and
+the public point list restore it.  Gauges, their order, admissibility and independence
 are decided on integers: with basis == H / d, a point is z H / d and its
 gauge max_j |W_j . z| / L for integer rows W and one integer L, the one
 gauge form the walk tests, and the walk returns the numerator with each
@@ -31,14 +35,15 @@ memos of ``bounds``.  Every collect walk goes through one read,
 sorted by gauge in a slot: a read of that pair at or below the held radius
 walks nothing.  So successive minima after a restricted solve of the same
 pair, and the rungs below a radius already walked, are read from the slot.
-A read beyond the held radius whose gauge bound the held points reach
-walks only the shell between the held box and its own, as one-sided slabs,
-and merges what passes; any other read empties the slot before walking its
-whole box, so no two walks' points are alive together.  Between reads the
-slot keeps its list, which ``_clear_caches`` drops with every memo.  A
-count of the held pair at or below the held radius is read off the slot
-too, as after a solve of the pair; any other count runs the count loop of
-``kernel`` and leaves the slot as it was.
+A read beyond the held radius walks only the shell between the held box
+and its own and merges what passes.  When the held points do not reach its
+gauge bound, or belong to another (body, lattice), the read first replaces
+them with the empty walk at the origin, so no two walks' points are alive
+together.  Between reads the slot keeps its list, which ``_clear_caches``
+drops with every memo.  A count of the held pair at or below the held
+radius is read off the slot too, as after a solve of the pair; any other
+count runs the count loop of ``kernel`` over the shell around the origin
+and leaves the slot as it was.
 
 Successive and restricted minima share one solve, ``_solve``: read the
 points in the point order one gauge level at a time and take the
@@ -291,7 +296,9 @@ def _shell(a, b):
     axis i with a_i < b_i, the slab a_i < z_i <= b_i, |z_j| <= b_j for j < i
     and |z_j| <= a_j for j > i.  It takes the pairs whose last coordinate
     outside the small box is z_i, in their member with z_i > 0, so every
-    slab is one-sided and no point lies in two."""
+    slab is one-sided and no point lies in two.  With a = 0 a slab holds the
+    points whose last nonzero coordinate is z_i > 0, and the slabs in turn
+    list the half of the box after 0 in odometer order."""
     return [
         ([-v for v in b[:i]] + [a[i] + 1] + [-v for v in a[i + 1:]], b[:i + 1] + a[i + 1:])
         for i in range(len(a))
@@ -325,7 +332,9 @@ class _Walked:
     __slots__ = ("setup", "radius", "hi", "top", "pairs", "keyed")
 
     def __init__(self, setup):
+        """The empty walk at the origin, whose box holds no pair."""
         self.setup, self.pairs, self.keyed = setup, [], set()
+        self.hi = [0] * len(setup.supports)
 
     def upto(self, radius) -> int:
         """The number of pairs with gauge <= radius."""
@@ -342,13 +351,14 @@ def _points(body, lat, radius, budget, cap=None):
     are those with gauge <= radius, or (None, 0) when there is nothing to
     walk.  A read at or below the held radius walks nothing.  A read beyond
     it collects the pairs of its box with gauge <= cap, the radius when
-    there is no cap.  If the held pairs reach that gauge, it walks only the
-    shell between the held box and its own (``_shell``) and merges what
-    passes into them; the new pairs lie beyond the held radius, so the
-    merge moves no pair at or below it and no keyed run.  Otherwise it
-    empties the slot and walks its whole box, so at most one walk's points
-    are alive at a time.  ``_walk_system`` runs on every read, so the budget
-    decides as if every read walked its whole box."""
+    there is no cap.  If the held pairs do not reach that gauge, or belong
+    to another (body, lattice), it first empties the slot and holds the
+    empty walk at the origin, so at most one walk's points are alive at a
+    time.  Then it walks the shell between the held box and its own
+    (``_shell``) and merges what passes; the new pairs lie beyond the held
+    radius, so the merge moves no pair at or below it and no keyed run.
+    ``_walk_system`` runs on every read, so the budget decides as if every
+    read walked its whole box."""
     global _slot
     walk = _walk_system(body, lat, radius, budget)
     if walk is None:
@@ -357,14 +367,11 @@ def _points(body, lat, radius, budget, cap=None):
     held = _slot
     if held is None or held.setup is not setup or held.radius < radius:
         top = _top(radius if cap is None else cap, setup.big)
-        if held is not None and held.setup is setup and held.top >= top:
-            boxes = _shell(held.hi, hi)
-        else:
+        if held is None or held.setup is not setup or held.top < top:
             _slot = None
             held = _Walked(setup)
-            boxes = [([-v for v in hi], hi)]
         t = [top] * len(setup.weighted)
-        for lo, up in boxes:
+        for lo, up in _shell(held.hi, hi):
             held.pairs += kernel.collect_passing(setup.weighted, t, lo, up)
         held.pairs.sort(key=itemgetter(0))
         held.radius, held.hi, held.top = radius, hi, top
@@ -653,11 +660,11 @@ def count_points(
 
     When the slot holds the walk of (body, lattice) at a radius >= lam, as
     after a solve of the pair, the count is read off it: twice the pairs
-    with gauge <= lam, plus the origin.  Otherwise it visits the walk box
-    strip by strip in ``kernel.count_passing`` and keeps no point: no
-    candidate list, no gauge, and the slot is left as it was.  Either way
-    ``_walk_system`` runs first, so the budget decides as if the whole box
-    were walked."""
+    with gauge <= lam, plus the origin.  Otherwise it counts the slabs of
+    the shell around the origin, one member of each pair, strip by strip
+    in ``kernel.count_passing`` and keeps no point: no candidate list, no
+    gauge, and the slot is left as it was.  Either way ``_walk_system``
+    runs first, so the budget decides as if the whole box were walked."""
     lam = _dilation(lam)
     walk = _walk_system(body, lat, lam, budget)
     if walk is None:
@@ -667,7 +674,8 @@ def count_points(
     if held is not None and held.setup is setup and held.radius >= lam:
         return 2 * held.upto(lam) + 1
     t = [_top(lam, setup.big)] * len(setup.weighted)
-    return kernel.count_passing(setup.weighted, t, [-v for v in hi], hi) + 1
+    boxes = _shell([0] * len(hi), hi)
+    return 2 * sum(kernel.count_passing(setup.weighted, t, lo, up) for lo, up in boxes) + 1
 
 
 def distinct_cosets_in_body(

@@ -263,10 +263,13 @@ class TestCosets:
         with pytest.raises(NotSublatticeError):
             Lattice.standard(2).in_coords(half)
 
-    def test_index_cap(self):
-        span = Lattice.standard(2).in_coords(Lattice([[100, 0], [0, 100]]))
-        with pytest.raises(IndexOverflowError):
-            _spans_cover([span], index_cap=100)
+    def test_index_cap(self, monkeypatch):
+        # index 1,001,000, just above the cap of 10^6: raised before any
+        # coset is streamed
+        span = Lattice.standard(2).in_coords(Lattice([[1001, 0], [0, 1000]]))
+        monkeypatch.setattr(Lattice, "_solve", lambda *a: pytest.fail("a coset was streamed"))
+        with pytest.raises(IndexOverflowError, match="index 1001000 exceeds cap 1000000"):
+            _spans_cover([span])
 
 
 class TestMValueAndCovering:
@@ -300,7 +303,7 @@ class TestMValueAndCovering:
     def test_large_index_short_circuits(self):
         lat = Lattice.standard(2)
         with pytest.raises(IndexOverflowError):
-            union_covers(lat, [Lattice([[60, 0], [0, 60]])], index_cap=1000)
+            union_covers(lat, [Lattice([[1001, 0], [0, 1000]])])
 
     def test_non_cover_stops_at_first_uncovered_coset(self):
         # representatives are produced one at a time, so a non-cover at the

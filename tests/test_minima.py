@@ -1025,7 +1025,8 @@ class TestMemoSoundness:
             if expected:  # the walk's radius is lambda_2's, beyond lambda_1's
                 radius = Fraction(cold["certificate"]["radius"])
                 big = minima._walk_setup(body, lat).big
-                assert walks[0][1] == [radius.numerator * big // radius.denominator] * 3
+                for _, t, _, _ in walks[0]:
+                    assert t == [radius.numerator * big // radius.denominator] * 3
                 assert radius > first.certificate_radius
             else:
                 assert Fraction(cold["certificate"]["radius"]) <= first.certificate_radius
@@ -1120,9 +1121,23 @@ def lazy_solve_cases():
 
 
 def count_walks(monkeypatch):
-    walks = []
-    walk = kernel.collect_passing
-    monkeypatch.setattr(kernel, "collect_passing", lambda *a: walks.append(a) or walk(*a))
+    """The walks of collect reads from now on: one walk is the list of
+    kernel calls (g, t, lo, hi) one read of ``minima._points`` makes, one
+    per slab of its shell, all with one t; a read that walks nothing adds
+    no walk."""
+    walks, calls = [], []
+    walk, points = kernel.collect_passing, minima._points
+
+    def read(*args):
+        calls.clear()
+        out = points(*args)
+        if calls:
+            assert len({tuple(t) for _, t, _, _ in calls}) == 1
+            walks.append(list(calls))
+        return out
+
+    monkeypatch.setattr(kernel, "collect_passing", lambda *a: calls.append(a) or walk(*a))
+    monkeypatch.setattr(minima, "_points", read)
     return walks
 
 
@@ -1273,7 +1288,11 @@ class TestHeldCounts:
             assert strips == []
             lams.append(2 * radius)  # beyond the held walk: counted afresh
             got.append(count_points(body, lat, lams[-1]))
-            assert len(strips) == 1
+            # one count: a call per slab of the origin shell, all with one t
+            hi = minima._walk_system(body, lat, lams[-1], minima.DEFAULT_BUDGET)[1]
+            top = minima._top(lams[-1], minima._walk_setup(body, lat).big)
+            assert [(lo, up) for _, _, lo, up in strips] == minima._shell([0] * len(hi), hi)
+            assert all(t == [top] * len(t) for _, t, _, _ in strips)
             clear_caches()
             assert got == [count_points(body, lat, lam) for lam in lams]
             assert minima._slot is None  # a fresh count holds nothing
@@ -1323,11 +1342,37 @@ def canonical_pairs(pairs, cols):
 
 
 def fresh_walk(body, lat, radius):
-    """One collect walk of the whole symmetric box at the radius."""
+    """One fresh collect walk at the radius: the slabs of the shell between
+    the origin and the box of the radius, one member of each pair."""
     setup = minima._walk_setup(body, lat)
     hi = minima._walk_system(body, lat, radius, minima.DEFAULT_BUDGET)[1]
     t = [minima._top(radius, setup.big)] * len(setup.weighted)
-    return kernel.collect_passing(setup.weighted, t, [-v for v in hi], hi)
+    return [pair for lo, up in minima._shell([0] * len(hi), hi)
+            for pair in kernel.collect_passing(setup.weighted, t, lo, up)]
+
+
+class TestOriginShell:
+    def test_slabs_are_the_half_box_after_zero(self):
+        # every box with half-widths 0..2 in r = 1..4 dimensions: the slabs
+        # of the shell around the origin hold, slab after slab, the members
+        # of the pairs +-z whose last nonzero coordinate is positive, in
+        # odometer order, so each nonzero point or its negation exactly once
+        def odometer(lo, hi):  # every z in the box, axis 0 fastest
+            axes = [range(a, b + 1) for a, b in zip(lo, hi)]
+            return [z[::-1] for z in itertools.product(*reversed(axes))]
+
+        boxes = 0
+        for r in range(1, 5):
+            for hi in itertools.product(range(3), repeat=r):
+                hi = list(hi)
+                box = odometer([-h for h in hi], hi)
+                got = [z for lo, up in minima._shell([0] * r, hi) for z in odometer(lo, up)]
+                assert got == box[box.index((0,) * r) + 1:]
+                assert all([v for v in z if v][-1] > 0 for z in got)
+                partners = [tuple(-v for v in z) for z in got]
+                assert sorted(got + partners) == sorted(z for z in box if any(z))
+                boxes += 1
+        assert boxes == 3 + 9 + 27 + 81
 
 
 def key_tie_levels(held, n):
@@ -1379,10 +1424,9 @@ class TestShellRungs:
                 if rng.random() < 0.3:
                     reads.append((min(radius * Fraction(5, 4), cap), None))
                 for r, c in reads:
-                    before = len(walks)
+                    before, prev = len(walks), minima._slot
                     held, n = minima._points(body, lat, r, minima.DEFAULT_BUDGET, c)
-                    new = walks[before:]
-                    if any(max(lo) >= 1 for _, _, lo, _ in new):
+                    if len(walks) > before and held is prev:  # extended the held walk
                         extended += 1
                         kinds.add((type(body), lat.rank, lat.ambient_dim))
                     cols = held.setup.cols
@@ -1442,8 +1486,7 @@ class TestShellRungs:
         walk = kernel.collect_passing
 
         def counted(g, t, lo, hi):
-            size = kernel.box_size(lo, hi)
-            visited.append(size if max(lo) >= 1 else size // 2)
+            visited.append(kernel.box_size(lo, hi))
             return walk(g, t, lo, hi)
 
         fx = rectangle_fixture(73)

@@ -205,15 +205,15 @@ UNREFERENCED = {
 
 
 def test_every_definition_has_a_caller():
-    # every module-level function or class, and every method that is not a
-    # dunder, is referenced in the package (a Name or an Attribute), is
-    # exported by an __all__, or is kept above with its reason
+    # every module-level function, class or assigned name, and every method,
+    # each but dunders, is referenced in the package (a Name or an
+    # Attribute), is exported by an __all__, or is kept above with its reason
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     used, exported = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -225,6 +225,11 @@ def test_every_definition_has_a_caller():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(f"{module}.{t.id}", t.id) for t in targets
+                            if isinstance(t, ast.Name)
+                            and not (t.id.startswith("__") and t.id.endswith("__"))]
             if isinstance(node, ast.ClassDef):
                 defined += [
                     (f"{module}.{node.name}.{fn.name}", fn.name)
