@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from latmin import kernel
 
 # the shapes of box ``random_box`` draws: lo = -hi, around 0, one-sided on
@@ -97,6 +99,23 @@ class TestPurePython:
             passing[shape] += len(expected)
         assert min(passing.values()) > 200
 
+    def test_one_sided_boxes_against_brute_force(self):
+        # a box with lo_i >= 1 on some axis holds no pair +-z; such boxes are
+        # the slabs of a shell of two boxes
+        rng = random.Random(97)
+        passing = 0
+        for _ in range(300):
+            g, t, r = random_system(rng)
+            lo, hi = random_box(rng, r, rng.choice(("symmetric", "around")))
+            i = rng.randrange(r)
+            lo[i] = rng.randint(1, 3)
+            hi[i] = lo[i] + rng.randint(-1, 3)  # sometimes empty
+            expected = brute_passing(g, t, lo, hi)
+            assert kernel.collect_passing(g, t, lo, hi) == [(gauge(g, z), z) for z in expected]
+            assert kernel.count_passing(g, t, lo, hi) == len(expected)
+            passing += len(expected)
+        assert passing > 1000
+
     def test_backend_name(self):
         assert kernel.backend_name() == "pure-python"
 
@@ -137,6 +156,36 @@ class TestCountPassing:
         assert {(r, m) for _, r, m in shapes} == {(r, m) for r in range(1, 5) for m in range(1, 5)}
         assert {shape for shape, _, _ in shapes} == set(SHAPES)
         assert passing > 5000 and cut_by_constant_row > 150
+
+    def test_symmetric_boxes(self):
+        rng = random.Random(2020)
+        shapes, cut_by_constant_row = set(), 0
+        for _ in range(400):
+            g, t, r = strip_system(rng)
+            lo, hi = random_box(rng, r, "symmetric")
+            expected = len(brute_passing(g, t, lo, hi))
+            assert kernel.count_passing(g, t, lo, hi) == expected
+            assert expected == len(kernel.collect_passing(g, t, lo, hi))
+            shapes.add((r, len(t)))
+            varying = [j for j in range(len(t)) if g[j][0]]
+            loose = brute_passing([g[j] for j in varying], [t[j] for j in varying], lo, hi)
+            cut_by_constant_row += expected < len(loose)
+        assert shapes == {(r, m) for r in range(1, 5) for m in range(1, 5)}
+        assert cut_by_constant_row > 50
+
+    @pytest.mark.parametrize("axis", ["first", "outer"])
+    def test_one_sided_boxes(self, axis):
+        rng = random.Random(2021 if axis == "first" else 2022)
+        passing = 0
+        for _ in range(300):
+            g, t, r = strip_system(rng)
+            if axis == "outer" and r == 1:
+                continue
+            lo, hi = random_box(rng, r, axis)
+            expected = len(brute_passing(g, t, lo, hi))
+            assert kernel.count_passing(g, t, lo, hi) == expected
+            passing += expected
+        assert passing > 1000
 
     def test_empty_boxes(self):
         rng = random.Random(2023)
