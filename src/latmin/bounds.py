@@ -264,21 +264,18 @@ def gaudron_bound(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _lower_rank_terms(body, lat, subs, budget):
     """(lambda_1, forbidden lambda_1s, det, vol, beta, rho) shared by the
     lower-rank bounds; rejects forbidden sublattices of full rank.
 
-    Memoised by the value of (body, lattice, sublattices, budget), with the
-    sublattices a tuple, so the certificate of a restricted solve and the
-    evaluators called after it share one set of terms; the forbidden
-    lambda_1s are a tuple, which each breakdown copies into a list."""
+    Not memoised: the lambda_1 values come from the successive-minima memo,
+    and the rest is a few Fraction operations."""
     n = lat.ambient_dim
     for sub in subs:
         if sub.rank >= n:
             raise RankError("forbidden sublattices must have lower rank")
     lam1 = _lambda1(body, lat, budget)
-    sub_lam1 = tuple(_lambda1(body, sub, budget) for sub in subs)
+    sub_lam1 = [_lambda1(body, sub, budget) for sub in subs]
     det, vol = lat.det(), body.volume()
     inv_sum = sum((Fraction(1) / v for v in sub_lam1), Fraction(0))
     beta = Fraction(6) ** (n - 1) * det / (lam1 ** (n - 1) * vol) * inv_sum
@@ -313,7 +310,7 @@ def avoidance_bound_lower_rank(
             "rho": rho,
             "gamma_bar": gamma_bar,
             "scale_lambda1": lam1,
-            "lambda1_forbidden": list(sub_lam1),
+            "lambda1_forbidden": sub_lam1,
         },
     )
 
@@ -350,7 +347,7 @@ def higher_minima_bound_lower_rank(
             "rho": rho,
             "j": j,
             "scale_lambda1": lam1,
-            "lambda1_forbidden": list(sub_lam1),
+            "lambda1_forbidden": sub_lam1,
         },
     )
 

@@ -555,7 +555,7 @@ def check_instance(
             hz = bounds.henze_upper(body, lat, lam, budget)
             chk.check(f"count-le-henze@{lam}", cnt <= hz, f"{cnt} vs {hz}")
 
-    if inst.kind == "lower":
+    if fc.classification == "all-lower-rank":
         bd = bounds.avoidance_bound_lower_rank(body, lat, inst.forbidden, budget=budget)
         chk.bound_row(bd, res.values[0], "lower-rank-dominance", strict=True)
         if k >= 2:
@@ -585,7 +585,7 @@ def check_instance(
                     "covering-radius-higher",
                     res_d.values[1] <= bounds.covering_radius_avoidance_bound(mu, s, 2),
                 )
-    elif inst.kind == "full":
+    elif fc.classification == "all-full-rank":
         bd = bounds.avoidance_bound_full_rank(body, lat, inst.forbidden, budget=budget)
         chk.bound_row(bd, res.values[0], "full-rank-dominance", strict=True)
         bdi = bounds.avoidance_bound_full_rank(

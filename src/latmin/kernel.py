@@ -1,20 +1,21 @@
 """The constraint walk over a plain integer box lo <= z <= hi.
 
-Both loops visit every point of the box in odometer order (axis 0
-fastest) and test |(G z)_j| <= t_j on running sums y = G z, updated by one
-column of G per step; arithmetic is plain Python int, so there is no
-overflow ceiling.  The box may hold 0 or not, and sit anywhere: which
-boxes to walk is the caller's decision.
+The collect walk and the count visit every point of the box in odometer
+order (axis 0 fastest) and test |(G z)_j| <= t_j on running sums
+y = G z, updated by one column of G per step; arithmetic is plain Python
+int, so there is no overflow ceiling.  The box may hold 0 or not, and sit
+anywhere: which boxes to walk is the caller's decision.
 
-Counting has its own loop, ``count_passing``, which visits the same points
-and materialises none of them.  It walks the box strip by strip, a strip
-being a run along axis 0 with the other coordinates fixed.  At a strip's
-start it takes each row's sum over the fixed coordinates once; a row whose
-axis-0 coefficient is 0 is constant along the strip and is tested once per
-strip, and only the other rows are tested at each point.  ``_walk`` serves
-the collect path alone, so neither loop branches on its caller at each
-passing point.  A strip's passing points are the intersection of one
-interval per row, so the count could be read in closed form without
+There is one odometer, ``_walk``.  The collect walk takes its points from
+it; ``count_passing`` takes its strips from it and materialises no point.
+A strip is a run along axis 0 with the other coordinates fixed, so the
+count walks the other axes, whose running sums are each row's sum over the
+fixed coordinates.  A row whose axis-0 coefficient is 0 is constant along
+a strip, and the walk tests it once per strip against t_j; every other row
+is given a bound that no strip's sum can exceed, and is tested at each
+point of the strip instead.  The per-point work of the collect walk is
+the same either way.  A strip's passing points are the intersection of
+one interval per row, so the count could be read in closed form without
 visiting them; that waits for a benchmark whose input space a count that
 fast cannot exhaust.
 """
@@ -36,48 +37,31 @@ def backend_name() -> str:
 
 def count_passing(g, t, lo, hi) -> int:
     """Number of z in the box with |(G z)_j| <= t_j for all j, counted strip
-    by strip along axis 0."""
+    by strip along axis 0, the strips taken from ``_walk`` over the other
+    axes."""
     r = len(lo)
-    if r == 0 or any(l > h for l, h in zip(lo, hi)):
+    if r == 0 or min(t, default=0) < 0 or any(l > h for l, h in zip(lo, hi)):
         return 0
     lo0, hi0 = lo[0], hi[0]
-    m = len(t)
-    fixed = [j for j in range(m) if not g[j][0]]
-    vary = [j for j in range(m) if g[j][0]]
-    ocols = [[g[j][i] for j in range(m)] for i in range(1, r)]
-    outer = list(lo[1:])
-    u = [dot(row[1:], outer) for row in g]
-    s = r - 1
+    vary = [j for j, row in enumerate(g) if row[0]]
+    # t_j for a row constant along a strip, else a bound no strip's sum exceeds
+    cap = [
+        sum(abs(c) * max(-l, h) for c, l, h in zip(row[1:], lo[1:], hi[1:])) if row[0] else tj
+        for row, tj in zip(g, t)
+    ]
+    outer = [row[1:] for row in g]
+    strips = _walk(outer, cap, lo[1:], hi[1:]) if r > 1 else [((), [0] * len(t))]
     total = 0
-    while True:
-        for j in fixed:
-            if u[j] > t[j] or -u[j] > t[j]:
-                break
-        else:
-            rows = [(u[j], g[j][0], t[j]) for j in vary]
-            for z0 in range(lo0, hi0 + 1):
-                for uj, cj, tj in rows:
-                    v = uj + cj * z0
-                    if v > tj or -v > tj:
-                        break
-                else:
-                    total += 1
-        axis = 0
-        while axis < s:
-            if outer[axis] < hi[axis + 1]:
-                outer[axis] += 1
-                col = ocols[axis]
-                for j in range(m):
-                    u[j] += col[j]
-                break
-            step = lo[axis + 1] - hi[axis + 1]
-            outer[axis] = lo[axis + 1]
-            col = ocols[axis]
-            for j in range(m):
-                u[j] += step * col[j]
-            axis += 1
-        if axis == s:
-            return total
+    for _, u in strips:
+        rows = [(u[j], g[j][0], t[j]) for j in vary]
+        for z0 in range(lo0, hi0 + 1):
+            for uj, cj, tj in rows:
+                v = uj + cj * z0
+                if v > tj or -v > tj:
+                    break
+            else:
+                total += 1
+    return total
 
 
 def collect_passing(g, t, lo, hi) -> list:
@@ -99,7 +83,8 @@ def box_size(lo, hi) -> int:
 
 def _walk(g, t, lo, hi):
     """Yield (z, y) with y = G z for each passing z of the box; the tuple
-    and both lists are reused, so copy what is kept."""
+    and both lists are reused, so copy what is kept.  The collect walk reads
+    its points from it, the count its strips."""
     r = len(lo)
     m = len(t)
     if r == 0 or any(l > h for l, h in zip(lo, hi)):

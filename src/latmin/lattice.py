@@ -168,13 +168,6 @@ class Lattice:
             raise RankError("index needs equal ranks")
         return math.prod(row[i] for i, row in enumerate(span._hermite))
 
-    def scale(self, mu) -> "Lattice":
-        mu = mu if type(mu) is int else Fraction(mu)
-        if mu <= 0:
-            raise ValueError("scale must be positive")
-        rows = [[mu.numerator * x for x in row] for row in self._hermite]
-        return Lattice._over(rows, self._denom * mu.denominator, self.ambient_dim)
-
     # -- duality ------------------------------------------------------
 
     def dual_in_span(self) -> tuple:
@@ -307,8 +300,8 @@ def _coset_label(z, span: Lattice) -> tuple:
 def _membership(span: Lattice):
     """(zero, mod, m) with z in Z^r a point of the integer span iff z . c = 0
     for each row c of zero and z . a = 0 mod m for each row a of mod.  The
-    rows of zero span the vectors orthogonal to the span
-    (``_intmat.complement``), so they decide the rational span; there
+    rows of zero are a basis of the integer vectors orthogonal to the span
+    (``_kernel_rows``), so they decide the rational span; there
     z = c H with c = z_P H_P^-1 read off the pivot columns P of the Hermite
     form, and c is integral iff z_P adj(H_P) is 0 mod m = det H_P, the
     product of the pivots.  H_P is upper triangular, so its adjugate
@@ -329,7 +322,7 @@ def _membership(span: Lattice):
             a[p] = v % m
         if any(a):
             mod.append(a)
-    return im.complement(h, r), mod, m
+    return _kernel_rows(h, r), mod, m
 
 
 def union_covers(lat: Lattice, sublattices) -> bool:

@@ -577,7 +577,7 @@ def _clear_caches():
 
     global _slot
     for memo in (_successive_minima, _restricted_minima, _walk_setup,
-                 bounds._full_rank_terms, bounds._lower_rank_terms):
+                 bounds._full_rank_terms):
         memo.cache_clear()
     _slot = None
 

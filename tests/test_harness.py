@@ -84,6 +84,17 @@ class TestReports:
         rep = harness.verify(trials=4, dims=(2,), kinds=("lower", "full", "mixed"), seed=2)
         assert rep.failures == []
 
+    def test_checks_follow_the_members_not_the_kind_label(self):
+        # an instance loaded with kind "none" gets the checks its members
+        # call for, the same as under its generated kind
+        for kind in ("lower", "full"):
+            inst = harness.generate(5, 2, 1, kind)
+            entry = harness.check_instance(inst, random.Random(0), mu_trials=1)
+            relabelled = harness.Instance.from_dict({**inst.to_dict(), "kind": "none"})
+            got = harness.check_instance(relabelled, random.Random(0), mu_trials=1)
+            assert got == {**entry, "kind": "none"}
+            assert got["failures"] == []
+
     def test_verify_torus(self):
         rep = harness.verify_torus(trials=10, seed=3)
         assert rep.failures == []

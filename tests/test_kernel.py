@@ -135,8 +135,9 @@ def strip_system(rng):
 
 
 class TestCountPassing:
-    # count_passing has its own strip loop; these compare it with brute force
-    # and with the collect walk on boxes of every shape
+    # count_passing takes its strips from the collect walk's odometer; these
+    # compare it with brute force and with the collect walk on boxes of
+    # every shape
 
     def test_boxes_against_brute_force(self):
         rng = random.Random(2020)
@@ -186,6 +187,18 @@ class TestCountPassing:
             assert kernel.count_passing(g, t, lo, hi) == expected
             passing += expected
         assert passing > 1000
+
+    def test_negative_bound_passes_nothing(self):
+        # with r = 1 the count's one strip is the empty one, so a row that is
+        # 0 there is never tested; a negative t_j must still pass nothing
+        rng = random.Random(2024)
+        for _ in range(100):
+            g, t, r = strip_system(rng)
+            t[rng.randrange(len(t))] = -rng.randint(1, 3)
+            lo, hi = random_box(rng, r, rng.choice(SHAPES))
+            assert kernel.count_passing(g, t, lo, hi) == 0
+            assert kernel.collect_passing(g, t, lo, hi) == []
+        assert kernel.count_passing([[0], [1]], [-1, 5], [-2], [2]) == 0
 
     def test_empty_boxes(self):
         rng = random.Random(2023)

@@ -86,6 +86,19 @@ def test_only_minima_calls_the_walk():
     assert callers == {"minima.py"}
 
 
+def test_one_odometer_in_the_kernel():
+    # _walk is the kernel's one odometer: the collect walk reads its points
+    # and the count its strips, so no other function there loops on while
+    tree = ast.parse((PACKAGE / "kernel.py").read_text(), filename="kernel.py")
+    looping = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.While) for node in ast.walk(fn))
+    ]
+    assert looping == ["_walk"]
+
+
 def test_one_collect_call_site():
     # every collect walk goes through minima._points, which holds the last
     # walk's points for the next read of the same (body, lattice)
@@ -155,7 +168,7 @@ def test_clear_caches_empties_every_memo():
     full = [Lattice([[4, 2, 0], [0, 3, 1], [1, 0, 4]])]
     minima.restricted_minima(body, lat, minima.ForbiddenCollection(lat, full), 2)
     bounds.avoidance_bound_lower_rank(body, lat, [Lattice([[2, 1, 0]], 3)])
-    assert len(memos) >= 5
+    assert len(memos) >= 4
     assert [name for name, memo in memos.items() if memo.cache_info().currsize == 0] == []
     minima._clear_caches()
     assert [name for name, memo in memos.items() if memo.cache_info().currsize] == []
