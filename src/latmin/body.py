@@ -137,7 +137,8 @@ class SymmetricPolytope(ConvexBody):
     verifies that every vertex satisfies all facet constraints and is an
     extreme point, its tight facet normals having rank dim, and (for
     dim <= 3) that the list holds every vertex of the facets and the stored
-    volume equals the sum of the cones from the origin over the facets.
+    volume equals the sum of the cones from the origin over the facets;
+    above, that the volume lies between the bounds of ``_volume_bracket``.
     """
 
     __slots__ = ("facets", "vertices", "dim", "_volume", "_hash")
@@ -154,33 +155,21 @@ class SymmetricPolytope(ConvexBody):
         self.dim = n
         self.facets = facets
         full = _enumerate_vertices(facets) if n <= 3 else None
-        if vertices is None:
-            if full is None:
-                raise UnsupportedBodyError(
-                    "vertex enumeration implemented only up to dimension 3"
-                )
-            vertices = full
-        verts = {tuple(Fraction(x) for x in v) for v in vertices}
+        if vertices is None and full is None:
+            raise UnsupportedBodyError("vertex enumeration implemented only up to dimension 3")
+        verts = {tuple(Fraction(x) for x in v) for v in (full if vertices is None else vertices)}
         verts |= {tuple(-x for x in v) for v in verts}
         self.vertices = tuple(sorted(verts))
         self._check_vertices()
         if full is not None and verts != full:
             raise ValueError("the vertex list is not the full vertex set of the facets")
         cones = _cone_volume(self) if n <= 3 else None
-        if volume is None:
-            if cones is None:
-                raise UnsupportedBodyError(
-                    "volume must be supplied for dimension > 3"
-                )
-            self._volume = cones
-        else:
-            self._volume = Fraction(volume)
-            if cones is not None and cones != self._volume:
-                raise ValueError(
-                    f"stored volume {self._volume} != facet-cone volume {cones}"
-                )
-            if self._volume <= 0:
-                raise ValueError("volume must be positive")
+        if volume is None and cones is None:
+            raise UnsupportedBodyError("volume must be supplied for dimension > 3")
+        self._volume = cones if volume is None else Fraction(volume)
+        low, high = (cones, cones) if cones is not None else _volume_bracket(self)
+        if self._volume <= 0 or not low <= self._volume <= high:
+            raise ValueError(f"stored volume {self._volume} outside [{low}, {high}]")
         self._hash = hash(("polytope", self.facets, self.vertices))
 
     def _check_vertices(self):
@@ -323,6 +312,21 @@ def _enumerate_vertices(facets):
     if not verts:
         raise ValueError("no vertices found; facets do not bound a polytope")
     return verts
+
+
+def _volume_bracket(poly: SymmetricPolytope) -> tuple:
+    """(low, high) around vol K from the first n independent vertices v_i and
+    facet normals c_i: K holds conv(+-v_i), of volume 2^n |det v| / n!, and
+    lies in {|<c_i, x>| <= 1}, of volume 2^n / |det c|, whether or not the
+    vertex list is complete (low is 0 below n independent vertices)."""
+    n, dets = poly.dim, []
+    for rows in (poly.vertices, poly.facets):
+        chosen = []
+        for row in rows:
+            if len(chosen) < n and im.frac_rank(chosen + [list(row)]) > len(chosen):
+                chosen.append(list(row))
+        dets.append(abs(im.frac_det(chosen)) if len(chosen) == n else 0)
+    return Fraction(2**n) * dets[0] / math.factorial(n), Fraction(2**n) / dets[1]
 
 
 def _cone_volume(poly: SymmetricPolytope) -> Fraction:

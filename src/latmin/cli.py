@@ -16,13 +16,7 @@ from fractions import Fraction
 from . import bounds as bd
 from . import harness
 from .body import Box
-from .errors import (
-    BudgetExceededError,
-    CertificateError,
-    IndexOverflowError,
-    InputError,
-    LatminError,
-)
+from .errors import BudgetExceededError, CertificateError, InputError, LatminError
 from .exactarith import PrecisionPolicy, parse_rational
 from .harness import Instance
 from .lattice import Lattice
@@ -280,15 +274,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (BudgetExceededError, IndexOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except (LatminError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, BudgetExceededError):
+            return EXIT_BUDGET
+        return EXIT_VIOLATION if isinstance(exc, CertificateError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

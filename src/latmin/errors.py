@@ -1,9 +1,8 @@
 """Exception hierarchy.
 
 InputError subclasses signal bad or unsupported input (CLI exit code 3);
-resource exhaustion raises BudgetExceededError / IndexOverflowError
-(CLI exit code 4); a failed soundness check raises CertificateError (CLI
-exit code 2).
+an enumeration over its budget raises BudgetExceededError (CLI exit code
+4); a failed soundness check raises CertificateError (CLI exit code 2).
 """
 
 
@@ -44,10 +43,6 @@ class PackingConditionError(InputError):
 
 class BudgetExceededError(LatminError):
     """Enumeration would visit more points than the configured budget."""
-
-
-class IndexOverflowError(LatminError):
-    """A coset enumeration exceeds the configured index cap."""
 
 
 class CertificateError(LatminError):

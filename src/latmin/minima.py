@@ -162,9 +162,9 @@ class ForbiddenCollection:
     def covers_lattice(self) -> bool:
         """Whether the union is the whole ambient lattice, decided once: it
         is iff the full-rank members cover, as lower-rank ones are too sparse
-        to finish a cover."""
-        full = [span for span in self._spans if span.rank == self.ambient.rank]
-        return bool(full) and _spans_cover(full)
+        to finish a cover, and ``lattice._spans_cover`` decides that by
+        inclusion-exclusion, whatever the index of their intersection."""
+        return _spans_cover([span for span in self._spans if span.rank == self.ambient.rank])
 
     def admissible_coords(self, z) -> bool:
         """Whether the integer lattice coordinates z lie in no forbidden span:

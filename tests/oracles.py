@@ -230,3 +230,27 @@ def dual_basis(rows):
     inverse = inv(rows)
     n = len(rows)
     return [[inverse[i][j] for i in range(n)] for j in range(n)]
+
+
+def spans_cover_by_cosets(bases):
+    """Whether integer lattices of full rank r, each given by r integer rows,
+    cover Z^r, decided coset by coset.
+
+    A lattice B with d = |det B| contains d Z^r, as d B^-1 is integral, so
+    every lattice contains N Z^r for N the lcm of the d's, and each coset of
+    N Z^r lies inside a lattice or meets none.  One representative per
+    coset, the box [0, N)^r, decides the union; they are streamed, and the
+    test stops at the first one no lattice contains.  z = c B with c
+    integral iff z adj(B) = 0 mod det B, with adj(B) = det B * B^-1.
+    """
+    tests = []
+    for rows in bases:
+        d = int(det(rows))
+        tests.append(([[int(x * d) for x in row] for row in inv(rows)], abs(d)))
+    n = math.lcm(*(d for _, d in tests))
+    r = len(bases[0])
+    return all(
+        any(all(sum(z[i] * adj[i][j] for i in range(r)) % d == 0 for j in range(r))
+            for adj, d in tests)
+        for z in itertools.product(range(n), repeat=r)
+    )

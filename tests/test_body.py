@@ -157,6 +157,19 @@ class TestPolytopeConstruction:
         with pytest.raises(UnsupportedBodyError):
             SymmetricPolytope([[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
+    @pytest.mark.parametrize("volume, kept", [(100, False), (Fraction(1, 100), False),
+                                              (Fraction(2, 3), True)])
+    def test_high_dim_volume_bracketed(self, volume, kept):
+        # above dimension 3 a supplied volume must lie between 2^n |det V| / n!
+        # and 2^n / |det C|, here [2/3, 2]: volume 100 made
+        # minkowski_first_bound on Z^4 read 0.632, below lambda_1 = 1
+        cp = cross_polytope(4)
+        if kept:
+            assert SymmetricPolytope(cp.facets, cp.vertices, volume=volume) == cp
+        else:
+            with pytest.raises(ValueError, match=r"outside \[2/3, 2\]"):
+                SymmetricPolytope(cp.facets, cp.vertices, volume=volume)
+
     def test_round_trip(self):
         cp = cross_polytope(2)
         again = ConvexBody.from_dict(cp.to_dict())

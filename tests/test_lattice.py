@@ -9,9 +9,10 @@ import pytest
 
 import oracles
 from latmin import _intmat as im
-from latmin.errors import IndexOverflowError, InputError, NotSublatticeError, RankError
+from latmin.errors import InputError, NotSublatticeError, RankError
 from latmin.harness import generate
 from latmin.lattice import (
+    _MAX_TERMS,
     Lattice,
     _coset_label,
     _spans_cover,
@@ -216,6 +217,21 @@ class TestIntersect:
             intersect([Lattice([[1, 0]], 2)])
 
 
+def random_hermite(rng, n, index):
+    """Hermite rows of a random sublattice of Z^n of the given index: its
+    prime factors spread over the diagonal, and each entry right of a
+    pivot reduced modulo the pivot of its column."""
+    diag = [1] * n
+    p = 2
+    while index > 1:
+        while index % p == 0:
+            diag[rng.randrange(n)] *= p
+            index //= p
+        p += 1
+    return [[diag[i] if j == i else rng.randrange(diag[j]) if j > i else 0 for j in range(n)]
+            for i in range(n)]
+
+
 def coset_labels(lat, sub, radius):
     """{coordinates z of lat in [-radius, radius]^rank: the label of z
     modulo sub}."""
@@ -264,12 +280,14 @@ class TestCosets:
             Lattice.standard(2).in_coords(half)
 
     def test_index_cap(self, monkeypatch):
-        # index 1,001,000, just above the cap of 10^6: raised before any
-        # coset is streamed
+        # index 1,001,000, once above the old cap of 10^6, and a pair whose
+        # intersection has index 1009 * 1013: each is decided as a
+        # non-cover, and no coset representative is ever tested
         span = Lattice.standard(2).in_coords(Lattice([[1001, 0], [0, 1000]]))
+        pair = [Lattice.from_diagonal([1009, 1]), Lattice.from_diagonal([1, 1013])]
         monkeypatch.setattr(Lattice, "_solve", lambda *a: pytest.fail("a coset was streamed"))
-        with pytest.raises(IndexOverflowError, match="index 1001000 exceeds cap 1000000"):
-            _spans_cover([span])
+        assert not _spans_cover([span])
+        assert not _spans_cover(pair)
 
 
 class TestMValueAndCovering:
@@ -300,14 +318,18 @@ class TestMValueAndCovering:
         assert not union_covers(lat, [l1, l2, l3])
         assert not union_covers(lat, [l1])
 
-    def test_large_index_short_circuits(self):
+    def test_large_index_short_circuits(self, monkeypatch):
+        # index 1,001,000: the only membership solves are the two that put
+        # the member in the lattice's coordinates, so no coset is streamed
+        calls = []
+        real = Lattice._solve
+        monkeypatch.setattr(Lattice, "_solve", lambda *a: calls.append(a) or real(*a))
         lat = Lattice.standard(2)
-        with pytest.raises(IndexOverflowError):
-            union_covers(lat, [Lattice([[1001, 0], [0, 1000]])])
+        assert union_covers(lat, [Lattice([[1001, 0], [0, 1000]])]) is False
+        assert len(calls) == 2
 
     def test_non_cover_stops_at_first_uncovered_coset(self):
-        # representatives are produced one at a time, so a non-cover at the
-        # index cap is decided without building all 10^6 of them
+        # a non-cover of index 10^6 is decided without building its cosets
         tracemalloc.start()
         try:
             assert not union_covers(Lattice.standard(2), [Lattice([[1000, 0], [0, 1000]])])
@@ -315,6 +337,49 @@ class TestMValueAndCovering:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_term_limit(self):
+        # the 40 sublattices of Z^2 of index 2..7 meet in more than
+        # _MAX_TERMS distinct intersections, which is an input error
+        members = [Lattice([[a, c], [0, d]])
+                   for a in range(1, 8) for d in range(1, 8) if 2 <= a * d <= 7
+                   for c in range(d)]
+        assert len(members) == 40
+        with pytest.raises(InputError, match=f"more than {_MAX_TERMS} distinct"):
+            _spans_cover(members)
+
+    def test_matches_the_coset_stream(self):
+        # inclusion-exclusion against streaming the cosets of N Z^r: seeded
+        # collections of members of index <= 4 in Z^2 and Z^3, the three
+        # index-2 sublattices of Z^2, and generated full and mixed members
+        rng = random.Random(2718)
+        collections = [[[[1, 0], [0, 2]], [[2, 0], [0, 1]], [[1, 1], [0, 2]]]]
+        for _ in range(240):
+            n, s = rng.choice((2, 3)), rng.randint(1, 6)
+            collections.append([random_hermite(rng, n, rng.randint(1, 4)) for _ in range(s)])
+        for seed in range(6):
+            for n, s, kind in ((2, 3, "full"), (3, 3, "full"), (2, 3, "mixed"), (3, 4, "mixed")):
+                inst = generate(seed, n, s, kind)
+                spans = [inst.lattice.in_coords(sub) for sub in inst.forbidden if sub.rank == n]
+                collections.append([[[int(x) for x in row] for row in span.basis]
+                                    for span in spans])
+        outcomes = set()
+        for rows in collections:
+            covers = oracles.spans_cover_by_cosets(rows)
+            assert _spans_cover([Lattice(m, len(m)) for m in rows]) == covers
+            outcomes.add((len(rows[0]), covers))
+        assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+
+    def test_neumann_lemma(self):
+        # a group covered by s subgroups has one of index <= s (B. H.
+        # Neumann, Publ. Math. Debrecen 3, 1954): members whose indices all
+        # exceed s never cover
+        rng = random.Random(1954)
+        for _ in range(200):
+            n, s = rng.choice((2, 3)), rng.randint(1, 6)
+            members = [Lattice(random_hermite(rng, n, rng.randint(s + 1, s + 6)), n)
+                       for _ in range(s)]
+            assert not _spans_cover(members)
 
     def test_two_strict_sublattices_never_cover(self):
         # index >= m+1 forces a non-cover

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from latmin import bounds, cli, kernel, minima
@@ -26,7 +28,7 @@ from latmin.errors import (
     UnsupportedBodyError,
 )
 from latmin.exactarith import Enclosure, nth_root_enclosure
-from latmin.harness import generate, rectangle_fixture
+from latmin.harness import Instance, generate, rectangle_fixture
 from latmin.lattice import Lattice, _kernel_rows, kernel_lattice
 from latmin.minima import (
     ForbiddenCollection,
@@ -300,6 +302,53 @@ class TestRestrictedMinima:
             ForbiddenCollection(Z2, [Lattice([[Fraction(1, 2), 0]], 2)])
         with pytest.raises(ValueError):
             ForbiddenCollection(Z2, [])
+
+
+STRIP = Box([1, Fraction(1, 50)])
+
+
+def congruence_instance(path, moduli):
+    """Write the box [-1, 1] x [-1/50, 1/50] over Z^2 with the members
+    diag(p, 1) and diag(1, q) for the given (p, q), either None to leave
+    its member out; return the forbidden bases."""
+    members = []
+    if moduli[0] is not None:
+        members.append([[moduli[0], 0], [0, 1]])
+    if moduli[1] is not None:
+        members.append([[1, 0], [0, moduli[1]]])
+    inst = Instance("congruence", "full", STRIP, Z2, tuple(Lattice(m) for m in members), 0)
+    path.write_text(json.dumps(inst.to_dict()))
+    return members
+
+
+class TestLargeModuli:
+    """Two congruence members never cover Z^2, however large their moduli:
+    restricted solves answer lambda_1 = 50, the gauge of (1, 1)."""
+
+    @pytest.mark.parametrize("moduli", [(1009, 1013), (10007, 10009), (999983, 1000003)])
+    def test_restricted_answers(self, tmp_path, capsys, moduli):
+        path = tmp_path / "inst.json"
+        members = congruence_instance(path, moduli)
+        for method, kind in (("auto", "theorem-1.2"), ("doubling", "doubling")):
+            argv = ["restricted", "--instance", str(path), "-k", "1", "--method", method]
+            assert cli.main(argv) == 0
+            res = json.loads(capsys.readouterr().out)
+            assert res["values"] == ["50"] and res["certificate"]["kind"] == kind
+        assert oracles.brute_minima(STRIP.to_dict(), [[1, 0], [0, 1]], members, 1) == (50,)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(moduli=st.tuples(st.none() | st.integers(1, 10**6), st.integers(1, 10**6))
+           .flatmap(lambda t: st.sampled_from([t, t[::-1]])))
+    def test_restricted_exits_cleanly(self, tmp_path, capsys, moduli):
+        path = tmp_path / "inst.json"
+        members = congruence_instance(path, moduli)
+        code = cli.main(["restricted", "--instance", str(path), "-k", "1"])
+        out, err = capsys.readouterr()
+        assert code in (0, 3, 4) and "Traceback" not in err
+        if code == 0:
+            expected = oracles.brute_minima(STRIP.to_dict(), [[1, 0], [0, 1]], members, 1)
+            assert [Fraction(v) for v in json.loads(out)["values"]] == list(expected)
 
 
 class TestCounting:

@@ -6,8 +6,45 @@ from fractions import Fraction
 from pathlib import Path
 
 import latmin
+from latmin import cli, errors
 
 PACKAGE = Path(latmin.__file__).resolve().parent
+
+
+# the CLI exit code of each class in errors.py, as the README documents it
+EXIT_CODES = {
+    "LatminError": 3,
+    "InputError": 3,
+    "RankError": 3,
+    "NotSublatticeError": 3,
+    "UnsupportedBodyError": 3,
+    "MissingSectionError": 3,
+    "EmptyAdmissibleSetError": 3,
+    "PackingConditionError": 3,
+    "BudgetExceededError": 4,
+    "CertificateError": 2,
+}
+
+
+def test_every_error_reaches_its_exit_code(monkeypatch, capsys):
+    # the classes are read from the source, so one added or deleted without
+    # an entry above fails; each, raised inside a command, leaves cli.main
+    # with its code, and the README states every code in the table
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert sorted(classes) == sorted(EXIT_CODES)
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    assert "`2` property violation" in readme and "`3` input error" in readme
+    assert "`4` budget." in readme
+    for name in classes:
+        error = getattr(errors, name)
+
+        def fail(args, error=error):
+            raise error("raised by the test")
+
+        monkeypatch.setattr(cli, "_cmd_minima", fail)
+        assert cli.main(["minima", "--box", "1,1", "--diag", "1,1"]) == EXIT_CODES[name], name
+        assert capsys.readouterr().err == "error: raised by the test\n"
 
 
 def test_no_assert_statements_in_package():
