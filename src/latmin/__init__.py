@@ -33,6 +33,7 @@ from .minima import (
     restricted_minima,
     successive_minima,
     torus_packing_volume,
+    walk_budget,
 )
 
 __version__ = "0.1.0"
@@ -70,4 +71,5 @@ __all__ = [
     "torus_packing_volume",
     "union_covers",
     "unit_cube",
+    "walk_budget",
 ]

@@ -41,7 +41,7 @@ from .exactarith import (
     sqrt_enclosure,
 )
 from .lattice import Lattice, _kernel_and_gram_det, _m_sum, intersect, minors_vector
-from .minima import _CACHE_SIZE, DEFAULT_BUDGET, _check_dims, _dilation, successive_minima
+from .minima import _CACHE_SIZE, _budget, _check_dims, _dilation, successive_minima
 
 BOUND_MINKOWSKI = "minkowski-first"
 BOUND_SIEGEL = "siegel"
@@ -80,8 +80,8 @@ def _ser(v):
     return v
 
 
-def _lambda1(body, lat, budget):
-    return successive_minima(body, lat, 1, budget=budget).values[0]
+def _lambda1(body, lat):
+    return successive_minima(body, lat, 1).values[0]
 
 
 def _full_rank_dim(lat) -> int:
@@ -142,7 +142,6 @@ def minkowski_first_bound(
 def siegel_bound(
     a,
     policy: PrecisionPolicy = DEFAULT_POLICY,
-    budget: int = DEFAULT_BUDGET,
 ) -> BoundBreakdown:
     """Sup-norm bound det(A A^T)^(1/(2(n-m))) for a nonzero integer kernel
     vector, verified against the exact shortest one."""
@@ -153,7 +152,7 @@ def siegel_bound(
     kern, gram_det = _kernel_and_gram_det(rows)
     m, n = len(rows), len(rows[0])
     enc = nth_root_enclosure(gram_det, 2 * (n - m), policy)
-    shortest = successive_minima(Box([Fraction(1)] * n), kern, 1, budget=budget)
+    shortest = successive_minima(Box([Fraction(1)] * n), kern, 1)
     exact = shortest.values[0]
     if exact > enc.hi:
         raise CertificateError("bound fell below the exact shortest kernel vector")
@@ -264,7 +263,7 @@ def gaudron_bound(
 # ---------------------------------------------------------------------------
 
 
-def _lower_rank_terms(body, lat, subs, budget):
+def _lower_rank_terms(body, lat, subs):
     """(lambda_1, forbidden lambda_1s, det, vol, beta, rho) shared by the
     lower-rank bounds; rejects forbidden sublattices of full rank.
 
@@ -274,8 +273,8 @@ def _lower_rank_terms(body, lat, subs, budget):
     for sub in subs:
         if sub.rank >= n:
             raise RankError("forbidden sublattices must have lower rank")
-    lam1 = _lambda1(body, lat, budget)
-    sub_lam1 = [_lambda1(body, sub, budget) for sub in subs]
+    lam1 = _lambda1(body, lat)
+    sub_lam1 = [_lambda1(body, sub) for sub in subs]
     det, vol = lat.det(), body.volume()
     inv_sum = sum((Fraction(1) / v for v in sub_lam1), Fraction(0))
     beta = Fraction(6) ** (n - 1) * det / (lam1 ** (n - 1) * vol) * inv_sum
@@ -288,7 +287,6 @@ def avoidance_bound_lower_rank(
     lat: Lattice,
     sublattices,
     policy: PrecisionPolicy = DEFAULT_POLICY,
-    budget: int = DEFAULT_BUDGET,
 ) -> BoundBreakdown:
     """Certificate bound on the first restricted minimum, lower-rank case.
 
@@ -297,9 +295,7 @@ def avoidance_bound_lower_rank(
     recorded for the gauge-normalized body, together with the scale.
     """
     n = _full_rank_dim(lat)
-    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(
-        body, lat, tuple(sublattices), budget
-    )
+    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(body, lat, tuple(sublattices))
     gamma_bar = beta + nth_root_enclosure(rho, n, policy)
     final = lam1 * gamma_bar
     return BoundBreakdown(
@@ -321,7 +317,6 @@ def higher_minima_bound_lower_rank(
     sublattices,
     j: int,
     policy: PrecisionPolicy = DEFAULT_POLICY,
-    budget: int = DEFAULT_BUDGET,
 ) -> BoundBreakdown:
     """Certificate bound on restricted minimum j+1, lower-rank case.
 
@@ -331,9 +326,7 @@ def higher_minima_bound_lower_rank(
     n = _full_rank_dim(lat)
     if not 1 <= j <= n - 1:
         raise InputError(f"j must lie in [1, n-1]; got {j}")
-    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(
-        body, lat, tuple(sublattices), budget
-    )
+    lam1, sub_lam1, det, vol, beta, rho = _lower_rank_terms(body, lat, tuple(sublattices))
     alpha = Fraction(3) ** j * Fraction(2) ** (n - 1) * det / (lam1**n * vol)
     inner = alpha + pow_enclosure(Enclosure.point(rho), n - j, n, policy)
     root = nth_root_of_enclosure(inner, n - j, policy)
@@ -363,15 +356,16 @@ def _full_rank_terms(body, lat, subs, budget):
     full-rank bounds: L_bar is the intersection of the sublattices and the
     main term 2^n det/(lambda_1(K, L_bar)^(n-1) vol) m.
 
-    Memoised by the value of (body, lattice, sublattices, budget), with the
-    sublattices a tuple, so the certificate of a restricted solve and the
-    plain, improved and higher-minima evaluators share one L_bar, one m and
-    one lambda_1(K, L_bar); the index ratios are a tuple, which each
-    breakdown copies into a list."""
+    Memoised by the value of (body, lattice, sublattices) and the walk
+    budget of the calling scope, with the sublattices a tuple, so the
+    certificate of a restricted solve and the plain, improved and
+    higher-minima evaluators share one L_bar, one m and one
+    lambda_1(K, L_bar), and a smaller budget recomputes and still raises;
+    the index ratios are a tuple, which each breakdown copies into a list."""
     n = lat.ambient_dim
     inter = intersect(subs, within=lat)
     msum, ratios = _m_sum(inter, subs)
-    lam1_bar = _lambda1(body, inter, budget)
+    lam1_bar = _lambda1(body, inter)
     det, vol = lat.det(), body.volume()
     main = Fraction(2) ** n * det / (lam1_bar ** (n - 1) * vol) * msum
     return inter, msum, ratios, lam1_bar, main
@@ -383,7 +377,6 @@ def avoidance_bound_full_rank(
     sublattices,
     improved: bool = False,
     policy: PrecisionPolicy = DEFAULT_POLICY,
-    budget: int = DEFAULT_BUDGET,
 ) -> BoundBreakdown:
     """Certificate bound on the first restricted minimum, full-rank case.
 
@@ -399,7 +392,7 @@ def avoidance_bound_full_rank(
     for sub in subs:
         if sub.rank != n:
             raise RankError("forbidden sublattices must have full rank")
-    inter, msum, ratios, lam1_bar, main = _full_rank_terms(body, lat, tuple(subs), budget)
+    inter, msum, ratios, lam1_bar, main = _full_rank_terms(body, lat, tuple(subs), _budget.get())
     inters = {
         "m": msum,
         "det_intersection": inter.det(),
@@ -415,7 +408,7 @@ def avoidance_bound_full_rank(
         inters["improved_coefficient"] = coeff
         name = BOUND_AVOID_FULL_IMPROVED
     elif len(subs) == 1:
-        lam1 = _lambda1(body, lat, budget)
+        lam1 = _lambda1(body, lat)
         final = Enclosure.point(main + lam1)
         inters["lambda1_ambient"] = lam1
         name = BOUND_AVOID_SINGLE
@@ -430,7 +423,6 @@ def higher_minima_bound_full_rank(
     lat: Lattice,
     sublattices,
     i: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> BoundBreakdown:
     """Certificate bound on restricted minimum i, full-rank case.
 
@@ -446,8 +438,10 @@ def higher_minima_bound_full_rank(
     n = _full_rank_dim(lat)
     if not 1 <= i <= n:
         raise InputError(f"i must lie in [1, n]; got {i}")
-    inter, msum, _, lam1_bar, main = _full_rank_terms(body, lat, tuple(sublattices), budget)
-    bar = successive_minima(body, inter, i, budget=budget)
+    inter, msum, _, lam1_bar, main = _full_rank_terms(
+        body, lat, tuple(sublattices), _budget.get()
+    )
+    bar = successive_minima(body, inter, i)
     extra = bar.values[i - 1] if i >= 2 else Fraction(0)
     final = main + lam1_bar + extra
     return BoundBreakdown(
@@ -469,7 +463,6 @@ def higher_minima_bound_single_full(
     lat: Lattice,
     sub: Lattice,
     i: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> BoundBreakdown:
     """Sharper single-sublattice bound on restricted minimum i.
 
@@ -480,8 +473,8 @@ def higher_minima_bound_single_full(
         raise InputError(f"i must lie in [1, n]; got {i}")
     if sub.rank != n:
         raise RankError("the forbidden sublattice must have full rank")
-    lam1_sub = _lambda1(body, sub, budget)
-    ambient = successive_minima(body, lat, i, budget=budget)
+    lam1_sub = _lambda1(body, sub)
+    ambient = successive_minima(body, lat, i)
     det, vol = lat.det(), body.volume()
     main = Fraction(2) ** n * det / (lam1_sub ** (n - 1) * vol)
     final = main + ambient.values[0] + ambient.values[i - 1]
@@ -511,9 +504,7 @@ def covering_radius_avoidance_bound(mu, s: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def torus_volume_lower_bound(
-    body: ConvexBody, sub: Lattice, lam, budget: int = DEFAULT_BUDGET
-) -> Fraction:
+def torus_volume_lower_bound(body: ConvexBody, sub: Lattice, lam) -> Fraction:
     """Exact rational lower bound for the torus volume of (lam/2) K mod sub.
 
     min{ (floor(lam/l1) + frac^n) (l1/2)^n vol(K), det(sub) }, where
@@ -528,7 +519,7 @@ def torus_volume_lower_bound(
     if lam == 0:
         return Fraction(0)
     n = body.dim
-    lam1 = _lambda1(body, sub, budget)
+    lam1 = _lambda1(body, sub)
     q = lam / lam1
     whole = q.numerator // q.denominator
     frac = q - whole
@@ -552,9 +543,7 @@ def vdc_lower(body: ConvexBody, lat: Lattice, lam) -> int:
     return 2 * (ratio.numerator // ratio.denominator) + 1
 
 
-def bhw_upper(
-    body: ConvexBody, lat: Lattice, lam, budget: int = DEFAULT_BUDGET
-) -> Fraction:
+def bhw_upper(body: ConvexBody, lat: Lattice, lam) -> Fraction:
     """(2/lambda_1(lam K) + 1)^n, an upper bound on the point count."""
     lam = _dilation(lam)
     _check_dims(body, lat)
@@ -563,13 +552,11 @@ def bhw_upper(
         raise RankError("needs a full-rank lattice")
     if lam == 0:
         return Fraction(1)
-    lam1 = _lambda1(body, lat, budget)
+    lam1 = _lambda1(body, lat)
     return (2 * lam / lam1 + 1) ** n
 
 
-def henze_upper(
-    body: ConvexBody, lat: Lattice, lam, budget: int = DEFAULT_BUDGET
-) -> Fraction:
+def henze_upper(body: ConvexBody, lat: Lattice, lam) -> Fraction:
     """(n!/2^n) vol(lam K)/det times the Laguerre value at -2.
 
     Valid only when lam K contains n independent lattice points; checked
@@ -579,7 +566,7 @@ def henze_upper(
     n = lat.ambient_dim
     if lat.rank != n:
         raise RankError("needs a full-rank lattice")
-    full = successive_minima(body, lat, n, budget=budget)
+    full = successive_minima(body, lat, n)
     if full.values[-1] > lam:
         raise InputError(
             "hypothesis unmet: the dilate does not contain n independent points"

@@ -25,6 +25,7 @@ from .minima import (
     ForbiddenCollection,
     restricted_minima,
     successive_minima,
+    walk_budget,
 )
 
 EXIT_OK = 0
@@ -94,7 +95,7 @@ def _policy(args) -> PrecisionPolicy:
 
 def _cmd_minima(args) -> int:
     inst = _load_instance(args)
-    res = successive_minima(inst.body, inst.lattice, args.k, budget=args.budget)
+    res = successive_minima(inst.body, inst.lattice, args.k)
     _emit(args, json.dumps(res.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -104,14 +105,12 @@ def _cmd_restricted(args) -> int:
     if not inst.forbidden:
         raise InputError("instance has no forbidden sublattices")
     fc = ForbiddenCollection(inst.lattice, inst.forbidden)
-    res = restricted_minima(
-        inst.body, inst.lattice, fc, args.k, budget=args.budget, method=args.method
-    )
+    res = restricted_minima(inst.body, inst.lattice, fc, args.k, method=args.method)
     _emit(args, json.dumps(res.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _applicable_bounds(inst: Instance, policy, budget):
+def _applicable_bounds(inst: Instance, policy):
     body, lat = inst.body, inst.lattice
     out = [bd.minkowski_first_bound(body, lat, policy=policy)]
     if not inst.forbidden:
@@ -119,29 +118,23 @@ def _applicable_bounds(inst: Instance, policy, budget):
     fc = ForbiddenCollection(lat, inst.forbidden)
     n = lat.ambient_dim
     if fc.classification == "all-lower-rank":
-        out.append(bd.avoidance_bound_lower_rank(body, lat, inst.forbidden, policy, budget))
+        out.append(bd.avoidance_bound_lower_rank(body, lat, inst.forbidden, policy))
         if n >= 2:
-            out.append(
-                bd.higher_minima_bound_lower_rank(body, lat, inst.forbidden, 1, policy, budget)
-            )
+            out.append(bd.higher_minima_bound_lower_rank(body, lat, inst.forbidden, 1, policy))
         if isinstance(body, Box) and body.is_unit_cube():
             out.append(bd.fukshansky_bound(body, lat, inst.forbidden, policy))
     elif fc.classification == "all-full-rank":
-        out.append(bd.avoidance_bound_full_rank(body, lat, inst.forbidden, False, policy, budget))
-        out.append(bd.avoidance_bound_full_rank(body, lat, inst.forbidden, True, policy, budget))
-        out.append(bd.higher_minima_bound_full_rank(body, lat, inst.forbidden, min(2, n), budget))
+        out.append(bd.avoidance_bound_full_rank(body, lat, inst.forbidden, False, policy))
+        out.append(bd.avoidance_bound_full_rank(body, lat, inst.forbidden, True, policy))
+        out.append(bd.higher_minima_bound_full_rank(body, lat, inst.forbidden, min(2, n)))
         if len(inst.forbidden) == 1:
-            out.append(
-                bd.higher_minima_bound_single_full(
-                    body, lat, inst.forbidden[0], min(2, n), budget
-                )
-            )
+            out.append(bd.higher_minima_bound_single_full(body, lat, inst.forbidden[0], min(2, n)))
     return out
 
 
 def _cmd_bounds(args) -> int:
     inst = _load_instance(args)
-    rows = _applicable_bounds(inst, _policy(args), args.budget)
+    rows = _applicable_bounds(inst, _policy(args))
     if args.which != "all":
         wanted = set(args.which.split(","))
         rows = [r for r in rows if r.name in wanted]
@@ -152,7 +145,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_siegel(args) -> int:
-    res = bd.siegel_bound(_parse_matrix(args.matrix), _policy(args), args.budget)
+    res = bd.siegel_bound(_parse_matrix(args.matrix), _policy(args))
     _emit(args, json.dumps(res.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -181,18 +174,17 @@ def _cmd_verify(args) -> int:
         dims=dims,
         kinds=kinds,
         seed=args.seed,
-        budget=args.budget,
         mu_trials=args.mu_trials,
     )
     if args.torus_trials:
-        torus = harness.verify_torus(args.torus_trials, args.seed, args.budget)
+        torus = harness.verify_torus(args.torus_trials, args.seed)
         for entry in torus.instances:
             report.add(entry)
     return _report_exit(args, report)
 
 
 def _cmd_examples(args) -> int:
-    report = harness.run_examples(budget=args.budget)
+    report = harness.run_examples()
     return _report_exit(args, report)
 
 
@@ -273,7 +265,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with walk_budget(args.budget):
+            return args.func(args)
     except (LatminError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetExceededError):

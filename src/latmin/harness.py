@@ -20,7 +20,6 @@ from .errors import InputError
 from .exactarith import format_rational, parse_array
 from .lattice import Lattice, intersect, m_value, saturate_rows, union_covers
 from .minima import (
-    DEFAULT_BUDGET,
     ForbiddenCollection,
     count_points,
     covering_radius_diagonal,
@@ -322,39 +321,39 @@ def coverage_fixture() -> dict:
     }
 
 
-def _fixture_entry(report, fid, runner, budget):
+def _fixture_entry(report, fid, runner):
     entry = {"instance_id": fid, "kind": "fixture"}
     chk = _Checker(entry)
-    runner(chk, budget)
+    runner(chk)
     report.add(entry)
 
 
-def _f1_golden_rectangle(chk, budget):
+def _f1_golden_rectangle(chk):
     fx = rectangle_fixture(5)
     body, lat, subs = fx["body"], fx["lattice"], fx["subs"]
     fc = ForbiddenCollection(lat, subs)
-    res = restricted_minima(body, lat, fc, 1, budget)
+    res = restricted_minima(body, lat, fc, 1)
     chk.check("restricted-lambda1", res.values[0] == Fraction(25, 2), str(res.values))
     chk.check("witness", res.witnesses[0] == (1, 1), str(res.witnesses))
-    bd = bounds.avoidance_bound_full_rank(body, lat, subs, budget=budget)
+    bd = bounds.avoidance_bound_full_rank(body, lat, subs)
     chk.bound_row(bd, res.values[0], "bound-dominates", strict=True)
     chk.check("bound-value", bd.final.lo == bd.final.hi == 20, str(bd.final))
     inter = fx["intersection"]
-    lam1_bar = successive_minima(body, inter, 1, budget).values[0]
+    lam1_bar = successive_minima(body, inter, 1).values[0]
     chk.check("lambda1-intersection", lam1_bar == 5, str(lam1_bar))
     chk.check("det-intersection", inter.det() == 10, str(inter.det()))
 
 
-def _f2_sharpness_sweep(chk, budget):
+def _f2_sharpness_sweep(chk):
     previous = None
     for p in (5, 11, 23, 47):
         fx = rectangle_fixture(p)
         body, lat, subs = fx["body"], fx["lattice"], fx["subs"]
         fc = ForbiddenCollection(lat, subs)
-        res = restricted_minima(body, lat, fc, 1, budget)
+        res = restricted_minima(body, lat, fc, 1)
         exact = res.values[0]
         chk.check(f"exact-p{p}", exact == Fraction(p * p, 2), str(exact))
-        bd = bounds.avoidance_bound_full_rank(body, lat, subs, budget=budget)
+        bd = bounds.avoidance_bound_full_rank(body, lat, subs)
         chk.bound_row(bd, exact, f"dominance-p{p}", strict=True)
         ratio = bd.final.hi / exact
         chk.check(f"ratio-p{p}", ratio == 1 + Fraction(3, p), str(ratio))
@@ -363,7 +362,7 @@ def _f2_sharpness_sweep(chk, budget):
         previous = ratio
 
 
-def _f3_coverage(chk, budget):
+def _f3_coverage(chk):
     fx = coverage_fixture()
     lat = fx["lattice"]
     inter = intersect([fx["L1"], fx["L2"], fx["L3"]], within=lat)
@@ -375,26 +374,26 @@ def _f3_coverage(chk, budget):
     chk.check("coset-count", inter.index_in(lat) == 12)
 
 
-def _f4_single_full(chk, budget):
+def _f4_single_full(chk):
     lat = Lattice.standard(2)
     body = unit_cube(2)
     sub = Lattice([[2, 0], [0, 2]])
     fc = ForbiddenCollection(lat, [sub])
-    res = restricted_minima(body, lat, fc, 2, budget)
+    res = restricted_minima(body, lat, fc, 2)
     chk.check("exact-lambda1", res.values[0] == 1, str(res.values))
     chk.check("exact-lambda2", res.values[1] == 1, str(res.values))
-    bd = bounds.avoidance_bound_full_rank(body, lat, [sub], budget=budget)
+    bd = bounds.avoidance_bound_full_rank(body, lat, [sub])
     chk.bound_row(bd, res.values[0], "single-full-dominance", strict=True)
     chk.check("single-full-bound", bd.final.lo == Fraction(3, 2), str(bd.final))
-    bd36 = bounds.higher_minima_bound_single_full(body, lat, sub, 2, budget=budget)
+    bd36 = bounds.higher_minima_bound_single_full(body, lat, sub, 2)
     chk.bound_row(bd36, res.values[1], "higher-single-dominance")
     chk.check("higher-single-bound", bd36.final.lo == Fraction(5, 2), str(bd36.final))
 
 
-def _f5_kernel_vectors(chk, budget):
+def _f5_kernel_vectors(chk):
     from .lattice import kernel_lattice
 
-    bd = bounds.siegel_bound([[1, 1, 1]], budget=budget)
+    bd = bounds.siegel_bound([[1, 1, 1]])
     kern = kernel_lattice([[1, 1, 1]])
     chk.check("kernel-det-squared", kern.det_squared == 3, str(kern.det_squared))
     exact = bd.intermediates["exact_min_sup_norm"]
@@ -402,7 +401,7 @@ def _f5_kernel_vectors(chk, budget):
     chk.check("enclosure-sound", bd.final.lo**4 <= 3 <= bd.final.hi**4)
     chk.check("width", bd.final.width <= Fraction(1, 10**9), str(bd.final.width))
     chk.bound_row(bd, exact, "kernel-bound-dominates")
-    bd2 = bounds.siegel_bound([[2, 1]], budget=budget)
+    bd2 = bounds.siegel_bound([[2, 1]])
     exact2 = bd2.intermediates["exact_min_sup_norm"]
     chk.check("exact-min-21", exact2 == 2, str(exact2))
     chk.check("enclosure-sound-21", bd2.final.lo**2 <= 5 <= bd2.final.hi**2)
@@ -410,21 +409,21 @@ def _f5_kernel_vectors(chk, budget):
     chk.bound_row(bd2, exact2, "kernel-bound-dominates-21")
 
 
-def _f6_counting(chk, budget):
+def _f6_counting(chk):
     lat = Lattice.standard(2)
     body = unit_cube(2)
-    cnt = count_points(body, lat, 1, budget)
+    cnt = count_points(body, lat, 1)
     chk.check("count", cnt == 9, str(cnt))
     vdc = bounds.vdc_lower(body, lat, 1)
-    bhw = bounds.bhw_upper(body, lat, 1, budget)
-    hz = bounds.henze_upper(body, lat, 1, budget)
+    bhw = bounds.bhw_upper(body, lat, 1)
+    hz = bounds.henze_upper(body, lat, 1)
     chk.check("vdc", vdc == 3, str(vdc))
     chk.check("bhw-tight", bhw == 9, str(bhw))
     chk.check("henze", hz == 14, str(hz))
     chk.check("sandwich", vdc <= cnt <= bhw <= hz)
 
 
-def _f7_torus_implication(chk, budget):
+def _f7_torus_implication(chk):
     lat = Lattice.standard(2)
     body = unit_cube(2)
     for name, sub, lam in (
@@ -432,21 +431,21 @@ def _f7_torus_implication(chk, budget):
         ("rectangle", rectangle_fixture(5)["intersection"], Fraction(5)),
     ):
         k_body = body if name == "square" else rectangle_fixture(5)["body"]
-        vol_t = torus_packing_volume(k_body, sub, lam / 2, budget)
+        vol_t = torus_packing_volume(k_body, sub, lam / 2)
         m = vol_t.numerator // vol_t.denominator  # det(lat) = 1 here
         chk.check(f"{name}-m-positive", m >= 1, str(vol_t))
         chk.check(f"{name}-m-below-index", m * lat.det() < sub.det())
-        got = distinct_cosets_in_body(k_body, lat, sub, lam, budget)
+        got = distinct_cosets_in_body(k_body, lat, sub, lam)
         chk.check(f"{name}-cosets", got >= m + 1, f"{got} vs m+1={m + 1}")
 
 
-def _f8_covering_radius(chk, budget):
+def _f8_covering_radius(chk):
     lat = Lattice.standard(2)
     body = unit_cube(2)
     mu = covering_radius_diagonal(body, lat)
     chk.check("mu-unit", mu == Fraction(1, 2), str(mu))
     fc = ForbiddenCollection(lat, [Lattice([[1, 0]], 2)])
-    res = restricted_minima(body, lat, fc, 1, budget)
+    res = restricted_minima(body, lat, fc, 1)
     pb = bounds.covering_radius_avoidance_bound(mu, 1, 1)
     chk.check("plank-tight", pb == 1 == res.values[0], f"{pb} vs {res.values}")
     fx = rectangle_fixture(5)
@@ -454,23 +453,23 @@ def _f8_covering_radius(chk, budget):
     chk.check("mu-rectangle", mu14 == Fraction(25, 4), str(mu14))
     pb14 = bounds.covering_radius_avoidance_bound(mu14, 2, 1)
     fc14 = ForbiddenCollection(lat, fx["subs"])
-    res14 = restricted_minima(fx["body"], lat, fc14, 1, budget)
+    res14 = restricted_minima(fx["body"], lat, fc14, 1)
     chk.check("plank-dominates", res14.values[0] <= pb14, f"{res14.values} vs {pb14}")
     chk.check("plank-value", pb14 == Fraction(75, 4), str(pb14))
 
 
-def _f9_improved_and_dilation(chk, budget):
+def _f9_improved_and_dilation(chk):
     fx = rectangle_fixture(5)
     body, lat, subs = fx["body"], fx["lattice"], fx["subs"]
     fc = ForbiddenCollection(lat, subs)
-    res = restricted_minima(body, lat, fc, 1, budget)
-    plain = bounds.avoidance_bound_full_rank(body, lat, subs, budget=budget)
-    improved = bounds.avoidance_bound_full_rank(body, lat, subs, improved=True, budget=budget)
+    res = restricted_minima(body, lat, fc, 1)
+    plain = bounds.avoidance_bound_full_rank(body, lat, subs)
+    improved = bounds.avoidance_bound_full_rank(body, lat, subs, improved=True)
     chk.bound_row(improved, res.values[0], "improved-dominates")
     chk.check("improved-value", improved.final.lo == Fraction(135, 8), str(improved.final))
     chk.check("improved-not-worse", improved.final.hi <= plain.final.hi)
     mu = Fraction(3, 2)
-    scaled = restricted_minima(body.scale(mu), lat, fc, 1, budget, method="doubling")
+    scaled = restricted_minima(body.scale(mu), lat, fc, 1, method="doubling")
     chk.check(
         "dilation-identity",
         scaled.values[0] == res.values[0] / mu,
@@ -478,7 +477,7 @@ def _f9_improved_and_dilation(chk, budget):
     )
 
 
-def run_examples(budget: int = DEFAULT_BUDGET) -> VerificationReport:
+def run_examples() -> VerificationReport:
     """Execute the golden fixtures F1..F9 and report per-check verdicts."""
     report = VerificationReport(command="examples", seed=None)
     fixtures = [
@@ -493,7 +492,7 @@ def run_examples(budget: int = DEFAULT_BUDGET) -> VerificationReport:
         ("F9-improved-and-dilation", _f9_improved_and_dilation),
     ]
     for fid, runner in fixtures:
-        _fixture_entry(report, fid, runner, budget)
+        _fixture_entry(report, fid, runner)
     return report
 
 
@@ -505,7 +504,6 @@ def run_examples(budget: int = DEFAULT_BUDGET) -> VerificationReport:
 def check_instance(
     inst: Instance,
     rng: random.Random,
-    budget: int = DEFAULT_BUDGET,
     mu_trials: int = 5,
 ) -> dict:
     """All applicable identity/dominance checks for one instance."""
@@ -517,10 +515,10 @@ def check_instance(
     fc = inst.forbidden_collection()
     k = min(2, n)
 
-    res = restricted_minima(body, lat, fc, k, budget)
+    res = restricted_minima(body, lat, fc, k)
     entry["restricted"] = [format_rational(v) for v in res.values]
     entry["certificate"] = res.to_dict()["certificate"]
-    dbl = restricted_minima(body, lat, fc, k, budget, method="doubling")
+    dbl = restricted_minima(body, lat, fc, k, method="doubling")
     chk.check(
         "doubling-equivalence",
         res.values == dbl.values and res.witnesses == dbl.witnesses,
@@ -535,7 +533,7 @@ def check_instance(
         not any(sub.member(w) for w in res.witnesses for sub in inst.forbidden),
     )
 
-    unres = successive_minima(body, lat, n, budget)
+    unres = successive_minima(body, lat, n)
     entry["unrestricted"] = [format_rational(v) for v in unres.values]
     lam1, lam_n = unres.values[0], unres.values[-1]
     chk.check(
@@ -546,25 +544,23 @@ def check_instance(
     chk.bound_row(bounds.minkowski_first_bound(body, lat), lam1, "minkowski-dominates")
 
     for lam in {lam1, lam_n}:
-        cnt = count_points(body, lat, lam, budget)
+        cnt = count_points(body, lat, lam)
         vdc = bounds.vdc_lower(body, lat, lam)
-        bhw = bounds.bhw_upper(body, lat, lam, budget)
+        bhw = bounds.bhw_upper(body, lat, lam)
         chk.check(f"vdc-le-count@{lam}", vdc <= cnt, f"{vdc} vs {cnt}")
         chk.check(f"count-le-bhw@{lam}", cnt <= bhw, f"{cnt} vs {bhw}")
         if lam >= lam_n:
-            hz = bounds.henze_upper(body, lat, lam, budget)
+            hz = bounds.henze_upper(body, lat, lam)
             chk.check(f"count-le-henze@{lam}", cnt <= hz, f"{cnt} vs {hz}")
 
     if fc.classification == "all-lower-rank":
-        bd = bounds.avoidance_bound_lower_rank(body, lat, inst.forbidden, budget=budget)
+        bd = bounds.avoidance_bound_lower_rank(body, lat, inst.forbidden)
         chk.bound_row(bd, res.values[0], "lower-rank-dominance", strict=True)
         if k >= 2:
-            bd2 = bounds.higher_minima_bound_lower_rank(
-                body, lat, inst.forbidden, k - 1, budget=budget
-            )
+            bd2 = bounds.higher_minima_bound_lower_rank(body, lat, inst.forbidden, k - 1)
             chk.bound_row(bd2, res.values[k - 1], "higher-lower-dominance", strict=True)
         cube = unit_cube(n)
-        cube_res = restricted_minima(cube, lat, fc, 1, budget)
+        cube_res = restricted_minima(cube, lat, fc, 1)
         fk = bounds.fukshansky_bound(cube, lat, inst.forbidden)
         chk.bound_row(fk, cube_res.values[0], "cube-bound-dominance")
         diag = inst.params.get("diag")
@@ -575,7 +571,7 @@ def check_instance(
             ]
             mu = covering_radius_diagonal(body, d_lat)
             fc_d = ForbiddenCollection(d_lat, subs_d)
-            res_d = restricted_minima(body, d_lat, fc_d, k, budget)
+            res_d = restricted_minima(body, d_lat, fc_d, k)
             chk.check(
                 "covering-radius-first",
                 res_d.values[0] <= bounds.covering_radius_avoidance_bound(mu, s, 1),
@@ -586,30 +582,26 @@ def check_instance(
                     res_d.values[1] <= bounds.covering_radius_avoidance_bound(mu, s, 2),
                 )
     elif fc.classification == "all-full-rank":
-        bd = bounds.avoidance_bound_full_rank(body, lat, inst.forbidden, budget=budget)
+        bd = bounds.avoidance_bound_full_rank(body, lat, inst.forbidden)
         chk.bound_row(bd, res.values[0], "full-rank-dominance", strict=True)
-        bdi = bounds.avoidance_bound_full_rank(
-            body, lat, inst.forbidden, improved=True, budget=budget
-        )
+        bdi = bounds.avoidance_bound_full_rank(body, lat, inst.forbidden, improved=True)
         chk.bound_row(bdi, res.values[0], "improved-dominance")
         # the improved root shrinks the generic additive term lambda_1(K, L_bar);
         # at s = 1 the plain bound already switched to the ambient term, so
         # compare against the generic form reconstructed from intermediates
         generic = bd.intermediates["main_term"] + bd.intermediates["lambda1_intersection"]
         chk.check("improved-not-worse", bdi.final.hi <= generic)
-        bd35 = bounds.higher_minima_bound_full_rank(body, lat, inst.forbidden, k, budget=budget)
+        bd35 = bounds.higher_minima_bound_full_rank(body, lat, inst.forbidden, k)
         chk.bound_row(bd35, res.values[k - 1], "higher-full-dominance")
         if s == 1:
-            bd36 = bounds.higher_minima_bound_single_full(
-                body, lat, inst.forbidden[0], k, budget=budget
-            )
+            bd36 = bounds.higher_minima_bound_single_full(body, lat, inst.forbidden[0], k)
             chk.bound_row(bd36, res.values[k - 1], "higher-single-dominance")
     else:
         chk.check("mixed-uses-doubling", res.certificate_kind == "doubling")
 
     for _ in range(mu_trials):
         mu = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-        scaled = restricted_minima(body.scale(mu), lat, fc, k, budget, method="doubling")
+        scaled = restricted_minima(body.scale(mu), lat, fc, k, method="doubling")
         chk.check(
             f"dilation@{mu}",
             scaled.values == tuple(v / mu for v in res.values),
@@ -623,7 +615,6 @@ def verify(
     dims,
     kinds,
     seed: int,
-    budget: int = DEFAULT_BUDGET,
     mu_trials: int = 5,
 ) -> VerificationReport:
     """Randomized property campaign; deterministic for a given seed."""
@@ -643,13 +634,11 @@ def verify(
                 inst = dataclasses.replace(
                     inst, instance_id=f"{inst.instance_id}-t{t}"
                 )
-                report.add(check_instance(inst, rng, budget, mu_trials))
+                report.add(check_instance(inst, rng, mu_trials))
     return report
 
 
-def verify_torus(
-    trials: int, seed: int, budget: int = DEFAULT_BUDGET
-) -> VerificationReport:
+def verify_torus(trials: int, seed: int) -> VerificationReport:
     """Coset-count implication campaign on random packing instances."""
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -665,11 +654,11 @@ def verify_torus(
         body = Box(_random_halfwidths(rng, n))
         lat, _ = _random_lattice(rng, n)
         sub = _coeffs_to_sub(_random_full_coeffs(rng, n, rng.choice((2, 3, 5))), lat)
-        lam1_sub = successive_minima(body, sub, 1, budget).values[0]
+        lam1_sub = successive_minima(body, sub, 1).values[0]
         chosen = None
         for factor in (Fraction(1), Fraction(7, 8), Fraction(3, 4), Fraction(1, 2)):
             lam = factor * lam1_sub
-            vol_t = torus_packing_volume(body, sub, lam / 2, budget)
+            vol_t = torus_packing_volume(body, sub, lam / 2)
             ratio = vol_t / lat.det()
             m = ratio.numerator // ratio.denominator
             if m >= 1 and m * lat.det() < sub.det():
@@ -687,7 +676,7 @@ def verify_torus(
             "m": m,
         }
         chk = _Checker(entry)
-        got = distinct_cosets_in_body(body, lat, sub, lam, budget)
+        got = distinct_cosets_in_body(body, lat, sub, lam)
         chk.check("coset-implication", got >= m + 1, f"{got} vs m+1={m + 1}")
         chk.check("packing-volume-positive", vol_t > 0)
         report.add(entry)

@@ -256,7 +256,7 @@ def intersect(lattices, within: Lattice | None = None) -> Lattice:
                 for lat in lattices)
     for b in rest:
         kernel = _kernel_rows(im.transpose(a + [[-x for x in row] for row in b]), 2 * n)
-        a = hnf([im.vec_mat(z[:n], a) for z in kernel])
+        a = [im.vec_mat(z[:n], a) for z in kernel]  # reduced by the next kernel or _over
     result = Lattice._over(a, denom, n)
     if within is not None:
         s = len(lattices)

@@ -29,8 +29,8 @@ complement.  Only the reported witnesses and values become exact rationals.
 Each successive minimum and each walk set-up is computed once per value of
 (body, lattice), and each restricted minimum once per value of (body,
 lattice, forbidden collection, k, method), in bounded memos whose keys
-hold the budget too; the certificate bounds share their terms through the
-memos of ``bounds``.  Every collect walk goes through one read,
+hold the walk budget too; the certificate bounds share their terms through
+the memos of ``bounds``.  Every collect walk goes through one read,
 ``_points``, which keeps the walked points of the last (body, lattice)
 sorted by gauge in a slot: a read of that pair at or below the held radius
 walks nothing.  So successive minima after a restricted solve of the same
@@ -61,8 +61,13 @@ forbidden collection meets), keeps what it chose and reads only the points
 beyond the failed radius.  A capped solve collects every rung up to its cap, so each
 rung walks only the shell it adds and no capped solve visits a box point
 twice; restricted minima without such a cap double until found, walking
-each rung's whole box.  The caller's budget bounds every read, held or
-walked, as if it walked its whole box, the bound evaluators' included.
+each rung's whole box.
+
+One limit bounds every walk: ``walk_budget`` sets it for a scope, the CLI
+opens one around each command, and ``_walk_system`` is the one function
+that compares a box with it, on every read, held or walked, as if the read
+walked its whole box, the bound evaluators' walks of other lattices
+included.
 """
 
 from __future__ import annotations
@@ -70,6 +75,8 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -92,6 +99,25 @@ from .exactarith import format_rational, nth_root_enclosure
 from .lattice import Lattice, _coset_label, _membership, _spans_cover
 
 DEFAULT_BUDGET = 10**7
+
+# The most points the box of one walk may hold, set for a scope by
+# ``walk_budget``; ``_walk_system`` reads it, and the memos of walked results
+# key on it where they are called.
+_budget = ContextVar("walk_budget", default=DEFAULT_BUDGET)
+
+
+@contextmanager
+def walk_budget(limit: int):
+    """Bound every walk made inside the ``with`` block: one whose symmetric
+    box holds more than ``limit`` points raises ``BudgetExceededError``.
+    Scopes nest, and on leaving one, by a raise too, the outer limit holds
+    again; outside every scope it is ``DEFAULT_BUDGET``."""
+    token = _budget.set(limit)
+    try:
+        yield
+    finally:
+        _budget.reset(token)
+
 
 CERT_MINKOWSKI = "minkowski"
 CERT_THM_LOWER = "theorem-1.1"
@@ -261,12 +287,12 @@ def _dilation(lam) -> Fraction:
     return lam
 
 
-def _walk_system(body, lat, radius, budget):
+def _walk_system(body, lat, radius):
     """(setup, hi): the walk set-up of (body, lattice) and the symmetric box
     |z_i| <= hi_i = floor(radius h_K(d_i)) that holds every lattice
     coordinate z with gauge(z B) <= radius, or None when no nonzero z has
-    that gauge for want of rank or radius; the budget bounds the box's full
-    size."""
+    that gauge for want of rank or radius; the scope's walk budget bounds
+    the box's full size."""
     _check_dims(body, lat)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -276,6 +302,7 @@ def _walk_system(body, lat, radius, budget):
     p, q = radius.numerator, radius.denominator
     hi = [p * num // (q * den) for num, den in setup.supports]
     size = kernel.box_size([-m for m in hi], hi)
+    budget = _budget.get()
     if size > budget:
         raise BudgetExceededError(
             f"enumeration box has {size} points, budget is {budget}"
@@ -346,7 +373,7 @@ class _Walked:
 _slot = None
 
 
-def _points(body, lat, radius, budget, cap=None):
+def _points(body, lat, radius, cap=None):
     """(walked, n): the walk held for (body, lattice), whose first n pairs
     are those with gauge <= radius, or (None, 0) when there is nothing to
     walk.  A read at or below the held radius walks nothing.  A read beyond
@@ -360,7 +387,7 @@ def _points(body, lat, radius, budget, cap=None):
     ``_walk_system`` runs on every read, so the budget decides as if every
     read walked its whole box."""
     global _slot
-    walk = _walk_system(body, lat, radius, budget)
+    walk = _walk_system(body, lat, radius)
     if walk is None:
         return None, 0
     setup, hi = walk
@@ -386,9 +413,7 @@ def _exact(x, g, d, big):
     return tuple(Fraction(v, d) for v in x), Fraction(g, big)
 
 
-def enumerate_points(
-    body: ConvexBody, lat: Lattice, radius, budget: int = DEFAULT_BUDGET
-):
+def enumerate_points(body: ConvexBody, lat: Lattice, radius):
     """Exactly the nonzero lattice points with gauge <= radius, with gauges.
 
     Sorted in the point order; the zero vector is never included.  The walk
@@ -396,7 +421,7 @@ def enumerate_points(
     z, x') is made for the canonical member and for its partner, and only
     this list sorts every point; the solves read the walk's pairs lazily.
     """
-    walked, n = _points(body, lat, Fraction(radius), budget)
+    walked, n = _points(body, lat, Fraction(radius))
     if walked is None:
         return []
     cols, big, d = walked.setup.cols, walked.setup.big, lat._denom
@@ -505,7 +530,7 @@ def _cut(comp, z):
             comp[b] = [x // g for x in row]
 
 
-def _solve(body, lat, k, budget, radius, cap, admissible=None):
+def _solve(body, lat, k, radius, cap, admissible=None):
     """(values, witnesses, radius): the first k independent (admissible)
     points in the point order and the radius of the rung that found
     them.  A failed rung is retried at twice its radius, clipped to the cap;
@@ -525,7 +550,7 @@ def _solve(body, lat, k, budget, radius, cap, admissible=None):
     chosen, comp = [], im.identity(lat.rank)  # nothing chosen: all independent
     read = None  # the last failed rung: every point at or below it was read
     while True:
-        if _take(*_points(body, lat, radius, budget, cap), read, k, admissible,
+        if _take(*_points(body, lat, radius, cap), read, k, admissible,
                  chosen, comp, lat._denom):
             _, witnesses, values = zip(*chosen)
             return values, witnesses, radius
@@ -535,18 +560,17 @@ def _solve(body, lat, k, budget, radius, cap, admissible=None):
         radius = 2 * radius if cap is None else min(2 * radius, cap)
 
 
-def successive_minima(
-    body: ConvexBody, lat: Lattice, k: int, budget: int = DEFAULT_BUDGET
-) -> MinimaResult:
+def successive_minima(body: ConvexBody, lat: Lattice, k: int) -> MinimaResult:
     """lambda_1 .. lambda_k with linearly independent witnesses, exact.
 
-    Memoised by the value of (body, lattice, k, budget); the budget is part
-    of the key, so a smaller one still raises ``BudgetExceededError``.
+    Memoised by the value of (body, lattice, k) and the walk budget of the
+    calling scope; the budget is part of the key, so a smaller one still
+    raises ``BudgetExceededError``.
     """
     if not 1 <= k <= lat.rank:
         raise RankError(f"k must lie in [1, rank]; got k={k}, rank={lat.rank}")
     _check_dims(body, lat)
-    return _successive_minima(body, lat, k, budget)
+    return _successive_minima(body, lat, k, _budget.get())
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -567,7 +591,7 @@ def _successive_minima(body, lat, k, budget) -> MinimaResult:
             # lie below the basis gauge; otherwise its upper end does not
             radius = min(nth_root_enclosure(2**n * det / vol, n).hi, radius)
         kind = CERT_MINKOWSKI
-    values, witnesses, _ = _solve(body, lat, k, budget, radius, radius)
+    values, witnesses, _ = _solve(body, lat, k, radius, radius)
     return MinimaResult(values, witnesses, radius, kind)
 
 
@@ -582,7 +606,7 @@ def _clear_caches():
     _slot = None
 
 
-def _certificate(body, lat, forbidden, k, budget):
+def _certificate(body, lat, forbidden, k):
     """(kind, cap): the proved radius of restricted minimum k from the bound
     evaluator whose hypotheses hold, or (doubling, None) when none does."""
     if lat.rank == lat.ambient_dim >= 2:
@@ -591,15 +615,15 @@ def _certificate(body, lat, forbidden, k, budget):
         subs = forbidden.sublattices
         if forbidden.classification == "all-full-rank":
             if k == 1:
-                bd = bounds.avoidance_bound_full_rank(body, lat, subs, budget=budget)
+                bd = bounds.avoidance_bound_full_rank(body, lat, subs)
                 return CERT_THM_FULL, bd.final.hi
-            bd = bounds.higher_minima_bound_full_rank(body, lat, subs, k, budget=budget)
+            bd = bounds.higher_minima_bound_full_rank(body, lat, subs, k)
             return CERT_COR_FULL, bd.final.hi
         if forbidden.classification == "all-lower-rank":
             if k == 1:
-                bd = bounds.avoidance_bound_lower_rank(body, lat, subs, budget=budget)
+                bd = bounds.avoidance_bound_lower_rank(body, lat, subs)
                 return CERT_THM_LOWER, bd.final.hi
-            bd = bounds.higher_minima_bound_lower_rank(body, lat, subs, k - 1, budget=budget)
+            bd = bounds.higher_minima_bound_lower_rank(body, lat, subs, k - 1)
             return CERT_COR_LOWER, bd.final.hi
     return CERT_DOUBLING, None
 
@@ -609,7 +633,6 @@ def restricted_minima(
     lat: Lattice,
     forbidden: ForbiddenCollection,
     k: int,
-    budget: int = DEFAULT_BUDGET,
     method: str = "auto",
 ) -> MinimaResult:
     """Minima over lattice points avoiding every forbidden sublattice.
@@ -617,11 +640,12 @@ def restricted_minima(
     Termination radius: the matching bound evaluator's (``_certificate``),
     otherwise geometric doubling.  Enumeration starts at lambda_1 and
     doubles under the certified cap, so typical instances stop far below
-    it; the budget bounds the evaluators' walks as well as these.
+    it; the walk budget bounds the evaluators' walks as well as these.
 
-    Memoised by the value of (body, lattice, forbidden, k, budget, method)
-    once the checks below pass; the budget is part of the key, so a smaller
-    one still raises ``BudgetExceededError``.
+    Memoised by the value of (body, lattice, forbidden, k, method) and the
+    walk budget of the calling scope, once the checks below pass; the
+    budget is part of the key, so a smaller one still raises
+    ``BudgetExceededError``.
     """
     if forbidden.ambient != lat:
         raise ValueError("forbidden collection belongs to a different lattice")
@@ -633,18 +657,18 @@ def restricted_minima(
         raise EmptyAdmissibleSetError(
             "the forbidden sublattices cover the whole lattice"
         )
-    return _restricted_minima(body, lat, forbidden, k, budget, method)
+    return _restricted_minima(body, lat, forbidden, k, _budget.get(), method)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _restricted_minima(body, lat, forbidden, k, budget, method) -> MinimaResult:
     kind, cap = CERT_DOUBLING, None
     if method == "auto":
-        kind, cap = _certificate(body, lat, forbidden, k, budget)
-    lam1 = successive_minima(body, lat, 1, budget=budget).values[0]
+        kind, cap = _certificate(body, lat, forbidden, k)
+    lam1 = successive_minima(body, lat, 1).values[0]
     start = lam1 if cap is None else min(lam1, cap)
     admissible = forbidden.admissible_coords
-    values, witnesses, rung = _solve(body, lat, k, budget, start, cap, admissible)
+    values, witnesses, rung = _solve(body, lat, k, start, cap, admissible)
     return MinimaResult(values, witnesses, rung if cap is None else cap, kind)
 
 
@@ -653,9 +677,7 @@ def _restricted_minima(body, lat, forbidden, k, budget, method) -> MinimaResult:
 # ---------------------------------------------------------------------------
 
 
-def count_points(
-    body: ConvexBody, lat: Lattice, lam, budget: int = DEFAULT_BUDGET
-) -> int:
+def count_points(body: ConvexBody, lat: Lattice, lam) -> int:
     """|lam K  intersect  lattice|, origin included.
 
     When the slot holds the walk of (body, lattice) at a radius >= lam, as
@@ -666,7 +688,7 @@ def count_points(
     gauge, and the slot is left as it was.  Either way ``_walk_system``
     runs first, so the budget decides as if the whole box were walked."""
     lam = _dilation(lam)
-    walk = _walk_system(body, lat, lam, budget)
+    walk = _walk_system(body, lat, lam)
     if walk is None:
         return 1
     setup, hi = walk
@@ -683,14 +705,13 @@ def distinct_cosets_in_body(
     lat: Lattice,
     sub: Lattice,
     lam,
-    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Number of cosets of lat modulo sub met by points of lam K."""
     span = lat.in_coords(sub)
     if span.rank != lat.rank:
         raise RankError("sublattice must have full rank in the lattice")
     labels = {(0,) * lat.rank}  # origin
-    walked, n = _points(body, lat, _dilation(lam), budget)
+    walked, n = _points(body, lat, _dilation(lam))
     if walked is not None:
         for _, z in islice(walked.pairs, n):
             labels.add(_coset_label(z, span))
@@ -711,14 +732,12 @@ def covering_radius_diagonal(body: ConvexBody, lat: Lattice) -> Fraction:
     return max(row[i] / (2 * a) for i, (row, a) in enumerate(zip(basis, body.halfwidths)))
 
 
-def torus_packing_volume(
-    body: ConvexBody, sub: Lattice, lam, budget: int = DEFAULT_BUDGET
-) -> Fraction:
+def torus_packing_volume(body: ConvexBody, sub: Lattice, lam) -> Fraction:
     """Exact torus volume of (lam K)/sub while lam K packs: lam^n vol(K)."""
     lam = _dilation(lam)
     if sub.rank != sub.ambient_dim or sub.ambient_dim != body.dim:
         raise RankError("torus volume needs a full-rank lattice of matching dimension")
-    lam1 = successive_minima(body, sub, 1, budget=budget).values[0]
+    lam1 = successive_minima(body, sub, 1).values[0]
     if lam > lam1 / 2:
         raise PackingConditionError(
             f"dilate {lam} exceeds the packing threshold {lam1}/2; "

@@ -324,6 +324,16 @@ class TestCLI:
         )
         assert code == 4
 
+    def test_every_walking_command_exits_4_under_a_budget_of_1(self, capsys):
+        # the polytope instance has lower-rank members, so bounds walks too
+        path = str(Path(__file__).resolve().parent / "golden" / "instances"
+                   / "polytope-rational.json")
+        for argv in (["minima", "--instance", path], ["restricted", "--instance", path],
+                     ["bounds", "--instance", path], ["siegel", "--matrix", "1 1 1"],
+                     ["verify", "--trials", "1"], ["examples"]):
+            assert cli.main([*argv, "--budget", "1"]) == 4, argv
+            assert capsys.readouterr().err.startswith("error: enumeration box has "), argv
+
     def test_covering_members_of_a_lower_rank_lattice_exit_3(self, tmp_path, capsys):
         # the F3 triple L1, L2, L4 covers Z^2; carried onto a rank-2 lattice
         # in R^3 it still covers, and the cover is an input error found

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from latmin import _intmat as im
+from latmin import lattice
 from latmin.errors import InputError, NotSublatticeError, RankError
 from latmin.harness import generate
 from latmin.lattice import (
@@ -215,6 +216,16 @@ class TestIntersect:
     def test_lower_rank_rejected(self):
         with pytest.raises(RankError):
             intersect([Lattice([[1, 0]], 2)])
+
+    def test_two_members_make_two_hermite_forms(self, monkeypatch):
+        # the kernel's and the result's: the kernel rows times the first
+        # member's basis are reduced once, by the result's constructor
+        lats = [Lattice([[2, 1], [0, 3]]), Lattice([[5, 0], [1, 1]])]
+        calls = []
+        monkeypatch.setattr(lattice, "hnf", lambda rows: calls.append(rows) or im.hnf(rows))
+        inter = intersect(lats)
+        assert len(calls) == 2
+        assert inter.det() == 30 and all(oracles.contains(lat.basis, inter.basis) for lat in lats)
 
 
 def random_hermite(rng, n, index):
@@ -857,6 +868,10 @@ class TestAgainstOracles:
         for seed in range(20):
             inst = generate(seed, rng.randint(2, 4), rng.randint(2, 3), "full")
             cases.append(list(inst.forbidden))
+        for _ in range(20):  # longer lists: each member meets the running basis
+            n = rng.randint(1, 3)
+            cases.append([Lattice(skewed_rows(rng, n, n), n)
+                          for _ in range(rng.randint(4, 6))])
         for lats in cases:
             n = lats[0].ambient_dim
             dual_rows = [list(r) for lat in lats for r in oracle_dual(lat).basis]

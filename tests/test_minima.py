@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latmin import bounds, cli, kernel, minima
+from latmin import bounds, cli, harness, kernel, minima
 from latmin._intmat import dot
 from latmin.body import Box, SymmetricPolytope, cross_polytope, unit_cube
 from latmin.bounds import vdc_lower
@@ -39,6 +39,7 @@ from latmin.minima import (
     restricted_minima,
     successive_minima,
     torus_packing_volume,
+    walk_budget,
 )
 
 Z2 = Lattice.standard(2)
@@ -80,8 +81,8 @@ class TestEnumerate:
             assert dict(got) == dict(expected)
 
     def test_budget_error(self):
-        with pytest.raises(BudgetExceededError):
-            enumerate_points(BOX2, Z2, 10**6, budget=100)
+        with pytest.raises(BudgetExceededError), walk_budget(100):
+            enumerate_points(BOX2, Z2, 10**6)
 
     def test_deterministic_order(self):
         a = enumerate_points(BOX2, Z2, 2)
@@ -250,8 +251,8 @@ class TestRestrictedMinima:
         # for its walks too
         inst = generate(1, 3, 2, "full")
         fc = inst.forbidden_collection()
-        with pytest.raises(BudgetExceededError):
-            restricted_minima(inst.body, inst.lattice, fc, 2, budget=25)
+        with pytest.raises(BudgetExceededError), walk_budget(25):
+            restricted_minima(inst.body, inst.lattice, fc, 2)
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(inst.to_dict()))
         argv = ["restricted", "--instance", str(path), "-k", "2", "--budget", "25"]
@@ -864,7 +865,7 @@ class TestHalfWalk:
             radius = max(oracles.gauge(bd, row) for row in short)
             while oracle_box(bd, short, radius) > ORACLE_BOX_CAP:
                 radius /= 2
-            walked, n = minima._points(body, lat, radius, minima.DEFAULT_BUDGET)
+            walked, n = minima._points(body, lat, radius)
             records = [] if walked is None else [
                 minima._canonical(z, walked.setup.cols) for _, z in walked.pairs[:n]]
             got = [tuple(Fraction(v, lat._denom) for v in rec[3]) for rec in records]
@@ -942,13 +943,13 @@ class TestMemoSoundness:
                      functools.partial(successive_minima, unit_cube(3), plane, 1),
                      functools.partial(restricted_minima, RECT, Z2, line, 2)):
             clear_caches()
-            with pytest.raises(BudgetExceededError) as cold:
-                call(budget=2)
+            with pytest.raises(BudgetExceededError) as cold, walk_budget(2):
+                call()
             clear_caches()
             warm = call()
             assert call() == warm
-            with pytest.raises(BudgetExceededError) as again:
-                call(budget=2)
+            with pytest.raises(BudgetExceededError) as again, walk_budget(2):
+                call()
             assert str(again.value) == str(cold.value)
             assert str(cold.value).startswith("enumeration box has ")
 
@@ -1190,6 +1191,77 @@ def count_walks(monkeypatch):
     return walks
 
 
+class TestWalkBudget:
+    """One limit, set for a scope by ``walk_budget``, bounds every walk."""
+
+    SQUARE = Lattice([[2, 0], [0, 2]])
+    LINE = Lattice([[1, 0]], 2)
+    HALVES = [Lattice([[2, 0], [0, 1]]), Lattice([[1, 0], [0, 2]])]
+
+    def entry_points(self):
+        """The public calls that walk, each on an input whose walks hold
+        more than one box point."""
+        inst = generate(5, 2, 1, "full")
+        return {
+            "enumerate_points": lambda: enumerate_points(BOX2, Z2, 1),
+            "successive_minima": lambda: successive_minima(BOX2, Z2, 2),
+            "restricted_minima": lambda: restricted_minima(
+                BOX2, Z2, ForbiddenCollection(Z2, [self.LINE]), 1),
+            "count_points": lambda: count_points(BOX2, Z2, 1),
+            "distinct_cosets_in_body": lambda: distinct_cosets_in_body(
+                BOX2, Z2, self.SQUARE, 1),
+            "torus_packing_volume": lambda: torus_packing_volume(
+                BOX2, self.SQUARE, Fraction(1, 2)),
+            "siegel_bound": lambda: bounds.siegel_bound([[1, 1, 1]]),
+            "avoidance_bound_lower_rank": lambda: bounds.avoidance_bound_lower_rank(
+                BOX2, Z2, [self.LINE]),
+            "higher_minima_bound_lower_rank": lambda: bounds.higher_minima_bound_lower_rank(
+                BOX2, Z2, [self.LINE], 1),
+            "avoidance_bound_full_rank": lambda: bounds.avoidance_bound_full_rank(
+                BOX2, Z2, self.HALVES),
+            "higher_minima_bound_full_rank": lambda: bounds.higher_minima_bound_full_rank(
+                BOX2, Z2, self.HALVES, 2),
+            "higher_minima_bound_single_full": lambda: bounds.higher_minima_bound_single_full(
+                BOX2, Z2, self.SQUARE, 2),
+            "torus_volume_lower_bound": lambda: bounds.torus_volume_lower_bound(
+                BOX2, self.SQUARE, 1),
+            "bhw_upper": lambda: bounds.bhw_upper(BOX2, Z2, 1),
+            "henze_upper": lambda: bounds.henze_upper(BOX2, Z2, 2),
+            "run_examples": harness.run_examples,
+            "check_instance": lambda: harness.check_instance(
+                inst, random.Random(0), mu_trials=1),
+            "verify": lambda: harness.verify(trials=1, dims=(2,), kinds=("lower",), seed=0),
+            "verify_torus": lambda: harness.verify_torus(trials=1, seed=0),
+        }
+
+    def test_every_entry_point_raises_under_a_limit_of_one(self):
+        # cold, then after a warm call under the default limit: the memos
+        # key on the limit, so the second call walks again and raises alike
+        calls = self.entry_points()
+        assert len(calls) == 19
+        for name, call in calls.items():
+            clear_caches()
+            with pytest.raises(BudgetExceededError) as cold, walk_budget(1):
+                call()
+            call()
+            with pytest.raises(BudgetExceededError) as warm, walk_budget(1):
+                call()
+            assert str(cold.value).startswith("enumeration box has "), name
+            assert str(warm.value) == str(cold.value), name
+
+    def test_scopes_nest_and_restore_the_outer_limit(self):
+        clear_caches()
+        # count_points(BOX2, Z2, 1) walks a box of 9 points, at 2 one of 25
+        with walk_budget(9):
+            with pytest.raises(BudgetExceededError, match="budget is 8$"), walk_budget(8):
+                count_points(BOX2, Z2, 1)
+            assert count_points(BOX2, Z2, 1) == 9
+            with pytest.raises(BudgetExceededError, match="box has 25 points, budget is 9$"):
+                count_points(BOX2, Z2, 2)
+        assert count_points(BOX2, Z2, 2) == 25
+        assert minima._budget.get() == minima.DEFAULT_BUDGET
+
+
 class TestLazySolve:
     def test_matches_greedy_over_enumerated_points(self, monkeypatch):
         walks = count_walks(monkeypatch)
@@ -1216,7 +1288,7 @@ class TestLazySolve:
                         # the same solve again, the slot holding a walk of
                         # this (body, lattice) at 4 lambda_k, or the larger
                         # one held already with the tie levels it ordered
-                        minima._points(body, lat, 4 * lam_k, minima.DEFAULT_BUDGET)
+                        minima._points(body, lat, 4 * lam_k)
                         before = len(walks)
                     res = call()
                     lam_k = res.values[-1]
@@ -1295,15 +1367,15 @@ class TestHeldWalk:
 
     def test_budget_checked_on_a_held_walk(self):
         body, lat, fc = self.rectangle()
-        for call in (lambda: successive_minima(body, lat, 2, budget=2),
-                     lambda: restricted_minima(body, lat, fc, 1, budget=2)):
+        for call in (lambda: successive_minima(body, lat, 2),
+                     lambda: restricted_minima(body, lat, fc, 1)):
             clear_caches()
-            with pytest.raises(BudgetExceededError) as cold:
+            with pytest.raises(BudgetExceededError) as cold, walk_budget(2):
                 call()
             clear_caches()
-            held, n = minima._points(body, lat, Fraction(2 * 73 * 73), minima.DEFAULT_BUDGET)
+            held, n = minima._points(body, lat, Fraction(2 * 73 * 73))
             assert n == len(held.pairs) > 0
-            with pytest.raises(BudgetExceededError) as warm:
+            with pytest.raises(BudgetExceededError) as warm, walk_budget(2):
                 call()
             assert str(warm.value) == str(cold.value)
             assert str(cold.value).startswith("enumeration box has ")
@@ -1338,7 +1410,7 @@ class TestHeldCounts:
             lams.append(2 * radius)  # beyond the held walk: counted afresh
             got.append(count_points(body, lat, lams[-1]))
             # one count: a call per slab of the origin shell, all with one t
-            hi = minima._walk_system(body, lat, lams[-1], minima.DEFAULT_BUDGET)[1]
+            hi = minima._walk_system(body, lat, lams[-1])[1]
             top = minima._top(lams[-1], minima._walk_setup(body, lat).big)
             assert [(lo, up) for _, _, lo, up in strips] == minima._shell([0] * len(hi), hi)
             assert all(t == [top] * len(t) for _, t, _, _ in strips)
@@ -1354,12 +1426,14 @@ class TestHeldCounts:
         checked = 0
         for body, lat, radius, _ in self.solved():
             held = minima._slot
-            hi = minima._walk_system(body, lat, radius, minima.DEFAULT_BUDGET)[1]
+            hi = minima._walk_system(body, lat, radius)[1]
             size = kernel.box_size([-v for v in hi], hi)
             expected = count_points(body, lat, radius)
             with pytest.raises(BudgetExceededError, match=f"box has {size} points"):
-                count_points(body, lat, radius, budget=size - 1)
-            assert count_points(body, lat, radius, budget=size) == expected
+                with walk_budget(size - 1):
+                    count_points(body, lat, radius)
+            with walk_budget(size):
+                assert count_points(body, lat, radius) == expected
             assert minima._slot is held
             checked += 1
         assert checked > 50
@@ -1394,7 +1468,7 @@ def fresh_walk(body, lat, radius):
     """One fresh collect walk at the radius: the slabs of the shell between
     the origin and the box of the radius, one member of each pair."""
     setup = minima._walk_setup(body, lat)
-    hi = minima._walk_system(body, lat, radius, minima.DEFAULT_BUDGET)[1]
+    hi = minima._walk_system(body, lat, radius)[1]
     t = [minima._top(radius, setup.big)] * len(setup.weighted)
     return [pair for lo, up in minima._shell([0] * len(hi), hi)
             for pair in kernel.collect_passing(setup.weighted, t, lo, up)]
@@ -1474,7 +1548,7 @@ class TestShellRungs:
                     reads.append((min(radius * Fraction(5, 4), cap), None))
                 for r, c in reads:
                     before, prev = len(walks), minima._slot
-                    held, n = minima._points(body, lat, r, minima.DEFAULT_BUDGET, c)
+                    held, n = minima._points(body, lat, r, c)
                     if len(walks) > before and held is prev:  # extended the held walk
                         extended += 1
                         kinds.add((type(body), lat.rank, lat.ambient_dim))
@@ -1516,12 +1590,11 @@ class TestShellRungs:
             if fc.classification == "mixed" or lat.rank != lat.ambient_dim:
                 continue
             for k in range(1, lat.rank + 1):
-                _, cap = minima._certificate(body, lat, fc, k, minima.DEFAULT_BUDGET)
+                _, cap = minima._certificate(body, lat, fc, k)
                 lam1 = successive_minima(body, lat, 1).values[0]
                 minima._slot = None
                 held.clear()
-                minima._solve(body, lat, k, minima.DEFAULT_BUDGET, min(lam1, cap), cap,
-                              fc.admissible_coords)
+                minima._solve(body, lat, k, min(lam1, cap), cap, fc.admissible_coords)
                 assert held and max(held) <= len(fresh_walk(body, lat, cap))
                 solves += 1
         assert solves > 30

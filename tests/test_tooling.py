@@ -77,36 +77,59 @@ def test_exports_resolve_once():
         assert missing == [], f"{module.__name__}: exports without a definition: {missing}"
 
 
-def test_budget_is_passed_on():
-    # inside a function that takes a budget, every call to a package function
-    # that takes one too passes it on, by keyword or by position; a call that
-    # drops it walks under the default budget instead of the caller's
-    functions = [
-        node
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.FunctionDef)
-        and "budget" in [a.arg for a in node.args.args + node.args.kwonlyargs]
+def test_only_the_walk_reads_the_budget():
+    # one scoped limit bounds every walk, so no function but the three memos
+    # of walked results takes a budget; minima._walk_system is the one test
+    # of a box against the limit, and every other read of it is the budget
+    # argument of a memo call, so each memo keys on the limit its walks run
+    # under, and a memo passes on only its own key
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+
+    def params(fn):
+        args = fn.args
+        return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                + [args.vararg, args.kwarg] if a is not None]
+
+    def scope(node):
+        while not isinstance(node, (ast.FunctionDef, ast.Module)):
+            node = node.parent
+        return getattr(node, "name", "<module>")
+
+    def is_read(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and getattr(node.func.value, "id", None) == "_budget")
+
+    memos = {f"{name}:{fn.name}": fn for name, tree in trees.items()
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and "budget" in params(fn)}
+    assert sorted(memos) == ["bounds.py:_full_rank_terms", "minima.py:_restricted_minima",
+                             "minima.py:_successive_minima"]
+    position = {fn.name: params(fn).index("budget") for fn in memos.values()}
+    keys = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in position:
+                index = position[node.func.id]
+                key = node.args[index] if len(node.args) > index else next(
+                    (kw.value for kw in node.keywords if kw.arg == "budget"), None)
+                own = scope(node) == node.func.id and getattr(key, "id", None) == "budget"
+                assert is_read(key) or own, f"{name}:{node.lineno} keys a memo on no scope"
+                keys.append(key)
+    uses = [
+        f"{name}:{scope(node)}:{getattr(node.parent, 'attr', type(node.parent).__name__)}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "_budget"
+        and not any(node.parent.parent is key for key in keys)
     ]
-    position = {}  # name -> index of budget among the positional parameters
-    for fn in functions:
-        params = [a.arg for a in fn.args.args]
-        index = params.index("budget") if "budget" in params else None
-        assert position.setdefault(fn.name, index) == index, f"{fn.name} is ambiguous"
-    assert {"successive_minima", "restricted_minima", "avoidance_bound_full_rank"} <= set(position)
-    dropped = []
-    for fn in functions:
-        for call in ast.walk(fn):
-            if not isinstance(call, ast.Call):
-                continue
-            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
-            if callee not in position:
-                continue
-            index = position[callee]
-            by_position = index is not None and len(call.args) > index
-            if not by_position and all(kw.arg != "budget" for kw in call.keywords):
-                dropped.append(f"{fn.name}:{call.lineno} -> {callee}")
-    assert dropped == [], f"calls that drop the caller's budget: {dropped}"
+    assert sorted(uses) == ["minima.py:<module>:Assign", "minima.py:_walk_system:get",
+                            "minima.py:walk_budget:reset", "minima.py:walk_budget:set"]
+    assert len(keys) == 5  # the four reads outside _walk_system and one memo's own key
 
 
 def test_only_minima_calls_the_walk():
