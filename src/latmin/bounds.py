@@ -13,7 +13,6 @@ and ball-volume comparison bounds are informational only.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .exactarith import (
     sqrt_enclosure,
 )
 from .lattice import Lattice, _kernel_and_gram_det, _m_sum, intersect, minors_vector
-from .minima import _CACHE_SIZE, _budget, _check_dims, _dilation, successive_minima
+from .minima import _budget, _check_dims, _dilation, _result, successive_minima
 
 BOUND_MINKOWSKI = "minkowski-first"
 BOUND_SIEGEL = "siegel"
@@ -267,7 +266,7 @@ def _lower_rank_terms(body, lat, subs):
     """(lambda_1, forbidden lambda_1s, det, vol, beta, rho) shared by the
     lower-rank bounds; rejects forbidden sublattices of full rank.
 
-    Not memoised: the lambda_1 values come from the successive-minima memo,
+    Not kept: the lambda_1 values are the successive minima the contexts keep,
     and the rest is a few Fraction operations."""
     n = lat.ambient_dim
     for sub in subs:
@@ -350,14 +349,13 @@ def higher_minima_bound_lower_rank(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _full_rank_terms(body, lat, subs, budget):
+def _full_rank_terms(body, lat, subs):
     """(L_bar, m, index ratios, lambda_1(K, L_bar), main term) shared by the
     full-rank bounds: L_bar is the intersection of the sublattices and the
     main term 2^n det/(lambda_1(K, L_bar)^(n-1) vol) m.
 
-    Memoised by the value of (body, lattice, sublattices) and the walk
-    budget of the calling scope, with the sublattices a tuple, so the
+    Its callers keep it in the context of (body, lattice) under (the
+    sublattices, a tuple, and the walk budget of the calling scope), so the
     certificate of a restricted solve and the plain, improved and
     higher-minima evaluators share one L_bar, one m and one
     lambda_1(K, L_bar), and a smaller budget recomputes and still raises;
@@ -386,13 +384,14 @@ def avoidance_bound_full_rank(
     n^(-1/(n-1)) (n^n - 1)/n^n of lambda_1(K, L_bar) when requested.
     """
     n = _full_rank_dim(lat)
-    subs = list(sublattices)
+    subs = tuple(sublattices)
     if not subs:
         raise InputError("need s >= 1 forbidden sublattices")
     for sub in subs:
         if sub.rank != n:
             raise RankError("forbidden sublattices must have full rank")
-    inter, msum, ratios, lam1_bar, main = _full_rank_terms(body, lat, tuple(subs), _budget.get())
+    inter, msum, ratios, lam1_bar, main = _result(
+        body, lat, (subs, _budget.get()), _full_rank_terms, body, lat, subs)
     inters = {
         "m": msum,
         "det_intersection": inter.det(),
@@ -438,9 +437,9 @@ def higher_minima_bound_full_rank(
     n = _full_rank_dim(lat)
     if not 1 <= i <= n:
         raise InputError(f"i must lie in [1, n]; got {i}")
-    inter, msum, _, lam1_bar, main = _full_rank_terms(
-        body, lat, tuple(sublattices), _budget.get()
-    )
+    subs = tuple(sublattices)
+    inter, msum, _, lam1_bar, main = _result(
+        body, lat, (subs, _budget.get()), _full_rank_terms, body, lat, subs)
     bar = successive_minima(body, inter, i)
     extra = bar.values[i - 1] if i >= 2 else Fraction(0)
     final = main + lam1_bar + extra

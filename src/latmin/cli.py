@@ -263,6 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # exact values may exceed the digits Python (3.10.7 on) turns into a string
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # lifted for the command, restored after
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         with walk_budget(args.budget):
@@ -272,6 +276,9 @@ def main(argv=None) -> int:
         if isinstance(exc, BudgetExceededError):
             return EXIT_BUDGET
         return EXIT_VIOLATION if isinstance(exc, CertificateError) else EXIT_INPUT
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -26,24 +26,24 @@ adjugate vanish mod the pivot product (``lattice._membership``), and a
 point is independent of those chosen iff it is not orthogonal to their
 complement.  Only the reported witnesses and values become exact rationals.
 
-Each successive minimum and each walk set-up is computed once per value of
-(body, lattice), and each restricted minimum once per value of (body,
-lattice, forbidden collection, k, method), in bounded memos whose keys
-hold the walk budget too; the certificate bounds share their terms through
-the memos of ``bounds``.  Every collect walk goes through one read,
-``_points``, which keeps the walked points of the last (body, lattice)
-sorted by gauge in a slot: a read of that pair at or below the held radius
+What is kept for a (body, lattice) lives in its context (``_Context``), one
+per value of the pair: the walk set-up, the held walk, and the results, by
+(k, budget) for successive minima, (forbidden collection, k, budget, method)
+for restricted minima and (sublattices, budget) for the terms of ``bounds``.
+The map ``_contexts`` and each context's results keep ``_CACHE_SIZE``
+entries at most, the least recently read dropped first.  Every collect walk
+goes through one read, ``_points``, which keeps the walked points of the
+pair, sorted by gauge, in its context: a read at or below the held radius
 walks nothing.  So successive minima after a restricted solve of the same
-pair, and the rungs below a radius already walked, are read from the slot.
-A read beyond the held radius walks only the shell between the held box
-and its own and merges what passes.  When the held points do not reach its
-gauge bound, or belong to another (body, lattice), the read first replaces
-them with the empty walk at the origin, so no two walks' points are alive
-together.  Between reads the slot keeps its list, which ``_clear_caches``
-drops with every memo.  A count of the held pair at or below the held
-radius is read off the slot too, as after a solve of the pair; any other
-count runs the count loop of ``kernel`` over the shell around the origin
-and leaves the slot as it was.
+pair, and the rungs below a radius already walked, are read from there.  A
+read beyond the held radius walks only the shell between the held box and
+its own and merges what passes.  When the held points do not reach its
+gauge bound, or the context holds none, the read first drops every
+context's walk and starts from the empty walk at the origin, so only the
+context that walked last holds a walk.  A count of the pair at or below the
+held radius is read off its walk too, as after a solve of the pair; any
+other count runs the count loop of ``kernel`` over the shell around the
+origin and leaves the held walk as it was.
 
 Successive and restricted minima share one solve, ``_solve``: read the
 points in the point order one gauge level at a time and take the
@@ -52,7 +52,7 @@ reaches it.  A level of ties is ordered lazily: after the gauge the key
 orders points by |z_0|, because the first column of z H that is not zero
 for every point is the pivot of H's first row, so the level is sorted by
 that int and only the runs of equal |z_0| the pass reaches are keyed, and
-the order is kept in the slot for the next solve.  On a shortfall the solve
+the order is kept with the walk for the next solve.  On a shortfall the solve
 reads again at twice the radius, clipped to a proved cap (Minkowski's bound
 or a basis gauge, whichever is smaller, where the n-th root in
 Minkowski's bound on lambda_1 is taken only when an integer test finds the
@@ -79,9 +79,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from operator import itemgetter, mul
-from typing import NamedTuple
 
 from . import _intmat as im
 from . import kernel
@@ -101,8 +100,8 @@ from .lattice import Lattice, _coset_label, _membership, _spans_cover
 DEFAULT_BUDGET = 10**7
 
 # The most points the box of one walk may hold, set for a scope by
-# ``walk_budget``; ``_walk_system`` reads it, and the memos of walked results
-# key on it where they are called.
+# ``walk_budget``; ``_walk_system`` reads it, and the results kept in a
+# context key on it.
 _budget = ContextVar("walk_budget", default=DEFAULT_BUDGET)
 
 
@@ -173,7 +172,7 @@ class ForbiddenCollection:
         self._hash = hash((ambient, self.sublattices))
 
     # everything the collection derives comes from (ambient, sublattices),
-    # so equal pairs share the memo of restricted minima; order is kept
+    # so equal pairs share the kept restricted minima; order is kept
     def __eq__(self, other):
         return (
             isinstance(other, ForbiddenCollection)
@@ -212,66 +211,92 @@ class ForbiddenCollection:
 # enumeration core
 # ---------------------------------------------------------------------------
 
-# Entries kept by each memo: successive and restricted minima, the walk
-# set-ups and the bound terms of ``bounds``.  All are keyed by value:
-# lattices hash by their Hermite form, bodies by their half-widths or facets
-# and vertices, forbidden collections by (ambient, sublattices), and what is
-# kept is immutable.
+# The map from (body, lattice) to its context, and the most entries it and
+# each context's results keep, the least recently read (stamped by
+# ``_reads``) dropped first.  All is keyed by value: lattices hash by their
+# Hermite form, bodies by their half-widths or facets and vertices, forbidden
+# collections by (ambient, sublattices), and what is kept is immutable.
+_contexts = {}
 _CACHE_SIZE = 32
+_reads = count()
 
 
-class _WalkSetup(NamedTuple):
-    """What every walk over (body, lattice) shares, whatever its radius."""
+class _Context:
+    """What is kept for one value of (body, lattice) of matching dimensions:
+    the walk set-up every walk of the pair shares, whatever its radius; the
+    walk held for the pair, if ``pairs`` is not None; the results computed
+    for it as [result, last read] by key (``_result``); and its last read.
+    The held walk is the pairs (g, z) sorted by g: z is one member of a pair
+    +-z of lattice coordinates and g / L its gauge, so pairs of any two walks
+    of the pair compare.  They hold every pair in the box ``hi`` of
+    ``radius`` with g <= ``top``, so every pair with gauge <= radius, and
+    none outside that box.  ``keyed`` holds the start of each run of tied
+    points that ``_tie_level`` has put in key order; runs are read at or
+    below the radius only."""
 
-    weighted: tuple  # W_j = E_j * (L / S_j) for (E, S) of ``_gauge_system``
-    big: int  # L = lcm(S), so a point's gauge is max_j |W_j . z| / L
-    cols: tuple  # columns of H, so x' = z H is (z . col for each col)
-    supports: tuple  # h_K(D_i / m) as integer (num, den) for the dual rows (D, m)
-    basis_gauges: tuple  # gauges of the basis vectors z = e_i times L, sorted
+    def __init__(self, body: ConvexBody, lat: Lattice):
+        """The set-up: integer rows E and positive integers S with gauge(z B)
+        = max_j |E_j . z| / S_j for lattice coordinates z, weighted to
+        W_j = E_j * (L / S_j) with L = lcm(S), so the gauge is
+        max_j |W_j . z| / L; and h_K(U_i / m) as integer (num, den) for the
+        dual rows (U, m): with the half-widths a or the vertices V over one
+        denominator q, sum_j |U_ij| a_j / (m q) or max_v U_i . v / (m q)."""
+        _check_dims(body, lat)
+        h, d = lat._hermite, lat._denom
+        u, m = lat.dual_in_span()
+        if isinstance(body, Box):
+            hw = body.halfwidths
+            e = [[c * a.denominator for c in col] for col, a in zip(zip(*h), hw)]
+            s = [a.numerator * d for a in hw]
+            (a,), q = im.clear_denominators([hw])
+            nums = [dot(map(abs, ui), a) for ui in u]
+        else:
+            e, s = [], []
+            for c in body.facets:
+                (cint,), cd = im.clear_denominators([c])
+                e.append([dot(cint, row) for row in h])
+                s.append(cd * d)
+            verts, q = im.clear_denominators(body.vertices)
+            nums = [max(dot(ui, v) for v in verts) for ui in u]
+        self.big = big = math.lcm(*s)
+        self.weighted = tuple(tuple(c * (big // sj) for c in row) for row, sj in zip(e, s))
+        self.cols = tuple(zip(*h))  # x' = z H is (z . col for each col)
+        self.supports = tuple((num, m * q) for num in nums)
+        # the gauges of the basis vectors z = e_i times L, sorted
+        self.basis_gauges = tuple(sorted(max(map(abs, col)) for col in zip(*self.weighted)))
+        self.pairs, self.results, self.read = None, {}, 0
+
+    def upto(self, radius) -> int:
+        """The number of held pairs with gauge <= radius."""
+        return bisect_right(self.pairs, _top(radius, self.big), key=itemgetter(0))
 
 
-def _gauge_system(body: ConvexBody, lat: Lattice):
-    """(E, S): integer rows E and positive integers S with
-    gauge(z B) = max_j |E_j . z| / S_j for lattice coordinates z."""
-    h, d = lat._hermite, lat._denom
-    if isinstance(body, Box):
-        hw = body.halfwidths
-        e = [[c * a.denominator for c in col] for col, a in zip(zip(*h), hw)]
-        return e, [a.numerator * d for a in hw]
-    e, s = [], []
-    for c in body.facets:
-        (cint,), cd = im.clear_denominators([c])
-        e.append([dot(cint, row) for row in h])
-        s.append(cd * d)
-    return e, s
+def _context(body, lat) -> _Context:
+    """The context of (body, lattice), made on the first read of the pair."""
+    ctx = _contexts.get((body, lat))
+    if ctx is None:
+        ctx = _Context(body, lat)
+        if len(_contexts) >= _CACHE_SIZE:
+            _contexts.pop(min(_contexts.items(), key=lambda kv: kv[1].read)[0]).pairs = None
+        _contexts[body, lat] = ctx
+    ctx.read = next(_reads)
+    return ctx
 
 
-def _support_pairs(body: ConvexBody, u, m):
-    """h_K(U_i / m) as integer (num, den) for each integer row U_i: with the
-    half-widths a or the vertices V over one denominator q, it is
-    sum_j |U_ij| a_j / (m q) or max_v U_i . v / (m q)."""
-    if isinstance(body, Box):
-        (a,), q = im.clear_denominators([body.halfwidths])
-        nums = [dot(map(abs, ui), a) for ui in u]
-    else:
-        verts, q = im.clear_denominators(body.vertices)
-        nums = [max(dot(ui, v) for v in verts) for ui in u]
-    return tuple((num, m * q) for num in nums)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _walk_setup(body: ConvexBody, lat: Lattice) -> _WalkSetup:
-    """The walk set-up of (body, lattice), computed once per value."""
-    e, s = _gauge_system(body, lat)
-    big = math.lcm(*s)
-    weighted = tuple(tuple(c * (big // sj) for c in row) for row, sj in zip(e, s))
-    return _WalkSetup(
-        weighted,
-        big,
-        tuple(zip(*lat._hermite)),
-        _support_pairs(body, *lat.dual_in_span()),
-        tuple(sorted(max(map(abs, col)) for col in zip(*weighted))),
-    )
+def _result(body, lat, key, solve, *args):
+    """The result kept for (body, lattice) under key, else solve(*args), then
+    kept: solve's checks read only the values of (body, lattice, key), so a
+    hit skips them, and a miss makes no context before they pass."""
+    ctx = _contexts.get((body, lat))
+    entry = ctx and ctx.results.get(key)
+    if entry is None:
+        res = solve(*args)
+        ctx, entry = _context(body, lat), [res, 0]
+        if len(ctx.results) >= _CACHE_SIZE:
+            del ctx.results[min(ctx.results.items(), key=lambda kv: kv[1][1])[0]]
+        ctx.results[key] = entry
+    ctx.read = entry[1] = next(_reads)
+    return entry[0]
 
 
 def _check_dims(body, lat):
@@ -288,7 +313,7 @@ def _dilation(lam) -> Fraction:
 
 
 def _walk_system(body, lat, radius):
-    """(setup, hi): the walk set-up of (body, lattice) and the symmetric box
+    """(context, hi): the context of (body, lattice) and the symmetric box
     |z_i| <= hi_i = floor(radius h_K(d_i)) that holds every lattice
     coordinate z with gauge(z B) <= radius, or None when no nonzero z has
     that gauge for want of rank or radius; the scope's walk budget bounds
@@ -298,16 +323,16 @@ def _walk_system(body, lat, radius):
         raise ValueError("radius must be nonnegative")
     if lat.rank == 0 or radius == 0:
         return None
-    setup = _walk_setup(body, lat)
+    ctx = _context(body, lat)
     p, q = radius.numerator, radius.denominator
-    hi = [p * num // (q * den) for num, den in setup.supports]
+    hi = [p * num // (q * den) for num, den in ctx.supports]
     size = kernel.box_size([-m for m in hi], hi)
     budget = _budget.get()
     if size > budget:
         raise BudgetExceededError(
             f"enumeration box has {size} points, budget is {budget}"
         )
-    return setup, hi
+    return ctx, hi
 
 
 def _top(radius, big) -> int:
@@ -347,63 +372,35 @@ def _canonical(z, cols):
     return tuple(map(abs, x)), tuple([v < 0 for v in x]), z, x
 
 
-class _Walked:
-    """The pairs (g, z) held for one (body, lattice), sorted by g, with the
-    walk set-up they came from: z is one member of a pair +-z of lattice
-    coordinates and g / L its gauge, so pairs of any two walks compare.
-    They hold every pair in the box ``hi`` of ``radius`` with g <= ``top``,
-    so every pair with gauge <= radius, and none outside that box.
-    ``keyed`` holds the start of each run of tied points that ``_tie_level``
-    has put in key order; runs are read at or below the radius only."""
-
-    __slots__ = ("setup", "radius", "hi", "top", "pairs", "keyed")
-
-    def __init__(self, setup):
-        """The empty walk at the origin, whose box holds no pair."""
-        self.setup, self.pairs, self.keyed = setup, [], set()
-        self.hi = [0] * len(setup.supports)
-
-    def upto(self, radius) -> int:
-        """The number of pairs with gauge <= radius."""
-        return bisect_right(self.pairs, _top(radius, self.setup.big), key=itemgetter(0))
-
-
-# The walk held for the last (body, lattice) read.  It is keyed by its
-# set-up, which ``_walk_setup`` hands out once per value of the pair.
-_slot = None
-
-
 def _points(body, lat, radius, cap=None):
-    """(walked, n): the walk held for (body, lattice), whose first n pairs
-    are those with gauge <= radius, or (None, 0) when there is nothing to
-    walk.  A read at or below the held radius walks nothing.  A read beyond
-    it collects the pairs of its box with gauge <= cap, the radius when
-    there is no cap.  If the held pairs do not reach that gauge, or belong
-    to another (body, lattice), it first empties the slot and holds the
-    empty walk at the origin, so at most one walk's points are alive at a
-    time.  Then it walks the shell between the held box and its own
-    (``_shell``) and merges what passes; the new pairs lie beyond the held
-    radius, so the merge moves no pair at or below it and no keyed run.
-    ``_walk_system`` runs on every read, so the budget decides as if every
-    read walked its whole box."""
-    global _slot
+    """(context, n): the context of (body, lattice), the first n pairs of
+    whose walk are those with gauge <= radius, or (None, 0) when there is
+    nothing to walk.  A read at or below the held radius walks nothing.  A
+    read beyond it collects the pairs of its box with gauge <= cap, the
+    radius when there is no cap.  If the held pairs do not reach that gauge,
+    or there are none, it drops every context's walk and starts from the
+    empty walk at the origin, held only once walked, so at most one walk's
+    points are alive at a time.  It walks the shell between the held box and
+    its own (``_shell``) and merges what passes; the new pairs lie beyond
+    the held radius, so the merge moves no pair at or below it and no keyed
+    run.  ``_walk_system`` runs on every read, so the budget decides as if
+    every read walked its whole box."""
     walk = _walk_system(body, lat, radius)
     if walk is None:
         return None, 0
-    setup, hi = walk
-    held = _slot
-    if held is None or held.setup is not setup or held.radius < radius:
-        top = _top(radius if cap is None else cap, setup.big)
-        if held is None or held.setup is not setup or held.top < top:
-            _slot = None
-            held = _Walked(setup)
-        t = [top] * len(setup.weighted)
-        for lo, up in _shell(held.hi, hi):
-            held.pairs += kernel.collect_passing(setup.weighted, t, lo, up)
-        held.pairs.sort(key=itemgetter(0))
-        held.radius, held.hi, held.top = radius, hi, top
-        _slot = held
-    return held, held.upto(radius)
+    ctx, hi = walk
+    if ctx.pairs is None or ctx.radius < radius:
+        top = _top(radius if cap is None else cap, ctx.big)
+        if ctx.pairs is None or ctx.top < top:
+            for other in _contexts.values():
+                other.pairs = None
+            ctx.keyed, ctx.hi = set(), [0] * len(hi)
+        t, pairs = [top] * len(ctx.weighted), ctx.pairs or []
+        for lo, up in _shell(ctx.hi, hi):
+            pairs += kernel.collect_passing(ctx.weighted, t, lo, up)
+        pairs.sort(key=itemgetter(0))
+        ctx.pairs, ctx.radius, ctx.hi, ctx.top = pairs, radius, hi, top
+    return ctx, ctx.upto(radius)
 
 
 def _exact(x, g, d, big):
@@ -424,7 +421,7 @@ def enumerate_points(body: ConvexBody, lat: Lattice, radius):
     walked, n = _points(body, lat, Fraction(radius))
     if walked is None:
         return []
-    cols, big, d = walked.setup.cols, walked.setup.big, lat._denom
+    cols, big, d = walked.cols, walked.big, lat._denom
     records = []
     for g, z in islice(walked.pairs, n):
         ax, signs, z, x = _canonical(z, cols)
@@ -451,7 +448,7 @@ def _tie_level(walked, i, j):
     the key orders points by |z_0|: the level is sorted by that int once,
     and only the runs of equal |z_0| that the pass reaches are keyed by
     ``_canonical`` (a keyed run holds canonical members)."""
-    pairs, keyed, cols = walked.pairs, walked.keyed, walked.setup.cols
+    pairs, keyed, cols = walked.pairs, walked.keyed, walked.cols
     if i not in keyed:  # the level's first run is keyed with its sort
         pairs[i:j] = sorted(islice(pairs, i, j), key=_abs_head)
     a = i
@@ -481,7 +478,7 @@ def _take(walked, end, read, k, admissible, chosen, comp, d) -> bool:
     and that order stays with the walk."""
     if walked is None:
         return False
-    pairs, big, cols = walked.pairs, walked.setup.big, walked.setup.cols
+    pairs, big, cols = walked.pairs, walked.big, walked.cols
     i = 0 if read is None else walked.upto(read)
     while i < end:
         m, j = pairs[i][0], i + 1
@@ -545,8 +542,8 @@ def _solve(body, lat, k, radius, cap, admissible=None):
     Admissibility, then independence, is tested point by point (``_take``),
     so the pass stops at the k-th witness.  The chosen points carry over to
     the next rung, which starts past the points at or below the failed
-    radius.  Only ``_take`` refers to a rung's walk, so the slot's is the
-    only reference left when the next rung reads."""
+    radius.  Only ``_take`` refers to a rung's pairs, so the context holds
+    the only reference left when the next rung reads."""
     chosen, comp = [], im.identity(lat.rank)  # nothing chosen: all independent
     read = None  # the last failed rung: every point at or below it was read
     while True:
@@ -563,30 +560,34 @@ def _solve(body, lat, k, radius, cap, admissible=None):
 def successive_minima(body: ConvexBody, lat: Lattice, k: int) -> MinimaResult:
     """lambda_1 .. lambda_k with linearly independent witnesses, exact.
 
-    Memoised by the value of (body, lattice, k) and the walk budget of the
-    calling scope; the budget is part of the key, so a smaller one still
-    raises ``BudgetExceededError``.
+    Kept in the context of (body, lattice) under (k, walk budget of the
+    calling scope), so a second call returns the same object, and a smaller
+    budget recomputes and still raises ``BudgetExceededError``.
     """
+    key = k, _budget.get()
+    ctx = _contexts.get((body, lat))  # _result's hit, inline on the hottest call
+    entry = ctx and ctx.results.get(key)
+    if entry is None:
+        return _result(body, lat, key, _successive_minima, body, lat, k)
+    ctx.read = entry[1] = next(_reads)
+    return entry[0]
+
+
+def _successive_minima(body, lat, k) -> MinimaResult:
     if not 1 <= k <= lat.rank:
         raise RankError(f"k must lie in [1, rank]; got k={k}, rank={lat.rank}")
-    _check_dims(body, lat)
-    return _successive_minima(body, lat, k, _budget.get())
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _successive_minima(body, lat, k, budget) -> MinimaResult:
-    setup = _walk_setup(body, lat)
-    gauge = setup.basis_gauges[k - 1]  # the k-th smallest, times L
-    radius = Fraction(gauge, setup.big)
+    ctx = _context(body, lat)
+    gauge = ctx.basis_gauges[k - 1]  # the k-th smallest, times L
+    radius = Fraction(gauge, ctx.big)
     kind = CERT_DOUBLING
     if lat.rank == lat.ambient_dim:
         n, det, vol = lat.ambient_dim, lat.det(), body.volume()
         if k > 1:
             ratio = 2**n * det / vol
-            mink = ratio / _successive_minima(body, lat, 1, budget).values[0] ** (n - 1)
+            mink = ratio / successive_minima(body, lat, 1).values[0] ** (n - 1)
             radius = min(mink, radius)
         elif gauge**n * det.denominator * vol.numerator > (
-                (2 * setup.big) ** n * det.numerator * vol.denominator):
+                (2 * ctx.big) ** n * det.numerator * vol.denominator):
             # (gauge / L)^n > 2^n det / vol: the root of Minkowski's bound may
             # lie below the basis gauge; otherwise its upper end does not
             radius = min(nth_root_enclosure(2**n * det / vol, n).hi, radius)
@@ -596,14 +597,8 @@ def _successive_minima(body, lat, k, budget) -> MinimaResult:
 
 
 def _clear_caches():
-    """Empty every memo, the bound terms' in ``bounds`` too, and the slot."""
-    from . import bounds  # deferred: bounds uses this module's minima
-
-    global _slot
-    for memo in (_successive_minima, _restricted_minima, _walk_setup,
-                 bounds._full_rank_terms):
-        memo.cache_clear()
-    _slot = None
+    """Drop every context, and with them every result and the held walk."""
+    _contexts.clear()
 
 
 def _certificate(body, lat, forbidden, k):
@@ -642,11 +637,16 @@ def restricted_minima(
     doubles under the certified cap, so typical instances stop far below
     it; the walk budget bounds the evaluators' walks as well as these.
 
-    Memoised by the value of (body, lattice, forbidden, k, method) and the
-    walk budget of the calling scope, once the checks below pass; the
-    budget is part of the key, so a smaller one still raises
-    ``BudgetExceededError``.
+    Kept in the context of (body, lattice) under (forbidden, k, walk budget
+    of the calling scope, method) once its checks pass, so a second call
+    returns the same object, and a smaller budget recomputes and still
+    raises ``BudgetExceededError``.
     """
+    return _result(body, lat, (forbidden, k, _budget.get(), method),
+                   _restricted_minima, body, lat, forbidden, k, method)
+
+
+def _restricted_minima(body, lat, forbidden, k, method) -> MinimaResult:
     if forbidden.ambient != lat:
         raise ValueError("forbidden collection belongs to a different lattice")
     if not 1 <= k <= lat.rank:
@@ -657,11 +657,6 @@ def restricted_minima(
         raise EmptyAdmissibleSetError(
             "the forbidden sublattices cover the whole lattice"
         )
-    return _restricted_minima(body, lat, forbidden, k, _budget.get(), method)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _restricted_minima(body, lat, forbidden, k, budget, method) -> MinimaResult:
     kind, cap = CERT_DOUBLING, None
     if method == "auto":
         kind, cap = _certificate(body, lat, forbidden, k)
@@ -680,24 +675,23 @@ def _restricted_minima(body, lat, forbidden, k, budget, method) -> MinimaResult:
 def count_points(body: ConvexBody, lat: Lattice, lam) -> int:
     """|lam K  intersect  lattice|, origin included.
 
-    When the slot holds the walk of (body, lattice) at a radius >= lam, as
+    When the context of (body, lattice) holds a walk at a radius >= lam, as
     after a solve of the pair, the count is read off it: twice the pairs
     with gauge <= lam, plus the origin.  Otherwise it counts the slabs of
     the shell around the origin, one member of each pair, strip by strip
     in ``kernel.count_passing`` and keeps no point: no candidate list, no
-    gauge, and the slot is left as it was.  Either way ``_walk_system``
+    gauge, and the held walk is left as it was.  Either way ``_walk_system``
     runs first, so the budget decides as if the whole box were walked."""
     lam = _dilation(lam)
     walk = _walk_system(body, lat, lam)
     if walk is None:
         return 1
-    setup, hi = walk
-    held = _slot
-    if held is not None and held.setup is setup and held.radius >= lam:
-        return 2 * held.upto(lam) + 1
-    t = [_top(lam, setup.big)] * len(setup.weighted)
+    ctx, hi = walk
+    if ctx.pairs is not None and ctx.radius >= lam:
+        return 2 * ctx.upto(lam) + 1
+    t = [_top(lam, ctx.big)] * len(ctx.weighted)
     boxes = _shell([0] * len(hi), hi)
-    return 2 * sum(kernel.count_passing(setup.weighted, t, lo, up) for lo, up in boxes) + 1
+    return 2 * sum(kernel.count_passing(ctx.weighted, t, lo, up) for lo, up in boxes) + 1
 
 
 def distinct_cosets_in_body(

@@ -75,8 +75,8 @@ def test_in_process(name, tmp_path):
 
 @pytest.mark.parametrize("name", ["examples.json", "verify.json"])
 def test_cold_then_warm_caches(name, tmp_path):
-    """A report must not depend on what the memos of minima and bound
-    terms, the walk set-ups and the held walk hold: the second run in one
+    """A report must not depend on what the contexts of minima and bound
+    terms, their walk set-ups and the held walk hold: the second run in one
     process finds them warm."""
     minima._clear_caches()
     for run in ("cold", "warm"):

@@ -7,10 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from latmin import cli, harness
-from latmin.body import unit_cube
+from latmin.body import cross_polytope, unit_cube
 from latmin.errors import InputError
 from latmin.exactarith import Enclosure
 from latmin.lattice import Lattice, union_covers
@@ -119,7 +121,72 @@ BOX_WIRE = {"type": "box", "halfwidths": ["1", "1"]}
 Z2_WIRE = {"ambient_dim": 2, "basis": [["1", "0"], ["0", "1"]]}
 
 
+# instance files for the fuzzed CLI: a well-formed instance (a box, or a
+# scaled cross-polytope, over a rational lattice with members that are
+# integer combinations of its rows), whose half-widths may have thousands of
+# digits, and then at most one fault: a leaf made a zero denominator, a huge
+# exponent or a stray JSON value, or a key dropped
+SMALL = st.integers(-3, 3)
+POSITIVE = st.one_of(st.builds("{}/{}".format, st.integers(1, 6), st.integers(1, 4)),
+                     st.builds("{}e{}".format, st.integers(1, 3), st.integers(-6000, 6000)))
+FAULTS = st.one_of(st.builds("{}/0".format, SMALL),
+                   st.builds("{}e{}".format, SMALL, st.integers(-6000, 6000)),
+                   st.none(), st.booleans(), SMALL, st.text(max_size=3), st.just([]), st.just({}))
+
+
+@st.composite
+def fuzzed_instances(draw):
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        body = {"type": "box", "halfwidths": draw(st.lists(POSITIVE, min_size=n, max_size=n))}
+    else:
+        body = cross_polytope(n).scale(Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4))))
+        body = body.to_dict()
+    rows = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=1, max_size=n))
+    d = draw(st.integers(1, 3))
+    forbidden = []
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.lists(SMALL, min_size=len(rows), max_size=len(rows)),
+                               min_size=1, max_size=len(rows)))
+        forbidden.append([[sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)]
+                          for cs in coeffs])
+    instance = {
+        "instance_id": "fuzz", "kind": "none", "body": body,
+        "lattice": {"ambient_dim": n, "basis": [[f"{v}/{d}" for v in row] for row in rows]},
+        "forbidden": [{"ambient_dim": n, "basis": [[f"{v}/{d}" for v in row] for row in sub]}
+                      for sub in forbidden],
+    }
+    fault = draw(st.sampled_from([None, None, "leaf", "key"]))
+    slots = []  # (container, key) of every value in the instance
+
+    def collect(node):
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            if isinstance(node[key], (dict, list)):
+                collect(node[key])
+            slots.append((node, key))
+
+    collect(instance)
+    if fault == "leaf":
+        node, key = draw(st.sampled_from([s for s in slots if isinstance(s[0][s[1]], (str, int))]))
+        node[key] = draw(FAULTS)
+    elif fault == "key":
+        node, key = draw(st.sampled_from([s for s in slots if isinstance(s[0], dict)]))
+        del node[key]
+    return instance
+
+
 class TestCLI:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(instance=fuzzed_instances())
+    def test_fuzzed_instances_exit_with_a_documented_code(self, instance, tmp_path):
+        # every instance file gives exit 0, 2, 3 or 4, never another exception
+        path, out = tmp_path / "inst.json", tmp_path / "out.json"
+        path.write_text(json.dumps(instance))
+        for command in ("minima", "restricted", "bounds"):
+            argv = [command, "--instance", str(path), "--budget", "10000", "--out", str(out)]
+            assert cli.main(argv) in (0, 2, 3, 4), (argv, instance)
+
     def test_minima_inline(self, capsys):
         code = cli.main(["minima", "--box", "1,2/25", "--diag", "1,1", "-k", "2"])
         assert code == 0
@@ -323,6 +390,28 @@ class TestCLI:
             ["minima", "--box", "1,1/100", "--diag", "1,1", "-k", "2", "--budget", "10"]
         )
         assert code == 4
+
+    def test_budget_error_past_the_int_string_limit(self, capsys):
+        # the box holds about 6 * 10^5000 points, more digits than Python
+        # turns into a string by default; the command lifts that limit, so
+        # the budget error is reported as such, and restores it on return
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert cli.main(["minima", "--box", "1,1", "--diag", "1e5000,1", "-k", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: enumeration box has 6") and len(err) > 5000
+        assert err.endswith(f"points, budget is {cli.DEFAULT_BUDGET}\n")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_bounds_past_the_int_string_limit(self, tmp_path):
+        # 15,000 bits of precision give enclosure ends whose denominators
+        # have more than 4,300 digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        out = tmp_path / "bounds.json"
+        argv = ["bounds", "--box", "1,1/3", "--diag", "1,1", "--precision-bits", "15000"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        ends = [end for row in json.loads(out.read_text()) for end in row["final"].values()]
+        assert max(len(end) for end in ends) > 4300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_every_walking_command_exits_4_under_a_budget_of_1(self, capsys):
         # the polytope instance has lower-rank members, so bounds walks too

@@ -451,7 +451,7 @@ class TestDimensionMismatch:
 
 class TestCertificateCheck:
     """A proved radius that fails to contain the minima raises, never
-    returns, also under python -O.  The memos are cleared first, so the
+    returns, also under python -O.  The contexts are cleared first, so the
     patched radius is the one walked.  The Minkowski radius is patched on
     the unit square over rows (1, 5), (0, 11): its shortest basis gauge 5
     lies above the root of 2^n det / vol = 11, so the root is taken, and
@@ -651,7 +651,7 @@ class TestSkewedRationalInputs:
         # takes the supports at the dual span vectors as integer pairs
         bodies = set()
         for _, body, _, lat in skewed_cases(317, 40):
-            setup = minima._walk_setup(body, lat)
+            setup = minima._context(body, lat)
             got = [Fraction(g, setup.big) for g in setup.basis_gauges]
             assert got == sorted(body.gauge(b) for b in lat.basis)
             got = [Fraction(num, den) for num, den in setup.supports]
@@ -867,7 +867,7 @@ class TestHalfWalk:
                 radius /= 2
             walked, n = minima._points(body, lat, radius)
             records = [] if walked is None else [
-                minima._canonical(z, walked.setup.cols) for _, z in walked.pairs[:n]]
+                minima._canonical(z, walked.cols) for _, z in walked.pairs[:n]]
             got = [tuple(Fraction(v, lat._denom) for v in rec[3]) for rec in records]
             first = {}
             for x, g in oracles.points_within(bd, short, radius):
@@ -935,6 +935,24 @@ def clear_caches():
     minima._clear_caches()
 
 
+def held_walks():
+    """The contexts that hold a walk, at most one."""
+    return [ctx for ctx in minima._contexts.values() if ctx.pairs is not None]
+
+
+def drop_walks():
+    """Drop the held walk, keeping every context and result."""
+    for ctx in minima._contexts.values():
+        ctx.pairs = None
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call of minima.NAME from now on."""
+    calls, fn = [], getattr(minima, name)
+    monkeypatch.setattr(minima, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
 class TestMemoSoundness:
     def test_smaller_budget_still_raises(self):
         plane = Lattice([[1, 2, 0], [0, 3, 5]], 3)
@@ -961,10 +979,9 @@ class TestMemoSoundness:
         spelled = Box(["6/4", Fraction(2, 2), "1.25"])
         assert other == lat and spelled == body
         first = successive_minima(body, lat, 3)
-        info = minima._successive_minima.cache_info()
         second = successive_minima(spelled, other, 3)
         assert second.to_dict() == first.to_dict()
-        assert minima._successive_minima.cache_info().hits == info.hits + 1
+        assert second is first
         # forbidden collections over equal lattices, spelled apart, share
         # one restricted entry, and the full-rank evaluators one set of
         # bound terms
@@ -975,9 +992,8 @@ class TestMemoSoundness:
         fc, other_fc = ForbiddenCollection(lat, subs), ForbiddenCollection(other, respelled)
         assert other_fc == fc and hash(other_fc) == hash(fc)
         first = restricted_minima(body, lat, fc, 2)
-        info = minima._restricted_minima.cache_info()
         assert restricted_minima(spelled, other, other_fc, 2).to_dict() == first.to_dict()
-        assert minima._restricted_minima.cache_info().hits == info.hits + 1
+        assert restricted_minima(spelled, other, other_fc, 2) is first
         lower = [Lattice([[2, 1, 0]], 3), Lattice([[0, 3, 1], [1, 0, 4]], 3)]
         for evaluate, given in (
             (bounds.avoidance_bound_full_rank, subs),
@@ -988,7 +1004,14 @@ class TestMemoSoundness:
         ):
             assert (evaluate(body, lat, list(given)).to_dict()
                     == evaluate(spelled, other, tuple(given)).to_dict())
-        assert bounds._full_rank_terms.cache_info().currsize == 1
+        # one context for both spellings, holding one set of bound terms,
+        # which a read under the other spelling finds without solving
+        results = minima._contexts[body, lat].results
+        terms = [key for key in results if isinstance(key[0], tuple)]
+        assert terms == [(tuple(subs), minima.DEFAULT_BUDGET)]
+        assert (spelled, other) in minima._contexts
+        key = (tuple(respelled), minima.DEFAULT_BUDGET)
+        assert minima._result(spelled, other, key, None) is results[terms[0]][0]
         hexagon = SymmetricPolytope([[Fraction(1, 2), 0], [0, Fraction(1, 3)],
                                      [Fraction(1, 2), Fraction(-1, 3)]])
         spelled = SymmetricPolytope([["2/4", "0/7"], [0, Fraction(3, 9)], ["0.5", "-2/6"]])
@@ -999,6 +1022,8 @@ class TestMemoSoundness:
                 == successive_minima(hexagon, base, 2).to_dict())
 
     def test_cold_and_warm_results_agree(self):
+        hits = []
+
         def solve_all(cold):
             out = []
             # the restricted test's cases (inputs, forbidden sets and k),
@@ -1021,16 +1046,16 @@ class TestMemoSoundness:
                 ):
                     if cold:
                         clear_caches()
-                    out.append(call().to_dict())
+                    res = call()
+                    out.append(res.to_dict())
+                    hits.append(call() is res)  # a hit is the very same object
             return out
 
         cold = solve_all(True)
-        before = minima._successive_minima.cache_info().hits
         warm = solve_all(False)
-        assert minima._successive_minima.cache_info().hits > before
-        assert len(cold) > 80 and warm == cold
+        assert len(cold) > 80 and warm == cold and all(hits)
 
-        # a breakdown's lists are its own: mutating them changes no memo entry
+        # a breakdown's lists are its own: mutating them changes no kept entry
         body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
         lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
         full = [Lattice([[4, 2, 0], [0, 3, 1], [1, 0, 4]]),
@@ -1068,44 +1093,133 @@ class TestMemoSoundness:
             clear_caches()
             first = successive_minima(body, lat, 1)
             walks = count_walks(monkeypatch)
-            hits = minima._successive_minima.cache_info().hits
+            solves = count_calls(monkeypatch, "_successive_minima")
             assert successive_minima(body, lat, 2).to_dict() == cold
-            assert minima._successive_minima.cache_info().hits == hits + 1
+            assert solves == [(body, lat, 2)]  # lambda_1 is the k = 1 result
+            monkeypatch.undo()
             assert len(walks) == expected
             if expected:  # the walk's radius is lambda_2's, beyond lambda_1's
                 radius = Fraction(cold["certificate"]["radius"])
-                big = minima._walk_setup(body, lat).big
+                big = minima._context(body, lat).big
                 for _, t, _, _ in walks[0]:
                     assert t == [radius.numerator * big // radius.denominator] * 3
                 assert radius > first.certificate_radius
             else:
                 assert Fraction(cold["certificate"]["radius"]) <= first.certificate_radius
 
-    def test_one_set_up_lookup_per_walk(self):
+    def test_one_set_up_lookup_per_walk(self, monkeypatch):
         # a walk hashes its body and lattice once, cold or warm, and a read
         # with nothing to walk hashes nothing
         body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
         lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
-
-        def lookups():
-            info = minima._walk_setup.cache_info()
-            return info.hits + info.misses
-
         clear_caches()
+        lookups = count_calls(monkeypatch, "_context")
         for radius in (Fraction(5, 2), Fraction(7, 3), Fraction(0)):
-            before = lookups()
+            before = len(lookups)
             enumerate_points(body, lat, radius)
-            assert lookups() == before + (radius > 0)
-        before = lookups()
+            assert len(lookups) == before + (radius > 0)
+        before = len(lookups)
         count_points(body, lat, 3)
-        assert lookups() == before + 1
+        assert len(lookups) == before + 1 and set(lookups) == {(body, lat)}
 
     def test_dimension_mismatch_raises_before_lookup(self):
         clear_caches()
         with pytest.raises(ValueError, match="dimension mismatch"):
             successive_minima(unit_cube(3), Z2, 1)
-        assert minima._successive_minima.cache_info() == (0, 0, minima._CACHE_SIZE, 0)
-        assert minima._walk_setup.cache_info().currsize == 0
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            minima._context(unit_cube(3), Z2)
+        assert minima._contexts == {}  # no context, so no set-up and no result
+
+
+class TestContexts:
+    """One bounded map from (body, lattice) to a context, least recently
+    read out first, with at most one held walk among its contexts."""
+
+    def test_bounded_map_holds_one_walk(self):
+        clear_caches()
+        size = minima._CACHE_SIZE
+        body = Box([Fraction(3, 2), 1])
+        lattices = [Lattice([[1, j], [0, 2 + j]]) for j in range(3 * size)]
+        for lat in lattices:
+            successive_minima(body, lat, 2)
+        assert len(minima._contexts) == size
+        assert list(minima._contexts) == [(body, lat) for lat in lattices[-size:]]
+        assert held_walks() == [minima._contexts[body, lattices[-1]]]
+        # a hit, or a walk's read, makes its pair the most recently read, so
+        # the next pairs made drop the ones read least recently instead
+        first, second = lattices[-size], lattices[1 - size]
+        assert successive_minima(body, first, 2) is successive_minima(body, first, 2)
+        count_points(body, second, 1)  # reads the pair, keeps no result
+        for lat in lattices[:2]:
+            successive_minima(body, lat, 1)
+        assert (body, first) in minima._contexts and (body, second) in minima._contexts
+        assert not {(body, lat) for lat in lattices[2 - size:4 - size]} & set(minima._contexts)
+        assert held_walks() == [minima._contexts[body, lattices[1]]]
+
+    def test_interrupted_walk_holds_nothing(self, monkeypatch):
+        # a fresh walk that raises part-way leaves no context holding a
+        # walk, so the next read walks afresh and finds every point
+        body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
+        lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        clear_caches()
+        expected = enumerate_points(body, lat, 3)
+        clear_caches()
+        walk, calls = kernel.collect_passing, []
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return walk(*args)
+
+        monkeypatch.setattr(kernel, "collect_passing", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            enumerate_points(body, lat, 3)
+        assert held_walks() == [] and (body, lat) in minima._contexts
+        monkeypatch.undo()
+        assert enumerate_points(body, lat, 3) == expected
+
+    def test_results_of_one_pair_are_bounded(self):
+        # restricted lambda_1 under 3 * _CACHE_SIZE collections of one
+        # forbidden line each: the pair keeps _CACHE_SIZE results, and
+        # lambda_1, kept first but read by every solve, is among them
+        clear_caches()
+        size = minima._CACHE_SIZE
+        body = Box([2, Fraction(1, 3)])
+        collections = [ForbiddenCollection(Z2, [Lattice([[1, j]], 2)])
+                       for j in range(3 * size)]
+        for fc in collections:
+            res = restricted_minima(body, Z2, fc, 1)
+            assert res.certificate_kind == "theorem-1.1"
+        results = minima._contexts[body, Z2].results
+        assert len(results) == size
+        assert (1, minima.DEFAULT_BUDGET) in results
+        assert (collections[-1], 1, minima.DEFAULT_BUDGET, "auto") in results
+        assert (collections[0], 1, minima.DEFAULT_BUDGET, "auto") not in results
+
+    def test_context_evicted_during_its_solve(self, monkeypatch):
+        # Theorem 1.1 for 40 forbidden lines reads lambda_1 of each line, so
+        # the pair's context is dropped while its solve runs and made again;
+        # the answer is the one a map large enough for every pair gives,
+        # and the oracle's
+        lines = [[a, b] for a in range(7) for b in range(-6, 7)
+                 if math.gcd(a, b) == 1 and (a > 0 or b > 0)][:40]
+        assert len(lines) == 40
+        body = Box([3, 2])
+        fc = ForbiddenCollection(Z2, [Lattice([line], 2) for line in lines])
+        expected = oracles.brute_minima(body.to_dict(), [[1, 0], [0, 1]],
+                                        [[line] for line in lines], 2)
+        answers, default = [], minima._CACHE_SIZE
+        for size in (default, 10 * default):
+            monkeypatch.setattr(minima, "_CACHE_SIZE", size)
+            clear_caches()
+            made = count_calls(monkeypatch, "_Context")
+            answers.append([restricted_minima(body, Z2, fc, k) for k in (1, 2)])
+            assert (made.count((body, Z2)) > 1) == (size == default)
+            monkeypatch.undo()
+        assert answers[0] == answers[1]
+        assert tuple(res.values[-1] for res in answers[0]) == expected
+        assert [res.certificate_kind for res in answers[0]] == ["theorem-1.1", "corollary-2.2"]
 
 
 # ---------------------------------------------------------------------------
@@ -1235,7 +1349,7 @@ class TestWalkBudget:
         }
 
     def test_every_entry_point_raises_under_a_limit_of_one(self):
-        # cold, then after a warm call under the default limit: the memos
+        # cold, then after a warm call under the default limit: kept results
         # key on the limit, so the second call walks again and raises alike
         calls = self.entry_points()
         assert len(calls) == 19
@@ -1271,21 +1385,19 @@ class TestLazySolve:
                 lat, [Lattice(r, lat.ambient_dim) for r in rows])
             for k in range(1, lat.rank + 1):
                 if fc is None:
-                    # the second call bypasses the memo, so it solves again
+                    # the second call bypasses the kept results, so it solves again
                     calls = [functools.partial(successive_minima, body, lat, k),
-                             functools.partial(minima._successive_minima.__wrapped__,
-                                               body, lat, k, minima.DEFAULT_BUDGET)]
+                             functools.partial(minima._successive_minima, body, lat, k)]
                 else:
-                    # the second pair bypasses the memo, so it solves again
+                    # the second pair bypasses the kept results, so it solves again
                     calls = [functools.partial(restricted_minima, body, lat, fc, k, method=method)
                              for method in ("auto", "doubling")]
-                    calls += [functools.partial(minima._restricted_minima.__wrapped__, body, lat,
-                                                fc, k, minima.DEFAULT_BUDGET, method)
-                              for method in ("auto", "doubling")]
+                    calls += [functools.partial(minima._restricted_minima, body, lat, fc, k, m)
+                              for m in ("auto", "doubling")]
                 for i, call in enumerate(calls):
                     warm = i >= len(calls) // 2
                     if warm:
-                        # the same solve again, the slot holding a walk of
+                        # the same solve again, the context holding a walk of
                         # this (body, lattice) at 4 lambda_k, or the larger
                         # one held already with the tie levels it ordered
                         minima._points(body, lat, 4 * lam_k)
@@ -1379,12 +1491,12 @@ class TestHeldWalk:
                 call()
             assert str(warm.value) == str(cold.value)
             assert str(cold.value).startswith("enumeration box has ")
-            assert minima._slot is held
+            assert held_walks() == [held] and minima._contexts[body, lat] is held
 
 
 class TestHeldCounts:
     """A count of (body, lattice) at or below the radius of the walk the
-    slot holds for the pair is read off that walk."""
+    pair's context holds is read off that walk."""
 
     def solved(self):
         """(body, lattice, held radius, dilates at or below it) after a
@@ -1392,8 +1504,8 @@ class TestHeldCounts:
         for body, lat, _ in lazy_solve_cases():
             clear_caches()
             res = successive_minima(body, lat, lat.rank)
-            held = minima._slot
-            assert held.setup is minima._walk_setup(body, lat)
+            held = minima._contexts[body, lat]
+            assert held_walks() == [held]
             radius = held.radius
             lams = {*res.values, radius, radius / 3, res.values[0] / 2, Fraction(0)}
             yield body, lat, radius, sorted(lam for lam in lams if lam <= radius)
@@ -1411,12 +1523,12 @@ class TestHeldCounts:
             got.append(count_points(body, lat, lams[-1]))
             # one count: a call per slab of the origin shell, all with one t
             hi = minima._walk_system(body, lat, lams[-1])[1]
-            top = minima._top(lams[-1], minima._walk_setup(body, lat).big)
+            top = minima._top(lams[-1], minima._context(body, lat).big)
             assert [(lo, up) for _, _, lo, up in strips] == minima._shell([0] * len(hi), hi)
             assert all(t == [top] * len(t) for _, t, _, _ in strips)
             clear_caches()
             assert got == [count_points(body, lat, lam) for lam in lams]
-            assert minima._slot is None  # a fresh count holds nothing
+            assert held_walks() == []  # a fresh count holds nothing
             strips.clear()
             checked += len(lams)
         assert checked > 200
@@ -1425,7 +1537,7 @@ class TestHeldCounts:
         # the budget decides as if the whole box were walked, held or not
         checked = 0
         for body, lat, radius, _ in self.solved():
-            held = minima._slot
+            held = minima._contexts[body, lat]
             hi = minima._walk_system(body, lat, radius)[1]
             size = kernel.box_size([-v for v in hi], hi)
             expected = count_points(body, lat, radius)
@@ -1434,7 +1546,7 @@ class TestHeldCounts:
                     count_points(body, lat, radius)
             with walk_budget(size):
                 assert count_points(body, lat, radius) == expected
-            assert minima._slot is held
+            assert held_walks() == [held]
             checked += 1
         assert checked > 50
 
@@ -1443,13 +1555,12 @@ class TestHeldCounts:
         lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
         clear_caches()
         radius = successive_minima(body, lat, 3).certificate_radius
-        assert minima._slot.radius >= radius
+        assert minima._contexts[body, lat].radius >= radius
         strips = []
         monkeypatch.setattr(kernel, "count_passing", lambda *a: strips.append(a))
-        info = minima._walk_setup.cache_info()
+        lookups = count_calls(monkeypatch, "_context")
         count_points(body, lat, radius)
-        after = minima._walk_setup.cache_info()
-        assert (after.hits + after.misses) - (info.hits + info.misses) == 1
+        assert lookups == [(body, lat)]
         assert strips == []
 
 
@@ -1467,7 +1578,7 @@ def canonical_pairs(pairs, cols):
 def fresh_walk(body, lat, radius):
     """One fresh collect walk at the radius: the slabs of the shell between
     the origin and the box of the radius, one member of each pair."""
-    setup = minima._walk_setup(body, lat)
+    setup = minima._context(body, lat)
     hi = minima._walk_system(body, lat, radius)[1]
     t = [minima._top(radius, setup.big)] * len(setup.weighted)
     return [pair for lo, up in minima._shell([0] * len(hi), hi)
@@ -1514,7 +1625,7 @@ def key_tie_levels(held, n):
 def keyed_runs_in_key_order(held):
     """Whether each run that ``keyed`` marks holds canonical members in key
     order: the pairs from its start that share its gauge and |z_0|."""
-    pairs, cols = held.pairs, held.setup.cols
+    pairs, cols = held.pairs, held.cols
     for a in held.keyed:
         b = a + 1
         while (b < len(pairs) and pairs[b][0] == pairs[a][0]
@@ -1529,8 +1640,8 @@ def keyed_runs_in_key_order(held):
 class TestShellRungs:
     def test_extensions_match_a_fresh_walk(self, monkeypatch):
         # rungs doubling up to a cap, with uncapped reads in between that
-        # extend the slot under a lower gauge bound; after each read the
-        # slot's pairs up to the held radius are those of one fresh walk,
+        # extend the held walk under a lower gauge bound; after each read its
+        # pairs up to the held radius are those of one fresh walk,
         # and the tie levels put in key order before it stay so
         walks = count_walks(monkeypatch)
         levels = 0
@@ -1540,22 +1651,23 @@ class TestShellRungs:
         for body, lat, _ in lazy_solve_cases():
             lam = successive_minima(body, lat, lat.rank).values
             cap = 2 * lam[-1]
-            minima._slot = None
+            drop_walks()
             radius = lam[0] / 2
             while True:
                 reads = [(radius, cap)]
                 if rng.random() < 0.3:
                     reads.append((min(radius * Fraction(5, 4), cap), None))
                 for r, c in reads:
-                    before, prev = len(walks), minima._slot
+                    before, prev = len(walks), minima._contexts[body, lat].pairs
                     held, n = minima._points(body, lat, r, c)
-                    if len(walks) > before and held is prev:  # extended the held walk
+                    if len(walks) > before and held.pairs is prev:  # extended the held walk
                         extended += 1
                         kinds.add((type(body), lat.rank, lat.ambient_dim))
-                    cols = held.setup.cols
+                    cols = held.cols
+                    assert held_walks() == [held]
                     assert held.radius >= r and n == held.upto(r)
                     assert [g for g, _ in held.pairs] == sorted(g for g, _ in held.pairs)
-                    top = minima._top(held.radius, held.setup.big)
+                    top = minima._top(held.radius, held.big)
                     got = [pair for pair in held.pairs if pair[0] <= top]
                     assert canonical_pairs(got, cols) == canonical_pairs(
                         fresh_walk(body, lat, held.radius), cols)
@@ -1578,7 +1690,7 @@ class TestShellRungs:
 
         def recorded(*args):
             out = points(*args)
-            held.append(len(minima._slot.pairs) if minima._slot else 0)
+            held.append(sum(len(walked.pairs) for walked in held_walks()))
             return out
 
         monkeypatch.setattr(minima, "_points", recorded)
@@ -1592,7 +1704,7 @@ class TestShellRungs:
             for k in range(1, lat.rank + 1):
                 _, cap = minima._certificate(body, lat, fc, k)
                 lam1 = successive_minima(body, lat, 1).values[0]
-                minima._slot = None
+                drop_walks()
                 held.clear()
                 minima._solve(body, lat, k, min(lam1, cap), cap, fc.admissible_coords)
                 assert held and max(held) <= len(fresh_walk(body, lat, cap))

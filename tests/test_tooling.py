@@ -78,11 +78,11 @@ def test_exports_resolve_once():
 
 
 def test_only_the_walk_reads_the_budget():
-    # one scoped limit bounds every walk, so no function but the three memos
-    # of walked results takes a budget; minima._walk_system is the one test
-    # of a box against the limit, and every other read of it is the budget
-    # argument of a memo call, so each memo keys on the limit its walks run
-    # under, and a memo passes on only its own key
+    # one scoped limit bounds every walk, so no function takes a budget;
+    # minima._walk_system is the one test of a box against the limit, and
+    # every other read of it is an element of the key that minima._result
+    # keeps a result under, so each kept result keys on the limit its walks
+    # ran under, and every call of _result keys on it
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     for tree in trees.values():
@@ -95,33 +95,47 @@ def test_only_the_walk_reads_the_budget():
         return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
                 + [args.vararg, args.kwarg] if a is not None]
 
-    def scope(node):
+    def function(node):
         while not isinstance(node, (ast.FunctionDef, ast.Module)):
             node = node.parent
-        return getattr(node, "name", "<module>")
+        return node
 
     def is_read(node):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "get" and getattr(node.func.value, "id", None) == "_budget")
 
-    memos = {f"{name}:{fn.name}": fn for name, tree in trees.items()
-             for fn in ast.walk(tree)
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and "budget" in params(fn)}
-    assert sorted(memos) == ["bounds.py:_full_rank_terms", "minima.py:_restricted_minima",
-                             "minima.py:_successive_minima"]
-    position = {fn.name: params(fn).index("budget") for fn in memos.values()}
-    keys = []
+    def is_result(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_result"
+
+    takers = [f"{name}:{fn.name}" for name, tree in trees.items() for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and "budget" in params(fn)]
+    assert takers == []
+    keyed, keys = [], []
     for name, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in position:
-                index = position[node.func.id]
-                key = node.args[index] if len(node.args) > index else next(
-                    (kw.value for kw in node.keywords if kw.arg == "budget"), None)
-                own = scope(node) == node.func.id and getattr(key, "id", None) == "budget"
-                assert is_read(key) or own, f"{name}:{node.lineno} keys a memo on no scope"
-                keys.append(key)
+            if not (is_read(node) and isinstance(node.parent, ast.Tuple)):
+                continue
+            key, fn = node.parent, function(node)
+            if not is_result(key.parent):  # bound to a name and passed on
+                assert isinstance(key.parent, ast.Assign) and len(key.parent.targets) == 1
+                target = key.parent.targets[0].id
+                stores = [n for n in ast.walk(fn) if isinstance(n, ast.Name)
+                          and n.id == target and isinstance(n.ctx, ast.Store)]
+                assert len(stores) == 1, f"{name}:{fn.name} rebinds its key"
+                calls = [call for call in ast.walk(fn) if is_result(call)]
+                assert [getattr(call.args[2], "id", None) for call in calls] == [target]
+                key = calls[0].args[2]
+            assert key.parent.args[2] is key, f"{name}:{fn.name}"
+            keyed.append(f"{name}:{fn.name}")
+            keys.append(node)
+    callers = [f"{name}:{function(call).name}" for name, tree in trees.items()
+               for call in ast.walk(tree) if is_result(call)]
+    assert sorted(keyed) == sorted(callers) == [
+        "bounds.py:avoidance_bound_full_rank", "bounds.py:higher_minima_bound_full_rank",
+        "minima.py:restricted_minima", "minima.py:successive_minima"]
     uses = [
-        f"{name}:{scope(node)}:{getattr(node.parent, 'attr', type(node.parent).__name__)}"
+        f"{name}:{getattr(function(node), 'name', '<module>')}:"
+        f"{getattr(node.parent, 'attr', type(node.parent).__name__)}"
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and node.id == "_budget"
@@ -129,7 +143,6 @@ def test_only_the_walk_reads_the_budget():
     ]
     assert sorted(uses) == ["minima.py:<module>:Assign", "minima.py:_walk_system:get",
                             "minima.py:walk_budget:reset", "minima.py:walk_budget:set"]
-    assert len(keys) == 5  # the four reads outside _walk_system and one memo's own key
 
 
 def test_only_minima_calls_the_walk():
@@ -177,7 +190,8 @@ def test_one_collect_call_site():
 def test_integer_lattices_make_no_fraction(monkeypatch):
     # integer rows stay integers: a lattice built from them, a forbidden
     # collection over it, its sublattices in its coordinates, its dual rows
-    # at full and lower rank and the walk set-up of a box over it
+    # at full and lower rank and the walk set-up of a box over it, which
+    # the context of the pair computes
     from latmin import _intmat, lattice, minima
     from latmin.body import Box
 
@@ -200,7 +214,7 @@ def test_integer_lattices_make_no_fraction(monkeypatch):
     fc = minima.ForbiddenCollection(lat, subs)
     coords = [lat.in_coords(sub) for sub in subs]
     duals = [lat.dual_in_span(), subs[2].dual_in_span()]
-    setup = minima._walk_setup.__wrapped__(box, lat)  # bypass the memo
+    setup = minima._Context(box, lat)  # bypass the map of contexts
     assert made == []
     assert all(type(m) is int and m > 0 for _, m in duals)
     assert setup.supports and setup.weighted
@@ -211,28 +225,42 @@ def test_integer_lattices_make_no_fraction(monkeypatch):
 
 
 def test_clear_caches_empties_every_memo():
-    # a solve and the bound evaluators fill every lru_cache in the package,
-    # and minima._clear_caches empties each, so no memo added later can carry
-    # results from one test into the next
+    # minima._contexts is the package's one memo: no module memoises with
+    # functools.lru_cache or functools.cache and no function rebinds a
+    # module global, and minima._clear_caches, one statement that imports
+    # nothing, empties the map, so no cache added later can carry results
+    # from one test into the next
     from latmin import bounds, minima
     from latmin.body import Box
     from latmin.lattice import Lattice
 
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if isinstance(node, ast.Global) or {"lru_cache", "cache"} & set(names):
+                found.append(f"{path.name}:{node.lineno}")
     modules = [importlib.import_module(f"latmin.{path.stem}")
-               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
-    memos = {f"{module.__name__}.{attr}": obj
-             for module in modules for attr, obj in vars(module).items()
-             if hasattr(obj, "cache_info")}
+               for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    found += [f"{module.__name__}.{attr}" for module in modules
+              for attr, obj in vars(module).items() if hasattr(obj, "cache_info")]
+    assert found == []
+    tree = ast.parse((PACKAGE / "minima.py").read_text(), filename="minima.py")
+    clear = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_clear_caches")
+    stmts = clear.body[1:] if ast.get_docstring(clear) else clear.body
+    assert len(stmts) == 1 and isinstance(stmts[0], ast.Expr)
     body = Box([Fraction(3, 2), 1, Fraction(5, 4)])
     lat = Lattice([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
     full = [Lattice([[4, 2, 0], [0, 3, 1], [1, 0, 4]])]
     minima.restricted_minima(body, lat, minima.ForbiddenCollection(lat, full), 2)
     bounds.avoidance_bound_lower_rank(body, lat, [Lattice([[2, 1, 0]], 3)])
-    assert len(memos) >= 4
-    assert [name for name, memo in memos.items() if memo.cache_info().currsize == 0] == []
+    contexts = list(minima._contexts.values())
+    assert len(contexts) >= 3 and all(ctx.results for ctx in contexts)
+    assert [ctx for ctx in contexts if ctx.pairs is not None]
     minima._clear_caches()
-    assert [name for name, memo in memos.items() if memo.cache_info().currsize] == []
-    assert minima._slot is None
+    assert minima._contexts == {}
 
 
 def test_greedy_pass_calls_no_lattice_method():
@@ -273,7 +301,7 @@ UNREFERENCED = {
     "bounds.torus_volume_lower_bound": "a library evaluator from the paper",
     "kernel.backend_name": "perfbench/run.py prints it",
     "cli._Parser.error": "an argparse hook",
-    "minima._clear_caches": "tests reset the memos and the held walk with it",
+    "minima._clear_caches": "tests drop every context, with its results and walk, with it",
 }
 
 
